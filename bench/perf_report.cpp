@@ -8,6 +8,8 @@
 // The hash makes kernel regressions visible: any change to event ordering,
 // filtering decisions or float arithmetic changes it, so two kernels that
 // report the same hash on all workloads produced bit-identical waveforms.
+// First of all it records the cold path -- parse, TimingGraph::build and
+// Simulator construction, per deck (docs/BENCHMARKS.md).
 //
 // Usage: perf_report [--quick] [--label NAME] [--out FILE] [--append]
 //   --quick    shorter sequences / fewer repetitions (CI smoke tier)
@@ -18,6 +20,7 @@
 //
 // The committed /BENCH_kernel.json is the perf trajectory: every PR that
 // touches the kernel appends a labelled entry (see docs/BENCHMARKS.md).
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -49,6 +52,7 @@
 #include "src/fault/fault.hpp"
 #include "src/lint/lint.hpp"
 #include "src/parsers/bench_format.hpp"
+#include "src/parsers/netlist_io.hpp"
 #include "src/replay/history_hash.hpp"
 #include "src/replay/resim.hpp"
 #include "src/serve/client.hpp"
@@ -89,6 +93,122 @@ std::uint64_t hash_history(const Sim& sim) {
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+// ---- cold-path workload ------------------------------------------------------
+
+/// One deck of the cold path a one-shot request pays before its first
+/// event: netlist text -> Netlist (parse) -> TimingGraph::build ->
+/// Simulator construction.  Each phase is timed per rep; the record keeps
+/// the median and the quartiles, plus the peak-RSS growth over the reps.
+struct ColdPathDeck {
+  std::string name;
+  std::string format;  ///< "bench" or "native"
+  std::size_t bytes = 0;
+  std::size_t gates = 0;
+  int reps = 0;
+  std::array<double, 3> parse_ms{};      ///< q1, median, q3
+  std::array<double, 3> build_ms{};
+  std::array<double, 3> construct_ms{};
+  double peak_rss_growth_mb = 0.0;
+};
+
+/// q1, median, q3 by linear interpolation between order statistics.
+std::array<double, 3> quartiles(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const auto at = [&values](double q) {
+    const double k = q * static_cast<double>(values.size() - 1);
+    const auto lo = static_cast<std::size_t>(k);
+    const std::size_t hi = std::min(lo + 1, values.size() - 1);
+    return values[lo] + (values[hi] - values[lo]) * (k - static_cast<double>(lo));
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
+double peak_rss_mb() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
+ColdPathDeck run_cold_path_deck(const std::string& name, const std::string& format,
+                                const std::string& text, const Library& lib, int reps) {
+  const DdmDelayModel ddm;
+  ColdPathDeck deck;
+  deck.name = name;
+  deck.format = format;
+  deck.bytes = text.size();
+  deck.reps = reps;
+  std::vector<double> parse_ms;
+  std::vector<double> build_ms;
+  std::vector<double> construct_ms;
+  const double rss_before = peak_rss_mb();
+  for (int rep = 0; rep < reps; ++rep) {
+    auto start = std::chrono::steady_clock::now();
+    const Netlist netlist =
+        format == "bench" ? read_bench(text, lib) : read_netlist(text, lib);
+    parse_ms.push_back(1e3 * seconds_since(start));
+    start = std::chrono::steady_clock::now();
+    const TimingGraph graph = TimingGraph::build(netlist, ddm.timing_policy());
+    build_ms.push_back(1e3 * seconds_since(start));
+    start = std::chrono::steady_clock::now();
+    const Simulator sim(netlist, ddm, graph, SimConfig{});
+    construct_ms.push_back(1e3 * seconds_since(start));
+    deck.gates = netlist.num_gates();
+  }
+  deck.peak_rss_growth_mb = peak_rss_mb() - rss_before;
+  deck.parse_ms = quartiles(parse_ms);
+  deck.build_ms = quartiles(build_ms);
+  deck.construct_ms = quartiles(construct_ms);
+  return deck;
+}
+
+/// The three cold-path decks, smallest first so each RSS growth is its own:
+/// the 8x8 multiplier as .bench, a 2 000-gate random DAG in the native
+/// format (it has AOI21 cells), and the 100k-gate layered design as .bench.
+std::vector<ColdPathDeck> run_cold_path(const Library& lib, bool quick) {
+  std::vector<ColdPathDeck> decks;
+  decks.push_back(run_cold_path_deck("mult8", "bench",
+                                     write_bench(make_multiplier(lib, 8).netlist), lib,
+                                     quick ? 5 : 21));
+  decks.push_back(run_cold_path_deck(
+      "random_dag_2000", "native",
+      write_netlist(make_random_circuit(lib, 48, 2000, 0xC01DULL).netlist), lib,
+      quick ? 5 : 21));
+  decks.push_back(run_cold_path_deck(
+      "layered100k", "bench",
+      write_bench(make_layered_circuit(lib, 500, 200, 0xC01DULL).netlist), lib,
+      quick ? 2 : 7));
+  return decks;
+}
+
+std::string cold_path_json(const std::vector<ColdPathDeck>& decks) {
+  std::string json = "   \"cold_path\": [\n";
+  for (std::size_t i = 0; i < decks.size(); ++i) {
+    const ColdPathDeck& d = decks[i];
+    const auto triple = [](const std::array<double, 3>& q) {
+      char buf[96];
+      std::snprintf(buf, sizeof buf, "{\"q1\": %.4f, \"median\": %.4f, \"q3\": %.4f}",
+                    q[0], q[1], q[2]);
+      return std::string(buf);
+    };
+    char head[256];
+    std::snprintf(head, sizeof head,
+                  "    {\"deck\": \"%s\", \"format\": \"%s\", \"bytes\": %zu,"
+                  " \"gates\": %zu, \"reps\": %d,\n",
+                  d.name.c_str(), d.format.c_str(), d.bytes, d.gates, d.reps);
+    char tail[160];
+    std::snprintf(tail, sizeof tail,
+                  "     \"parse_over_build\": %.2f, \"peak_rss_growth_mb\": %.1f}%s\n",
+                  d.parse_ms[1] / d.build_ms[1], d.peak_rss_growth_mb,
+                  i + 1 == decks.size() ? "" : ",");
+    json += head;
+    json += "     \"parse_ms\": " + triple(d.parse_ms) + ",\n";
+    json += "     \"build_ms\": " + triple(d.build_ms) + ",\n";
+    json += "     \"construct_ms\": " + triple(d.construct_ms) + ",\n";
+    json += tail;
+  }
+  return json + "   ],\n";
 }
 
 // ---- fault-campaign workload ------------------------------------------------
@@ -807,6 +927,9 @@ int main(int argc, char** argv) {
   const std::size_t mult8_words = quick ? 12 : 48;
   const std::size_t dag_words = quick ? 16 : 64;
 
+  // Cold path first, while the process's peak RSS is still its own.
+  const std::vector<ColdPathDeck> cold_path = run_cold_path(lib, quick);
+
   std::vector<WorkloadResult> results;
 
   // Table-2 workloads: the paper's 4x4 multiplier sequences.
@@ -973,6 +1096,16 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(daemon_tp.cache_misses),
       daemon_tp.responses_identical ? "identical" : "DIVERGED");
 
+  std::printf("\ncold_path: parse / build / construct, median ms [q1, q3]\n");
+  for (const ColdPathDeck& d : cold_path) {
+    std::printf(
+        "  %-16s %-6s %7zu gates %9zu B  parse %9.3f [%9.3f, %9.3f]  build %8.3f"
+        "  construct %8.3f  parse/build %6.2f  rss +%.1f MB\n",
+        d.name.c_str(), d.format.c_str(), d.gates, d.bytes, d.parse_ms[1], d.parse_ms[0],
+        d.parse_ms[2], d.build_ms[1], d.construct_ms[1], d.parse_ms[1] / d.build_ms[1],
+        d.peak_rss_growth_mb);
+  }
+
   // JSON entry.
   std::string entry;
   {
@@ -997,6 +1130,7 @@ int main(int argc, char** argv) {
     while ((n = std::fread(buf, 1, sizeof buf, mem)) > 0) entry.append(buf, n);
     std::fclose(mem);
     entry += "  ],\n";
+    entry += cold_path_json(cold_path);
     char fc[640];
     std::snprintf(fc, sizeof fc,
                   "   \"fault_campaign\": {\"workload\": \"%s\", \"gates\": %zu,"

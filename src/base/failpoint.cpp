@@ -55,13 +55,16 @@ void FailPoints::arm_spec(std::string_view spec) {
         const std::string ordinal = entry.substr(at + 1);
         require(!ordinal.empty() &&
                     ordinal.find_first_not_of("0123456789") == std::string::npos,
-                "fail-point spec: '@' must be followed by a decimal hit ordinal in '" +
-                    entry + "'");
+                [&] {
+                  return "fail-point spec: '@' must be followed by a decimal hit ordinal in '" +
+                         entry + "'";
+                });
         fire_on_hit = std::stoull(ordinal);
-        require(fire_on_hit >= 1, "fail-point spec: hit ordinal is 1-based in '" + entry + "'");
+        require(fire_on_hit >= 1,
+                [&] { return "fail-point spec: hit ordinal is 1-based in '" + entry + "'"; });
         entry.resize(at);
       }
-      require(!entry.empty(), "fail-point spec: empty site name in '" + raw + "'");
+      require(!entry.empty(), [&] { return "fail-point spec: empty site name in '" + raw + "'"; });
       arm(entry, fire_on_hit, repeat);
     }
   }

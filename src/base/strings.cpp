@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 
 #include "src/base/check.hpp"
@@ -9,7 +10,8 @@
 namespace halotis {
 
 namespace {
-bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
+/// std::isspace in the "C" locale, without the locale lookup per character.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 }  // namespace
 
 std::string_view trim(std::string_view text) {
@@ -35,15 +37,27 @@ std::vector<std::string> split(std::string_view text, char separator) {
 }
 
 std::vector<std::string> split_whitespace(std::string_view text) {
-  std::vector<std::string> pieces;
+  std::vector<std::string_view> views;
+  split_whitespace(text, views);
+  return {views.begin(), views.end()};
+}
+
+void split_whitespace(std::string_view text, std::vector<std::string_view>& pieces) {
+  pieces.clear();
   std::size_t i = 0;
   while (i < text.size()) {
     while (i < text.size() && is_space(text[i])) ++i;
     const std::size_t begin = i;
     while (i < text.size() && !is_space(text[i])) ++i;
-    if (i > begin) pieces.emplace_back(text.substr(begin, i - begin));
+    if (i > begin) pieces.push_back(text.substr(begin, i - begin));
   }
-  return pieces;
+}
+
+std::string_view next_line(std::string_view text, std::size_t& pos) {
+  const std::size_t eol = text.find('\n', pos);
+  const std::string_view line = text.substr(pos, eol - pos);
+  pos = eol == std::string_view::npos ? text.size() : eol + 1;
+  return line;
 }
 
 std::string to_lower(std::string_view text) {
@@ -62,27 +76,41 @@ bool starts_with(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
 }
 
-double parse_double(std::string_view text, std::string_view context) {
-  const std::string_view trimmed = trim(text);
+std::optional<double> parse_finite(std::string_view text) {
   double value = 0.0;
-  const auto* begin = trimmed.data();
-  const auto* end = trimmed.data() + trimmed.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  require(ec == std::errc{} && ptr == end,
-          std::string("failed to parse number '") + std::string(trimmed) + "' in " +
-              std::string(context));
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value)) return std::nullopt;
   return value;
 }
 
-unsigned long parse_unsigned(std::string_view text, std::string_view context) {
+namespace {
+/// "<context>" or "<context> <line>".
+std::string where(std::string_view context, int line) {
+  std::string out{context};
+  if (line > 0) out += ' ' + std::to_string(line);
+  return out;
+}
+}  // namespace
+
+double parse_double(std::string_view text, std::string_view context, int line) {
+  const std::string_view trimmed = trim(text);
+  const std::optional<double> value = parse_finite(trimmed);
+  require(value.has_value(), [&] {
+    return "failed to parse number '" + std::string(trimmed) + "' in " + where(context, line);
+  });
+  return *value;
+}
+
+unsigned long parse_unsigned(std::string_view text, std::string_view context, int line) {
   const std::string_view trimmed = trim(text);
   unsigned long value = 0;
   const auto* begin = trimmed.data();
   const auto* end = trimmed.data() + trimmed.size();
   const auto [ptr, ec] = std::from_chars(begin, end, value);
-  require(ec == std::errc{} && ptr == end,
-          std::string("failed to parse unsigned '") + std::string(trimmed) + "' in " +
-              std::string(context));
+  require(ec == std::errc{} && ptr == end, [&] {
+    return "failed to parse unsigned '" + std::string(trimmed) + "' in " + where(context, line);
+  });
   return value;
 }
 

@@ -60,14 +60,16 @@ class RunError : public std::runtime_error {
 
 /// Shared-handle cooperative cancellation flag.  Copies observe the same
 /// flag; cancel() is safe from any thread and from signal handlers built
-/// on an external atomic (see install_sigint_cancel).
+/// on an external atomic (see install_sigint_cancel).  A thread that sees
+/// the token tripped also sees what the cancelling thread did before
+/// cancel() (release/acquire).
 class CancelToken {
  public:
   CancelToken() : flag_(std::make_shared<std::atomic<bool>>(false)) {}
 
-  void cancel() const noexcept { flag_->store(true, std::memory_order_relaxed); }
+  void cancel() const noexcept { flag_->store(true, std::memory_order_release); }
   [[nodiscard]] bool cancelled() const noexcept {
-    return flag_->load(std::memory_order_relaxed);
+    return flag_->load(std::memory_order_acquire);
   }
 
   /// The underlying lock-free flag, for async-signal contexts that may

@@ -93,9 +93,10 @@ DelayMeasurement measure_delay(const Library& lib, std::string_view cell_name, i
   const Edge out_edge = out_after ? Edge::kRise : Edge::kFall;
 
   const auto crossings = output_crossings(sim, bench.out, out_edge, vdd);
-  require(!crossings.empty(),
-          std::string("measure_delay(): output never crossed midswing for ") +
-              std::string(cell_name));
+  require(!crossings.empty(), [&] {
+    return std::string("measure_delay(): output never crossed midswing for ") +
+           std::string(cell_name);
+  });
 
   DelayMeasurement result;
   result.out_edge = out_edge;

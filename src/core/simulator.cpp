@@ -110,9 +110,10 @@ void Simulator::build_static_tables() {
   // Cached once for the reset()/re-arm path: apply_stimulus runs once per
   // fault in a campaign, and these are all O(gates + signals) walks with
   // allocations.
-  topo_order_ = netlist_->topological_order();
-  depth_ = netlist_->depth();
-  has_cycles_ = netlist_->has_combinational_cycles();
+  Netlist::Levelization levels = netlist_->levelize();
+  topo_order_ = std::move(levels.order);
+  depth_ = levels.depth;
+  has_cycles_ = levels.has_cycles;
 }
 
 void Simulator::reset() {

@@ -488,16 +488,19 @@ std::unordered_set<std::uint64_t> parse_baseline(std::string_view text) {
     const std::vector<std::string> tokens = split_whitespace(line);
     require(!tokens.empty(), "baseline: empty record");
     const std::string& id_text = tokens[0];
-    require(id_text.size() == 16,
-            "baseline line " + std::to_string(line_no) + ": id '" + id_text +
-                "' is not 16 hex digits");
+    require(id_text.size() == 16, [&] {
+      return "baseline line " + std::to_string(line_no) + ": id '" + id_text +
+             "' is not 16 hex digits";
+    });
     std::uint64_t id = 0;
     for (const char c : id_text) {
       int digit = -1;
       if (c >= '0' && c <= '9') digit = c - '0';
       else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
-      require(digit >= 0, "baseline line " + std::to_string(line_no) +
-                              ": id '" + id_text + "' is not lower-case hex");
+      require(digit >= 0, [&] {
+        return "baseline line " + std::to_string(line_no) + ": id '" + id_text +
+               "' is not lower-case hex";
+      });
       id = (id << 4) | static_cast<std::uint64_t>(digit);
     }
     ids.insert(id);

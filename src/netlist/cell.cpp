@@ -99,7 +99,7 @@ CellKind cell_kind_from_name(std::string_view name) {
   for (CellKind kind : kAll) {
     if (cell_kind_name(kind) == name) return kind;
   }
-  require(false, std::string("unknown cell kind '") + std::string(name) + "'");
+  require(false, [&] { return std::string("unknown cell kind '") + std::string(name) + "'"; });
   return CellKind::kBuf;  // unreachable
 }
 

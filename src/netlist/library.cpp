@@ -10,10 +10,10 @@ namespace halotis {
 CellId Library::add(Cell cell) {
   require(static_cast<int>(cell.pins.size()) == num_inputs(cell.kind),
           "Library::add(): pin count does not match cell kind");
-  require(by_name_.find(cell.name) == by_name_.end(),
-          std::string("Library::add(): duplicate cell name '") + cell.name + "'");
   const CellId id{static_cast<CellId::underlying_type>(cells_.size())};
-  by_name_.emplace(cell.name, id);
+  require(by_name_.insert(cell.name, id.value(), cell_names()) == id.value(), [&] {
+    return std::string("Library::add(): duplicate cell name '") + cell.name + "'";
+  });
   default_by_kind_.try_emplace(cell.kind, id);
   cells_.push_back(std::move(cell));
   return id;
@@ -31,22 +31,23 @@ Cell& Library::mutable_cell(CellId id) {
 
 CellId Library::find(std::string_view cell_name) const {
   const auto found = try_find(cell_name);
-  require(found.has_value(),
-          std::string("Library::find(): no cell named '") + std::string(cell_name) + "'");
+  require(found.has_value(), [&] {
+    return std::string("Library::find(): no cell named '") + std::string(cell_name) + "'";
+  });
   return *found;
 }
 
 std::optional<CellId> Library::try_find(std::string_view cell_name) const {
-  const auto it = by_name_.find(std::string(cell_name));
-  if (it == by_name_.end()) return std::nullopt;
-  return it->second;
+  const std::uint32_t id = by_name_.find(cell_name, cell_names());
+  if (id == NameIndex::kNone) return std::nullopt;
+  return CellId{id};
 }
 
 CellId Library::by_kind(CellKind kind) const {
   const auto it = default_by_kind_.find(kind);
-  require(it != default_by_kind_.end(),
-          std::string("Library::by_kind(): no cell of kind ") +
-              std::string(cell_kind_name(kind)));
+  require(it != default_by_kind_.end(), [&] {
+    return std::string("Library::by_kind(): no cell of kind ") + std::string(cell_kind_name(kind));
+  });
   return it->second;
 }
 

@@ -2,6 +2,7 @@
 // technology operating point (VDD, logic swing).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "src/base/ids.hpp"
+#include "src/base/name_index.hpp"
 #include "src/base/units.hpp"
 #include "src/netlist/timing.hpp"
 
@@ -49,8 +51,13 @@ class Library {
  private:
   std::string name_;
   Volt vdd_;
+  /// The names of the cells_ entries, for by_name_.
+  [[nodiscard]] auto cell_names() const {
+    return [this](std::uint32_t id) -> std::string_view { return cells_[id].name; };
+  }
+
   std::vector<Cell> cells_;
-  std::unordered_map<std::string, CellId> by_name_;
+  NameIndex by_name_;
   std::unordered_map<CellKind, CellId> default_by_kind_;
 };
 

@@ -1,10 +1,16 @@
 #include "src/netlist/netlist.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <string>
 
 namespace halotis {
+
+void Netlist::reserve(std::size_t signals, std::size_t gates) {
+  signals_.reserve(signals);
+  signal_index_.reserve(signals);
+  gates_.reserve(gates);
+  gate_index_.reserve(gates);
+}
 
 SignalId Netlist::add_signal(std::string name) {
   return add_signal_impl(std::move(name), /*primary_input=*/false);
@@ -18,14 +24,12 @@ SignalId Netlist::add_primary_input(std::string name) {
 
 SignalId Netlist::add_signal_impl(std::string name, bool primary_input) {
   require(!name.empty(), "Netlist::add_signal(): signal name must not be empty");
-  require(signal_by_name_.find(name) == signal_by_name_.end(),
-          std::string("Netlist::add_signal(): duplicate signal name '") + name + "'");
   const SignalId id{static_cast<SignalId::underlying_type>(signals_.size())};
-  Signal signal;
-  signal.name = name;
+  require(signal_index_.insert(name, id.value(), signal_name()) == id.value(),
+          [&] { return "Netlist::add_signal(): duplicate signal name '" + name + "'"; });
+  Signal& signal = signals_.emplace_back();
+  signal.name = std::move(name);
   signal.is_primary_input = primary_input;
-  signal_by_name_.emplace(std::move(name), id);
-  signals_.push_back(std::move(signal));
   return id;
 }
 
@@ -45,35 +49,43 @@ void Netlist::set_wire_cap(SignalId signal_id, Farad cap) {
 GateId Netlist::add_gate(std::string name, CellId cell_id,
                          std::span<const SignalId> inputs, SignalId output) {
   const Cell& cell = library_->cell(cell_id);
-  require(static_cast<int>(inputs.size()) == num_inputs(cell.kind),
-          std::string("Netlist::add_gate(): '") + name + "' input count does not match " +
-              std::string(cell_kind_name(cell.kind)));
+  require(static_cast<int>(inputs.size()) == num_inputs(cell.kind), [&] {
+    return "Netlist::add_gate(): '" + name + "' input count does not match " +
+           std::string(cell_kind_name(cell.kind));
+  });
   require(!name.empty(), "Netlist::add_gate(): gate name must not be empty");
-  require(gate_by_name_.find(name) == gate_by_name_.end(),
-          std::string("Netlist::add_gate(): duplicate gate name '") + name + "'");
-  require(output.valid() && output.value() < signals_.size(),
-          "Netlist::add_gate(): invalid output signal");
-  Signal& out = signals_[output.value()];
-  require(!out.driver.valid(),
-          std::string("Netlist::add_gate(): signal '") + out.name + "' already driven");
-  require(!out.is_primary_input,
-          std::string("Netlist::add_gate(): cannot drive primary input '") + out.name + "'");
-
+  const auto duplicate = [&] { return "Netlist::add_gate(): duplicate gate name '" + name + "'"; };
+  const bool output_ok = output.valid() && output.value() < signals_.size();
+  const bool inputs_ok = std::all_of(inputs.begin(), inputs.end(), [&](SignalId in) {
+    return in.valid() && in.value() < signals_.size();
+  });
+  if (!output_ok || signals_[output.value()].driver.valid() ||
+      signals_[output.value()].is_primary_input || !inputs_ok) [[unlikely]] {
+    // Diagnosed in contract order, before anything (the name included) is
+    // recorded: a rejected gate leaves the netlist as it was.
+    require(gate_index_.find(name, gate_name()) == NameIndex::kNone, duplicate);
+    require(output_ok, "Netlist::add_gate(): invalid output signal");
+    const Signal& out = signals_[output.value()];
+    require(!out.driver.valid(),
+            [&] { return "Netlist::add_gate(): signal '" + out.name + "' already driven"; });
+    require(!out.is_primary_input, [&] {
+      return "Netlist::add_gate(): cannot drive primary input '" + out.name + "'";
+    });
+    require(false, "Netlist::add_gate(): invalid input signal");
+  }
   const GateId gate_id{static_cast<GateId::underlying_type>(gates_.size())};
-  Gate gate;
-  gate.name = name;
+  require(gate_index_.insert(name, gate_id.value(), gate_name()) == gate_id.value(), duplicate);
+
+  signals_[output.value()].driver = gate_id;
+  for (int pin = 0; pin < static_cast<int>(inputs.size()); ++pin) {
+    signals_[inputs[static_cast<std::size_t>(pin)].value()].fanout.push_back(
+        PinRef{gate_id, pin});
+  }
+  Gate& gate = gates_.emplace_back();
+  gate.name = std::move(name);
   gate.cell = cell_id;
   gate.inputs.assign(inputs.begin(), inputs.end());
   gate.output = output;
-  out.driver = gate_id;
-  for (int pin = 0; pin < static_cast<int>(inputs.size()); ++pin) {
-    const SignalId in = inputs[static_cast<std::size_t>(pin)];
-    require(in.valid() && in.value() < signals_.size(),
-            "Netlist::add_gate(): invalid input signal");
-    signals_[in.value()].fanout.push_back(PinRef{gate_id, pin});
-  }
-  gate_by_name_.emplace(std::move(name), gate_id);
-  gates_.push_back(std::move(gate));
   return gate_id;
 }
 
@@ -93,15 +105,15 @@ const Signal& Netlist::signal(SignalId id) const {
 }
 
 std::optional<SignalId> Netlist::find_signal(std::string_view name) const {
-  const auto it = signal_by_name_.find(std::string(name));
-  if (it == signal_by_name_.end()) return std::nullopt;
-  return it->second;
+  const std::uint32_t id = signal_index_.find(name, signal_name());
+  if (id == NameIndex::kNone) return std::nullopt;
+  return SignalId{id};
 }
 
 std::optional<GateId> Netlist::find_gate(std::string_view name) const {
-  const auto it = gate_by_name_.find(std::string(name));
-  if (it == gate_by_name_.end()) return std::nullopt;
-  return it->second;
+  const std::uint32_t id = gate_index_.find(name, gate_name());
+  if (id == NameIndex::kNone) return std::nullopt;
+  return GateId{id};
 }
 
 Farad Netlist::load_of(SignalId signal_id) const {
@@ -118,71 +130,47 @@ Volt Netlist::input_threshold(const PinRef& pin) const {
   return cell_of(pin.gate).pin(pin.pin).vt;
 }
 
-std::vector<GateId> Netlist::topological_order() const {
+Netlist::Levelization Netlist::levelize() const {
+  Levelization lv;
   std::vector<int> pending(gates_.size(), 0);
   for (std::size_t g = 0; g < gates_.size(); ++g) {
     for (SignalId in : gates_[g].inputs) {
       if (signals_[in.value()].driver.valid()) ++pending[g];
     }
   }
-  std::deque<GateId> ready;
-  for (std::size_t g = 0; g < gates_.size(); ++g) {
-    if (pending[g] == 0) ready.push_back(GateId{static_cast<GateId::underlying_type>(g)});
-  }
-  std::vector<GateId> order;
-  order.reserve(gates_.size());
-  std::vector<bool> emitted(gates_.size(), false);
-  while (!ready.empty()) {
-    const GateId g = ready.front();
-    ready.pop_front();
-    order.push_back(g);
-    emitted[g.value()] = true;
-    for (const PinRef& ref : signals_[gates_[g.value()].output.value()].fanout) {
-      if (--pending[ref.gate.value()] == 0) ready.push_back(ref.gate);
-    }
-  }
-  // Cyclic remainder (latch loops): append in id order so the result is a
-  // deterministic total order over all gates.
-  for (std::size_t g = 0; g < gates_.size(); ++g) {
-    if (!emitted[g]) order.push_back(GateId{static_cast<GateId::underlying_type>(g)});
-  }
-  return order;
-}
-
-bool Netlist::has_combinational_cycles() const {
-  std::vector<int> pending(gates_.size(), 0);
-  for (std::size_t g = 0; g < gates_.size(); ++g) {
-    for (SignalId in : gates_[g].inputs) {
-      if (signals_[in.value()].driver.valid()) ++pending[g];
-    }
-  }
-  std::deque<std::size_t> ready;
-  for (std::size_t g = 0; g < gates_.size(); ++g) {
-    if (pending[g] == 0) ready.push_back(g);
-  }
-  std::size_t emitted = 0;
-  while (!ready.empty()) {
-    const std::size_t g = ready.front();
-    ready.pop_front();
-    ++emitted;
-    for (const PinRef& ref : signals_[gates_[g].output.value()].fanout) {
-      if (--pending[ref.gate.value()] == 0) ready.push_back(ref.gate.value());
-    }
-  }
-  return emitted != gates_.size();
-}
-
-int Netlist::depth() const {
   std::vector<int> level(signals_.size(), 0);
-  int max_level = 0;
-  for (GateId g : topological_order()) {
+  const auto place = [&](GateId g) {
     const Gate& gate_ref = gates_[g.value()];
     int in_level = 0;
     for (SignalId in : gate_ref.inputs) in_level = std::max(in_level, level[in.value()]);
     level[gate_ref.output.value()] = in_level + 1;
-    max_level = std::max(max_level, in_level + 1);
+    lv.depth = std::max(lv.depth, in_level + 1);
+  };
+  // Kahn's algorithm with `order` itself as the FIFO of ready gates.
+  lv.order.reserve(gates_.size());
+  for (std::size_t g = 0; g < gates_.size(); ++g) {
+    if (pending[g] == 0) lv.order.push_back(GateId{static_cast<GateId::underlying_type>(g)});
   }
-  return max_level;
+  for (std::size_t head = 0; head < lv.order.size(); ++head) {
+    const GateId g = lv.order[head];
+    place(g);
+    for (const PinRef& ref : signals_[gates_[g.value()].output.value()].fanout) {
+      if (--pending[ref.gate.value()] == 0) lv.order.push_back(ref.gate);
+    }
+  }
+  lv.has_cycles = lv.order.size() != gates_.size();
+  if (lv.has_cycles) {
+    // Cyclic remainder (latch loops and what they feed: the gates still
+    // waiting on a fanin), appended in id order so the result is a
+    // deterministic total order over all gates.
+    for (std::size_t g = 0; g < gates_.size(); ++g) {
+      if (pending[g] == 0) continue;
+      const GateId gid{static_cast<GateId::underlying_type>(g)};
+      lv.order.push_back(gid);
+      place(gid);
+    }
+  }
+  return lv;
 }
 
 bool Netlist::eval_gate(const Gate& gate_ref, const std::vector<bool>& value) const {
@@ -222,10 +210,11 @@ std::vector<bool> Netlist::steady_state(std::span<const bool> pi_values,
   for (std::size_t i = 0; i < primary_inputs_.size(); ++i) {
     value[primary_inputs_[i].value()] = pi_values[i];
   }
-  const std::vector<GateId> order = topological_order();
+  const Levelization lv = levelize();
+  const std::vector<GateId>& order = lv.order;
   // One pass settles acyclic logic; feedback loops need iteration.  The
   // bound of depth+2 extra sweeps settles any non-oscillating loop.
-  const int max_sweeps = has_combinational_cycles() ? depth() + static_cast<int>(gates_.size()) + 2 : 1;
+  const int max_sweeps = lv.has_cycles ? lv.depth + static_cast<int>(gates_.size()) + 2 : 1;
   const bool settled = settle(order, max_sweeps, SignalId{}, value);
   if (unsettled != nullptr) {
     unsettled->clear();
@@ -246,7 +235,7 @@ void Netlist::check() const {
   for (std::size_t s = 0; s < signals_.size(); ++s) {
     const Signal& sig = signals_[s];
     require(sig.is_primary_input || sig.driver.valid(),
-            std::string("Netlist::check(): signal '") + sig.name + "' has no driver");
+            [&] { return "Netlist::check(): signal '" + sig.name + "' has no driver"; });
     for (const PinRef& ref : sig.fanout) {
       require(ref.gate.valid() && ref.gate.value() < gates_.size(),
               "Netlist::check(): dangling fanout gate reference");
@@ -259,9 +248,9 @@ void Netlist::check() const {
   }
   for (const Gate& g : gates_) {
     require(static_cast<int>(g.inputs.size()) == num_inputs(library_->cell(g.cell).kind),
-            std::string("Netlist::check(): gate '") + g.name + "' pin count mismatch");
-    require(g.output.valid(), std::string("Netlist::check(): gate '") + g.name +
-                                  "' has no output signal");
+            [&] { return "Netlist::check(): gate '" + g.name + "' pin count mismatch"; });
+    require(g.output.valid(),
+            [&] { return "Netlist::check(): gate '" + g.name + "' has no output signal"; });
   }
 }
 

@@ -6,15 +6,16 @@
 // by id.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/check.hpp"
 #include "src/base/ids.hpp"
+#include "src/base/name_index.hpp"
 #include "src/base/units.hpp"
 #include "src/netlist/library.hpp"
 
@@ -54,6 +55,9 @@ class Netlist {
 
   // ---- construction -------------------------------------------------------
 
+  /// Pre-sizes the signal and gate tables (a reader that knows its counts).
+  void reserve(std::size_t signals, std::size_t gates);
+
   /// Creates an undriven signal.  Names must be unique and non-empty.
   SignalId add_signal(std::string name);
   /// Creates a signal driven by the testbench.
@@ -91,17 +95,25 @@ class Netlist {
 
   // ---- analysis -----------------------------------------------------------
 
-  /// Gates in topological order from primary inputs.  Gates involved in
-  /// combinational cycles (e.g. latch loops) are appended, in id order,
-  /// after all acyclic gates.
-  [[nodiscard]] std::vector<GateId> topological_order() const;
+  /// Everything one Kahn pass over the gate graph yields.
+  struct Levelization {
+    /// Gates in topological order from primary inputs.  Gates involved in
+    /// combinational cycles (e.g. latch loops), and everything downstream
+    /// of them, are appended in id order after all acyclic gates.
+    std::vector<GateId> order;
+    /// Logic depth: the longest path in gates from any primary input, each
+    /// gate levelled once, in `order`.
+    int depth = 0;
+    /// True when the combinational graph contains at least one cycle.
+    bool has_cycles = false;
+  };
+  [[nodiscard]] Levelization levelize() const;
 
-  /// True when the combinational graph contains at least one cycle.
-  [[nodiscard]] bool has_combinational_cycles() const;
-
-  /// Logic depth: longest path (in gates) from any primary input; cyclic
-  /// parts are ignored.
-  [[nodiscard]] int depth() const;
+  /// Single-field views of levelize(); callers needing two of them call
+  /// levelize() once instead.
+  [[nodiscard]] std::vector<GateId> topological_order() const { return levelize().order; }
+  [[nodiscard]] bool has_combinational_cycles() const { return levelize().has_cycles; }
+  [[nodiscard]] int depth() const { return levelize().depth; }
 
   /// Steady-state signal values for the given primary-input assignment,
   /// computed by fixpoint iteration (handles feedback loops; signals that
@@ -131,13 +143,21 @@ class Netlist {
   /// Evaluates one gate against the signal assignment in `value`.
   [[nodiscard]] bool eval_gate(const Gate& gate_ref, const std::vector<bool>& value) const;
 
+  /// The names of the signals_ / gates_ entries, for the name indexes.
+  [[nodiscard]] auto signal_name() const {
+    return [this](std::uint32_t id) -> std::string_view { return signals_[id].name; };
+  }
+  [[nodiscard]] auto gate_name() const {
+    return [this](std::uint32_t id) -> std::string_view { return gates_[id].name; };
+  }
+
   const Library* library_;
   std::vector<Gate> gates_;
   std::vector<Signal> signals_;
   std::vector<SignalId> primary_inputs_;
   std::vector<SignalId> primary_outputs_;
-  std::unordered_map<std::string, SignalId> signal_by_name_;
-  std::unordered_map<std::string, GateId> gate_by_name_;
+  NameIndex signal_index_;  ///< name -> signals_ index
+  NameIndex gate_index_;    ///< name -> gates_ index
 };
 
 }  // namespace halotis

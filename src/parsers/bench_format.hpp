@@ -13,7 +13,6 @@
 // combinational timing simulator.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -21,9 +20,11 @@
 
 namespace halotis {
 
-/// Parses `.bench` text into a netlist over `library`.
+/// Parses `.bench` text into a netlist over `library`.  Primary inputs take
+/// the first signal ids (declaration order), then gate outputs (statement
+/// order), then the `bench_t<k>` nets of decomposed wide gates; gates keep
+/// statement order, each wide gate's `bench_g<k>` tree just before it.
 [[nodiscard]] Netlist read_bench(std::string_view text, const Library& library);
-[[nodiscard]] Netlist read_bench_stream(std::istream& in, const Library& library);
 [[nodiscard]] Netlist read_bench_file(const std::string& path, const Library& library);
 
 /// Serializes a netlist to `.bench` text.  Only 1-4 input AND/NAND/OR/

@@ -47,7 +47,7 @@ std::pair<std::vector<std::string>, std::vector<std::string>> parse_ports(
     if (c != '(' && c != ')') cleaned.push_back(c);
   }
   const auto halves = split(cleaned, ':');
-  require(halves.size() == 2, ctx(line) + ": expected '(inputs : outputs)'");
+  require(halves.size() == 2, [&] { return ctx(line) + ": expected '(inputs : outputs)'"; });
   return {split_whitespace(halves[0]), split_whitespace(halves[1])};
 }
 
@@ -63,15 +63,18 @@ ParsedDesign parse(std::string_view text) {
     if (tokens.empty()) continue;
 
     if (tokens[0] == "module") {
-      require(current == nullptr, ctx(line_number) + ": nested module definition");
-      require(tokens.size() >= 2, ctx(line_number) + ": module needs a name");
+      require(current == nullptr, [&] { return ctx(line_number) + ": nested module definition"; });
+      require(tokens.size() >= 2, [&] { return ctx(line_number) + ": module needs a name"; });
       ModuleDef def;
       def.name = tokens[1];
       def.line = line_number;
-      require(design.modules.find(def.name) == design.modules.end(),
-              ctx(line_number) + ": duplicate module '" + def.name + "'");
+      require(design.modules.find(def.name) == design.modules.end(), [&] {
+        return ctx(line_number) + ": duplicate module '" + def.name + "'";
+      });
       auto [ins, outs] = parse_ports(tokens, 2, line_number);
-      require(!outs.empty(), ctx(line_number) + ": module needs at least one output");
+      require(!outs.empty(), [&] {
+        return ctx(line_number) + ": module needs at least one output";
+      });
       def.inputs = std::move(ins);
       def.outputs = std::move(outs);
       std::string key = def.name;  // keep a copy: def is moved in the same call
@@ -79,7 +82,9 @@ ParsedDesign parse(std::string_view text) {
       continue;
     }
     if (tokens[0] == "endmodule") {
-      require(current != nullptr, ctx(line_number) + ": endmodule outside a module");
+      require(current != nullptr, [&] {
+        return ctx(line_number) + ": endmodule outside a module";
+      });
       current = nullptr;
       continue;
     }
@@ -91,8 +96,9 @@ ParsedDesign parse(std::string_view text) {
     }
   }
   if (current != nullptr) {
-    require(false,
-            "hierarchical netlist: unterminated module '" + current->name + "'");
+    require(false, [&] {
+      return "hierarchical netlist: unterminated module '" + current->name + "'";
+    });
   }
   return design;
 }
@@ -126,18 +132,18 @@ class Flattener {
       if (it != ports->end()) return it->second;
     }
     const auto found = netlist_.find_signal(scoped(prefix, name));
-    require(found.has_value(), ctx(line) + ": unknown signal '" + name + "'");
+    require(found.has_value(), [&] { return ctx(line) + ": unknown signal '" + name + "'"; });
     return *found;
   }
 
   void declare(const Statement& s, const std::string& prefix, const PortMap* ports) {
     const auto& t = s.tokens;
     if (t[0] == "input") {
-      require(prefix.empty(), ctx(s.line) + ": 'input' only allowed at top level");
-      require(t.size() == 2, ctx(s.line) + ": input <name>");
+      require(prefix.empty(), [&] { return ctx(s.line) + ": 'input' only allowed at top level"; });
+      require(t.size() == 2, [&] { return ctx(s.line) + ": input <name>"; });
       (void)netlist_.add_primary_input(t[1]);
     } else if (t[0] == "signal") {
-      require(t.size() == 2, ctx(s.line) + ": signal <name>");
+      require(t.size() == 2, [&] { return ctx(s.line) + ": signal <name>"; });
       // Port-mapped names must not be redeclared inside the module body.
       if (ports == nullptr || ports->find(t[1]) == ports->end()) {
         (void)netlist_.add_signal(scoped(prefix, t[1]));
@@ -149,21 +155,21 @@ class Flattener {
     const auto& t = s.tokens;
     if (t[0] == "input" || t[0] == "signal") return;  // handled in declare()
     if (t[0] == "output") {
-      require(prefix.empty(), ctx(s.line) + ": 'output' only allowed at top level");
-      require(t.size() == 2, ctx(s.line) + ": output <name>");
+      require(prefix.empty(), [&] { return ctx(s.line) + ": 'output' only allowed at top level"; });
+      require(t.size() == 2, [&] { return ctx(s.line) + ": output <name>"; });
       netlist_.mark_primary_output(resolve(prefix, ports, t[1], s.line));
       return;
     }
     if (t[0] == "wirecap") {
-      require(t.size() == 3, ctx(s.line) + ": wirecap <name> <pF>");
+      require(t.size() == 3, [&] { return ctx(s.line) + ": wirecap <name> <pF>"; });
       netlist_.set_wire_cap(resolve(prefix, ports, t[1], s.line),
-                            parse_double(t[2], ctx(s.line)));
+                            parse_double(t[2], "hierarchical netlist line", s.line));
       return;
     }
     if (t[0] == "gate") {
-      require(t.size() >= 5, ctx(s.line) + ": gate <name> <CELL> <out> <in...>");
+      require(t.size() >= 5, [&] { return ctx(s.line) + ": gate <name> <CELL> <out> <in...>"; });
       const auto cell = library_.try_find(t[2]);
-      require(cell.has_value(), ctx(s.line) + ": unknown cell '" + t[2] + "'");
+      require(cell.has_value(), [&] { return ctx(s.line) + ": unknown cell '" + t[2] + "'"; });
       std::vector<SignalId> ins;
       for (std::size_t i = 4; i < t.size(); ++i) {
         ins.push_back(resolve(prefix, ports, t[i], s.line));
@@ -173,21 +179,25 @@ class Flattener {
       return;
     }
     if (t[0] == "inst") {
-      require(t.size() >= 4, ctx(s.line) + ": inst <name> <MODULE> (ins : outs)");
+      require(t.size() >= 4, [&] { return ctx(s.line) + ": inst <name> <MODULE> (ins : outs)"; });
       const std::string& module_name = t[2];
       const auto it = design_.modules.find(module_name);
-      require(it != design_.modules.end(),
-              ctx(s.line) + ": unknown module '" + module_name + "'");
-      require(active_.insert(module_name).second,
-              ctx(s.line) + ": recursive instantiation of '" + module_name + "'");
+      require(it != design_.modules.end(), [&] {
+        return ctx(s.line) + ": unknown module '" + module_name + "'";
+      });
+      require(active_.insert(module_name).second, [&] {
+        return ctx(s.line) + ": recursive instantiation of '" + module_name + "'";
+      });
       const ModuleDef& def = it->second;
       auto [actual_ins, actual_outs] = parse_ports(t, 3, s.line);
-      require(actual_ins.size() == def.inputs.size(),
-              ctx(s.line) + ": '" + module_name + "' expects " +
-                  std::to_string(def.inputs.size()) + " inputs");
-      require(actual_outs.size() == def.outputs.size(),
-              ctx(s.line) + ": '" + module_name + "' expects " +
-                  std::to_string(def.outputs.size()) + " outputs");
+      require(actual_ins.size() == def.inputs.size(), [&] {
+        return ctx(s.line) + ": '" + module_name + "' expects " +
+               std::to_string(def.inputs.size()) + " inputs";
+      });
+      require(actual_outs.size() == def.outputs.size(), [&] {
+        return ctx(s.line) + ": '" + module_name + "' expects " +
+               std::to_string(def.outputs.size()) + " outputs";
+      });
 
       PortMap map;
       for (std::size_t i = 0; i < def.inputs.size(); ++i) {
@@ -202,7 +212,7 @@ class Flattener {
       active_.erase(module_name);
       return;
     }
-    require(false, ctx(s.line) + ": unknown directive '" + t[0] + "'");
+    require(false, [&] { return ctx(s.line) + ": unknown directive '" + t[0] + "'"; });
   }
 
   const ParsedDesign& design_;
@@ -220,12 +230,11 @@ Netlist read_hierarchical(std::string_view text, const Library& library) {
 }
 
 bool looks_hierarchical(std::string_view text) {
-  std::istringstream stream{std::string(text)};
-  std::string line;
-  while (std::getline(stream, line)) {
-    const auto tokens = split_whitespace(line.substr(0, line.find('#')));
-    if (tokens.empty()) continue;
-    if (tokens[0] == "module" || tokens[0] == "inst") return true;
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::string_view line = next_line(text, pos);
+    const std::string_view statement = trim(line.substr(0, line.find('#')));
+    const std::string_view keyword = statement.substr(0, statement.find_first_of(" \t\v\f\r"));
+    if (keyword == "module" || keyword == "inst") return true;
   }
   return false;
 }

@@ -1,6 +1,7 @@
 #include "src/parsers/netlist_io.hpp"
 
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "src/base/check.hpp"
@@ -10,50 +11,49 @@ namespace halotis {
 
 Netlist read_netlist(std::string_view text, const Library& library) {
   Netlist netlist(library);
-  std::istringstream stream{std::string(text)};
-  std::string line;
+  std::vector<std::string_view> tokens;
+  std::vector<SignalId> ins;
   int line_number = 0;
-  while (std::getline(stream, line)) {
+  const auto where = [&line_number] { return "netlist line " + std::to_string(line_number); };
+  const auto signal_named = [&](std::string_view name) {
+    const auto id = netlist.find_signal(name);
+    require(id.has_value(),
+            [&] { return where() + ": unknown signal '" + std::string(name) + "'"; });
+    return *id;
+  };
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    const std::string_view line = next_line(text, pos);
     ++line_number;
-    const auto tokens = split_whitespace(line.substr(0, line.find('#')));
+    split_whitespace(line.substr(0, line.find('#')), tokens);
     if (tokens.empty()) continue;
-    const std::string context = "netlist line " + std::to_string(line_number);
-    const std::string& keyword = tokens[0];
+    const std::string_view keyword = tokens[0];
 
     if (keyword == "input") {
-      require(tokens.size() == 2, context + ": input <name>");
-      (void)netlist.add_primary_input(tokens[1]);
+      require(tokens.size() == 2, [&] { return where() + ": input <name>"; });
+      (void)netlist.add_primary_input(std::string(tokens[1]));
     } else if (keyword == "signal") {
-      require(tokens.size() == 2, context + ": signal <name>");
-      (void)netlist.add_signal(tokens[1]);
+      require(tokens.size() == 2, [&] { return where() + ": signal <name>"; });
+      (void)netlist.add_signal(std::string(tokens[1]));
     } else if (keyword == "output") {
-      require(tokens.size() == 2, context + ": output <name>");
-      const auto id = netlist.find_signal(tokens[1]);
-      require(id.has_value(), context + ": unknown signal '" + tokens[1] + "'");
-      netlist.mark_primary_output(*id);
+      require(tokens.size() == 2, [&] { return where() + ": output <name>"; });
+      netlist.mark_primary_output(signal_named(tokens[1]));
     } else if (keyword == "wirecap") {
-      require(tokens.size() == 3, context + ": wirecap <name> <pF>");
-      const auto id = netlist.find_signal(tokens[1]);
-      require(id.has_value(), context + ": unknown signal '" + tokens[1] + "'");
-      netlist.set_wire_cap(*id, parse_double(tokens[2], context));
+      require(tokens.size() == 3, [&] { return where() + ": wirecap <name> <pF>"; });
+      const SignalId id = signal_named(tokens[1]);
+      netlist.set_wire_cap(id, parse_double(tokens[2], "netlist line", line_number));
     } else if (keyword == "gate") {
-      require(tokens.size() >= 5, context + ": gate <name> <CELL> <out> <in...>");
-      const CellId cell = [&] {
-        const auto found = library.try_find(tokens[2]);
-        require(found.has_value(), context + ": unknown cell '" + tokens[2] + "'");
-        return *found;
-      }();
-      const auto out = netlist.find_signal(tokens[3]);
-      require(out.has_value(), context + ": unknown signal '" + tokens[3] + "'");
-      std::vector<SignalId> ins;
-      for (std::size_t i = 4; i < tokens.size(); ++i) {
-        const auto in = netlist.find_signal(tokens[i]);
-        require(in.has_value(), context + ": unknown signal '" + tokens[i] + "'");
-        ins.push_back(*in);
-      }
-      (void)netlist.add_gate(tokens[1], cell, ins, *out);
+      require(tokens.size() >= 5, [&] { return where() + ": gate <name> <CELL> <out> <in...>"; });
+      const auto cell = library.try_find(tokens[2]);
+      require(cell.has_value(),
+              [&] { return where() + ": unknown cell '" + std::string(tokens[2]) + "'"; });
+      const SignalId out = signal_named(tokens[3]);
+      ins.clear();
+      for (std::size_t i = 4; i < tokens.size(); ++i) ins.push_back(signal_named(tokens[i]));
+      (void)netlist.add_gate(std::string(tokens[1]), *cell, ins, out);
     } else {
-      require(false, context + ": unknown directive '" + keyword + "'");
+      require(false,
+              [&] { return where() + ": unknown directive '" + std::string(keyword) + "'"; });
     }
   }
   netlist.check();

@@ -1,6 +1,8 @@
 #include "src/parsers/sdf.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <optional>
 #include <sstream>
 
 #include "src/base/check.hpp"
@@ -93,7 +95,7 @@ struct Token {
 };
 
 [[noreturn]] void fail(int line, const std::string& message) {
-  require(false, "sdf line " + std::to_string(line) + ": " + message);
+  require(false, [&] { return "sdf line " + std::to_string(line) + ": " + message; });
   std::abort();  // unreachable; require always throws on false
 }
 
@@ -198,16 +200,9 @@ class Parser {
 };
 
 double parse_delay_number(const std::string& text, int line) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(text, &used);
-    if (used != text.size()) fail(line, "bad delay value '" + text + "'");
-    return value;
-  } catch (const ContractViolation&) {
-    throw;
-  } catch (const std::exception&) {
-    fail(line, "bad delay value '" + text + "'");
-  }
+  const std::optional<double> value = parse_finite(text);
+  if (!value.has_value()) fail(line, "bad delay value '" + text + "'");
+  return *value;
 }
 
 /// Parses one "(v)" / "(min:typ:max)" delay triple (empty fields allowed, as
@@ -242,18 +237,14 @@ double parse_rvalue(Parser& parser, int open_line) {
 double parse_timescale(const std::string& text, int line) {
   // Accept "1ns", "100ps", "1.0 us" (unit possibly a separate atom handled
   // by the caller; here the joined form).
-  std::size_t used = 0;
-  double scale = 1.0;
-  try {
-    scale = std::stod(text, &used);
-  } catch (const std::exception&) {
-    fail(line, "bad TIMESCALE '" + text + "'");
-  }
-  std::string unit = text.substr(used);
+  const std::size_t used = text.find_first_not_of("0123456789.eE+-");
+  const std::optional<double> scale = parse_finite(std::string_view(text).substr(0, used));
+  if (!scale.has_value()) fail(line, "bad TIMESCALE '" + text + "'");
+  std::string unit = text.substr(std::min(used, text.size()));
   for (char& c : unit) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  if (unit == "ns") return scale;
-  if (unit == "ps") return scale * 1e-3;
-  if (unit == "us") return scale * 1e3;
+  if (unit == "ns") return *scale;
+  if (unit == "ps") return *scale * 1e-3;
+  if (unit == "us") return *scale * 1e3;
   fail(line, "unsupported TIMESCALE unit in '" + text + "' (ns|ps|us)");
 }
 

@@ -1,7 +1,7 @@
 #include "src/parsers/stimulus_file.hpp"
 
 #include <limits>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/base/check.hpp"
@@ -11,10 +11,13 @@ namespace halotis {
 
 namespace {
 
-std::uint64_t parse_word(const std::string& token, int line) {
-  const std::string context = "stimulus line " + std::to_string(line);
+std::string where(int line) { return "stimulus line " + std::to_string(line); }
+
+std::uint64_t parse_word(std::string_view token, int line) {
   if (starts_with(token, "0x") || starts_with(token, "0X")) {
-    require(token.size() > 2, "empty hex literal '" + token + "' in " + context);
+    require(token.size() > 2, [&] {
+      return "empty hex literal '" + std::string(token) + "' in " + where(line);
+    });
     std::uint64_t value = 0;
     for (std::size_t i = 2; i < token.size(); ++i) {
       const char c = static_cast<char>(std::tolower(static_cast<unsigned char>(token[i])));
@@ -24,74 +27,81 @@ std::uint64_t parse_word(const std::string& token, int line) {
       } else if (c >= 'a' && c <= 'f') {
         digit = static_cast<std::uint64_t>(c - 'a' + 10);
       } else {
-        require(false, "bad hex digit in " + context);
+        require(false, [&] { return "bad hex digit in " + where(line); });
       }
-      if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 16) {
-        require(false, "hex literal '" + token + "' overflows 64 bits in " + context);
-      }
+      require(value <= (std::numeric_limits<std::uint64_t>::max() - digit) / 16, [&] {
+        return "hex literal '" + std::string(token) + "' overflows 64 bits in " + where(line);
+      });
       value = value * 16 + digit;
     }
     return value;
   }
-  return parse_unsigned(token, context);
+  return parse_unsigned(token, "stimulus line", line);
 }
 
-SignalId lookup(const Netlist& netlist, const std::string& name, int line) {
+SignalId lookup(const Netlist& netlist, std::string_view name, int line) {
   const auto id = netlist.find_signal(name);
   require(id.has_value(),
-          "stimulus line " + std::to_string(line) + ": unknown signal '" + name + "'");
+          [&] { return where(line) + ": unknown signal '" + std::string(name) + "'"; });
   require(netlist.signal(*id).is_primary_input,
-          "stimulus line " + std::to_string(line) + ": '" + name +
-              "' is not a primary input");
+          [&] { return where(line) + ": '" + std::string(name) + "' is not a primary input"; });
   return *id;
+}
+
+/// A time or slope: finite (parse_double) and not negative.
+TimeNs parse_time(std::string_view token, int line, const char* what) {
+  const TimeNs value = parse_double(token, "stimulus line", line);
+  require(value >= 0.0, [&] { return where(line) + ": " + what + " must be non-negative"; });
+  return value;
 }
 
 }  // namespace
 
 Stimulus read_stimulus(std::string_view text, const Netlist& netlist) {
-  std::istringstream stream{std::string(text)};
-  std::string line;
-  int line_number = 0;
-  TimeNs slew = 0.4;
+  std::vector<std::string_view> tokens;
+  const auto tokenize = [&tokens](std::string_view line) {
+    split_whitespace(line.substr(0, line.find('#')), tokens);
+  };
 
   // First pass collects the default slew so its position in the file does
   // not matter; the Stimulus object is constructed with it.
-  {
-    std::istringstream first_pass{std::string(text)};
-    std::string l;
-    while (std::getline(first_pass, l)) {
-      const auto tokens = split_whitespace(l.substr(0, l.find('#')));
-      if (tokens.size() == 2 && tokens[0] == "slew") {
-        slew = parse_double(tokens[1], "stimulus slew");
-      }
+  TimeNs slew = 0.4;
+  int line_number = 0;
+  for (std::size_t pos = 0; pos < text.size();) {
+    tokenize(next_line(text, pos));
+    ++line_number;
+    if (tokens.size() == 2 && tokens[0] == "slew") {
+      slew = parse_double(tokens[1], "stimulus line", line_number);
+      require(slew > 0.0, [&] { return where(line_number) + ": slew must be positive"; });
     }
   }
   Stimulus stimulus(slew);
 
-  while (std::getline(stream, line)) {
+  line_number = 0;
+  for (std::size_t pos = 0; pos < text.size();) {
+    tokenize(next_line(text, pos));
     ++line_number;
-    const auto tokens = split_whitespace(line.substr(0, line.find('#')));
     if (tokens.empty()) continue;
-    const std::string& keyword = tokens[0];
-    const std::string context = "stimulus line " + std::to_string(line_number);
+    const std::string_view keyword = tokens[0];
 
     if (keyword == "slew") {
-      require(tokens.size() == 2, context + ": slew takes one value");
+      require(tokens.size() == 2, [&] { return where(line_number) + ": slew takes one value"; });
       continue;  // handled in the first pass
     }
     if (keyword == "init") {
-      require(tokens.size() == 3, context + ": init <signal> <0|1>");
+      require(tokens.size() == 3, [&] { return where(line_number) + ": init <signal> <0|1>"; });
       stimulus.set_initial(lookup(netlist, tokens[1], line_number),
-                           parse_unsigned(tokens[2], context) != 0);
+                           parse_unsigned(tokens[2], "stimulus line", line_number) != 0);
       continue;
     }
     if (keyword == "edge") {
       require(tokens.size() == 4 || tokens.size() == 5,
-              context + ": edge <signal> <time> <0|1> [tau]");
-      const TimeNs tau = tokens.size() == 5 ? parse_double(tokens[4], context) : 0.0;
-      stimulus.add_edge(lookup(netlist, tokens[1], line_number),
-                        parse_double(tokens[2], context),
-                        parse_unsigned(tokens[3], context) != 0, tau);
+              [&] { return where(line_number) + ": edge <signal> <time> <0|1> [tau]"; });
+      const TimeNs tau = tokens.size() == 5 ? parse_time(tokens[4], line_number, "tau") : 0.0;
+      const SignalId input = lookup(netlist, tokens[1], line_number);
+      const TimeNs time = parse_time(tokens[2], line_number, "time");
+      stimulus.add_edge(input, time,
+                        parse_unsigned(tokens[3], "stimulus line", line_number) != 0, tau);
       continue;
     }
     if (keyword == "seq") {
@@ -102,25 +112,31 @@ Stimulus read_stimulus(std::string_view text, const Netlist& netlist) {
         msb_first.push_back(lookup(netlist, tokens[i], line_number));
         ++i;
       }
-      require(!msb_first.empty(), context + ": seq needs signals");
-      require(i + 1 < tokens.size() && tokens[i] == "start", context + ": expected 'start'");
-      const TimeNs start = parse_double(tokens[i + 1], context);
+      require(!msb_first.empty(), [&] { return where(line_number) + ": seq needs signals"; });
+      require(i + 1 < tokens.size() && tokens[i] == "start",
+              [&] { return where(line_number) + ": expected 'start'"; });
+      const TimeNs start = parse_time(tokens[i + 1], line_number, "start");
       i += 2;
       require(i + 1 < tokens.size() && tokens[i] == "period",
-              context + ": expected 'period'");
-      const TimeNs period = parse_double(tokens[i + 1], context);
+              [&] { return where(line_number) + ": expected 'period'"; });
+      const TimeNs period = parse_double(tokens[i + 1], "stimulus line", line_number);
+      require(period > 0.0, [&] { return where(line_number) + ": period must be positive"; });
       i += 2;
-      require(i < tokens.size() && tokens[i] == "words", context + ": expected 'words'");
+      require(i < tokens.size() && tokens[i] == "words",
+              [&] { return where(line_number) + ": expected 'words'"; });
       ++i;
       std::vector<std::uint64_t> words;
       for (; i < tokens.size(); ++i) words.push_back(parse_word(tokens[i], line_number));
-      require(!words.empty(), context + ": seq needs at least one word");
+      require(!words.empty(),
+              [&] { return where(line_number) + ": seq needs at least one word"; });
 
       std::vector<SignalId> lsb_first(msb_first.rbegin(), msb_first.rend());
       stimulus.apply_sequence(lsb_first, words, start, period);
       continue;
     }
-    require(false, context + ": unknown directive '" + keyword + "'");
+    require(false, [&] {
+      return where(line_number) + ": unknown directive '" + std::string(keyword) + "'";
+    });
   }
   return stimulus;
 }

@@ -41,22 +41,23 @@ std::vector<std::string> statements(std::string_view body) {
 }
 
 CellKind primitive_kind(const std::string& prim, std::size_t arity, int statement_index) {
-  const std::string what = "verilog: statement " + std::to_string(statement_index) +
-                           ": primitive '" + prim + "' with " + std::to_string(arity) +
-                           " inputs";
+  const auto what = [&](const char* expected) {
+    return "verilog: statement " + std::to_string(statement_index) + ": primitive '" + prim +
+           "' with " + std::to_string(arity) + " inputs" + expected;
+  };
   if (prim == "not") {
-    require(arity == 1, what + " (expects 1)");
+    require(arity == 1, [&] { return what(" (expects 1)"); });
     return CellKind::kInv;
   }
   if (prim == "buf") {
-    require(arity == 1, what + " (expects 1)");
+    require(arity == 1, [&] { return what(" (expects 1)"); });
     return CellKind::kBuf;
   }
   const auto pick = [&](CellKind k2, CellKind k3, CellKind k4) {
     if (arity == 2) return k2;
     if (arity == 3 && num_inputs(k3) == 3) return k3;
     if (arity == 4 && num_inputs(k4) == 4) return k4;
-    require(false, what + " (supported: 2-4)");
+    require(false, [&] { return what(" (supported: 2-4)"); });
     return k2;
   };
   if (prim == "and") return pick(CellKind::kAnd2, CellKind::kAnd3, CellKind::kAnd4);
@@ -65,8 +66,10 @@ CellKind primitive_kind(const std::string& prim, std::size_t arity, int statemen
   if (prim == "nor") return pick(CellKind::kNor2, CellKind::kNor3, CellKind::kNor4);
   if (prim == "xor") return pick(CellKind::kXor2, CellKind::kXor3, CellKind::kXor3);
   if (prim == "xnor") return pick(CellKind::kXnor2, CellKind::kXnor2, CellKind::kXnor2);
-  require(false, "verilog: unknown primitive '" + prim + "' in statement " +
-                     std::to_string(statement_index));
+  require(false, [&] {
+    return "verilog: unknown primitive '" + prim + "' in statement " +
+           std::to_string(statement_index);
+  });
   return CellKind::kBuf;
 }
 
@@ -106,13 +109,17 @@ Netlist read_verilog(std::string_view text, const Library& library) {
       const std::string rest{trim(std::string_view(stmt).substr(stmt.find(keyword) +
                                                                 keyword.size()))};
       for (const std::string& name : split(rest, ',')) {
-        require(!name.empty(), "verilog: empty identifier in declaration (statement " +
-                                   std::to_string(statement_index) + ")");
-        require(name.find('[') == std::string::npos,
-                "verilog: vectors are not supported ('" + name + "')");
+        require(!name.empty(), [&] {
+          return "verilog: empty identifier in declaration (statement " +
+                 std::to_string(statement_index) + ")";
+        });
+        require(name.find('[') == std::string::npos, [&] {
+          return "verilog: vectors are not supported ('" + name + "')";
+        });
         if (keyword == "input") {
-          require(signals.find(name) == signals.end(),
-                  "verilog: duplicate declaration of '" + name + "'");
+          require(signals.find(name) == signals.end(), [&] {
+            return "verilog: duplicate declaration of '" + name + "'";
+          });
           signals.emplace(name, netlist.add_primary_input(name));
         } else {
           if (signals.find(name) == signals.end()) {
@@ -123,27 +130,32 @@ Netlist read_verilog(std::string_view text, const Library& library) {
       }
       continue;
     }
-    require(keyword != "assign" && keyword != "always" && keyword != "reg",
-            "verilog: construct '" + keyword + "' is not supported (statement " +
-                std::to_string(statement_index) + ")");
+    require(keyword != "assign" && keyword != "always" && keyword != "reg", [&] {
+      return "verilog: construct '" + keyword + "' is not supported (statement " +
+             std::to_string(statement_index) + ")";
+    });
 
     // Primitive instantiation: prim name ( out , in... )
     const std::size_t open = stmt.find('(');
     const std::size_t close = stmt.rfind(')');
-    require(open != std::string::npos && close != std::string::npos && close > open,
-            "verilog: malformed instantiation (statement " +
-                std::to_string(statement_index) + ")");
+    require(open != std::string::npos && close != std::string::npos && close > open, [&] {
+      return "verilog: malformed instantiation (statement " + std::to_string(statement_index) + ")";
+    });
     Instance inst;
     inst.index = statement_index;
     const std::vector<std::string> head = split_whitespace(stmt.substr(0, open));
-    require(head.size() == 2, "verilog: expected 'primitive name (' (statement " +
-                                  std::to_string(statement_index) + ")");
+    require(head.size() == 2, [&] {
+      return "verilog: expected 'primitive name (' (statement " + std::to_string(statement_index) +
+             ")";
+    });
     inst.prim = to_lower(head[0]);
     inst.name = head[1];
     const std::vector<std::string> ports = split(
         std::string_view(stmt).substr(open + 1, close - open - 1), ',');
-    require(ports.size() >= 2, "verilog: instantiation needs output and inputs "
-                               "(statement " + std::to_string(statement_index) + ")");
+    require(ports.size() >= 2, [&] {
+      return "verilog: instantiation needs output and inputs (statement " +
+             std::to_string(statement_index) + ")";
+    });
     inst.output = ports[0];
     inst.inputs.assign(ports.begin() + 1, ports.end());
     instances.push_back(std::move(inst));
@@ -152,9 +164,10 @@ Netlist read_verilog(std::string_view text, const Library& library) {
   for (const Instance& inst : instances) {
     const auto lookup = [&](const std::string& name) {
       const auto it = signals.find(name);
-      require(it != signals.end(),
-              "verilog: undeclared signal '" + name + "' (statement " +
-                  std::to_string(inst.index) + ")");
+      require(it != signals.end(), [&] {
+        return "verilog: undeclared signal '" + name + "' (statement " +
+               std::to_string(inst.index) + ")";
+      });
       return it->second;
     };
     const CellKind kind = primitive_kind(inst.prim, inst.inputs.size(), inst.index);
@@ -213,9 +226,10 @@ std::string write_verilog(const Netlist& netlist) {
       case CellKind::kXor2: case CellKind::kXor3: prim = "xor"; break;
       case CellKind::kXnor2: prim = "xnor"; break;
       default:
-        require(false, std::string("write_verilog(): cell kind ") +
-                           std::string(cell_kind_name(kind)) +
-                           " has no gate-primitive representation");
+        require(false, [&] {
+          return std::string("write_verilog(): cell kind ") + std::string(cell_kind_name(kind)) +
+                 " has no gate-primitive representation";
+        });
     }
     out << "  " << prim << ' ' << gate.name << " (" << netlist.signal(gate.output).name;
     for (SignalId in : gate.inputs) out << ", " << netlist.signal(in).name;

@@ -69,19 +69,23 @@ std::vector<GoldenEntry> parse_goldens(std::string_view text) {
     const std::string_view trimmed = trim(line);
     if (trimmed.empty() || trimmed.front() == '#') continue;
     const std::vector<std::string> fields = split_whitespace(trimmed);
-    require(fields.size() == 3, "golden file line " + std::to_string(line_no) +
-                                    ": expected '<experiment> <artifact> <hash>'");
+    require(fields.size() == 3, [&] {
+      return "golden file line " + std::to_string(line_no) +
+             ": expected '<experiment> <artifact> <hash>'";
+    });
     GoldenEntry entry;
     entry.experiment = fields[0];
     entry.artifact = fields[1];
-    require(fields[2].size() == 16, "golden file line " + std::to_string(line_no) +
-                                        ": hash must be 16 hex digits");
+    require(fields[2].size() == 16, [&] {
+      return "golden file line " + std::to_string(line_no) + ": hash must be 16 hex digits";
+    });
     std::uint64_t hash = 0;
     for (const char c : fields[2]) {
       const bool digit = c >= '0' && c <= '9';
       const bool lower = c >= 'a' && c <= 'f';
-      require(digit || lower, "golden file line " + std::to_string(line_no) +
-                                  ": hash must be lower-case hex");
+      require(digit || lower, [&] {
+        return "golden file line " + std::to_string(line_no) + ": hash must be lower-case hex";
+      });
       hash = hash * 16 + static_cast<std::uint64_t>(digit ? c - '0' : c - 'a' + 10);
     }
     entry.hash = hash;

@@ -6,10 +6,12 @@ namespace halotis::repro {
 
 void ExperimentRegistry::add(Experiment experiment) {
   require(!experiment.id.empty(), "ExperimentRegistry::add(): id must not be empty");
-  require(static_cast<bool>(experiment.run),
-          "ExperimentRegistry::add(): experiment '" + experiment.id + "' has no run body");
-  require(find(experiment.id) == nullptr,
-          "ExperimentRegistry::add(): duplicate experiment id '" + experiment.id + "'");
+  require(static_cast<bool>(experiment.run), [&] {
+    return "ExperimentRegistry::add(): experiment '" + experiment.id + "' has no run body";
+  });
+  require(find(experiment.id) == nullptr, [&] {
+    return "ExperimentRegistry::add(): duplicate experiment id '" + experiment.id + "'";
+  });
   experiments_.push_back(std::move(experiment));
 }
 

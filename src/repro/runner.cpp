@@ -63,8 +63,9 @@ RunReport run_experiments(const ExperimentRegistry& registry, const RunOptions& 
   } else {
     for (const std::string& id : options.only) {
       const Experiment* experiment = registry.find(id);
-      require(experiment != nullptr, "unknown experiment '" + id +
-                                         "' (halotis repro --list shows registered ids)");
+      require(experiment != nullptr, [&] {
+        return "unknown experiment '" + id + "' (halotis repro --list shows registered ids)";
+      });
     }
     for (const Experiment& experiment : registry.experiments()) {
       for (const std::string& id : options.only) {

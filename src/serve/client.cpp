@@ -23,6 +23,9 @@ int run_connected(const std::string& socket_path, const std::vector<std::string>
                    std::string("malformed daemon response: ") + error.what());
   }
   if (!payload.has_value()) {
+    if (cancel != nullptr && cancel->cancelled()) {
+      throw RunError(RunErrorKind::kCancelled, "cancelled while waiting for the daemon");
+    }
     throw RunError(RunErrorKind::kIoError,
                    "daemon closed the connection without a response");
   }

@@ -42,7 +42,7 @@ Netlist parse_netlist_text(std::string_view text, const std::string& format,
     // Native files may use the flat or the hierarchical dialect.
     return looks_hierarchical(text) ? read_hierarchical(text, lib) : read_netlist(text, lib);
   }
-  require(false, "unknown netlist format '" + format + "'");
+  require(false, [&] { return "unknown netlist format '" + format + "'"; });
   return Netlist(lib);  // unreachable
 }
 

@@ -65,7 +65,9 @@ void Server::accept_loop(int listen_fd) {
 }
 
 void Server::serve_connection(int conn, SimulatorLease& lease) {
-  while (!options_.stop.cancelled()) {
+  // read_frame decides how a drain ends the connection: cleanly between
+  // frames, as an abort once a frame's first byte has arrived.
+  while (true) {
     std::optional<std::string> payload;
     try {
       payload = read_frame(conn, &options_.stop, options_.idle_timeout_ms);
@@ -78,7 +80,7 @@ void Server::serve_connection(int conn, SimulatorLease& lease) {
       send_error_response(conn, error.what());
       return;
     }
-    if (!payload.has_value()) return;  // client closed cleanly between frames
+    if (!payload.has_value()) return;  // clean close or drain between frames
     failpoint_throw("serve.frame.read");
 
     ResponseFrame response;

@@ -66,29 +66,37 @@ bool wait_io(int fd, short events, int timeout_ms) {
   return ready > 0;
 }
 
-/// Reads exactly `n` bytes into `out`.  Returns false when EOF arrives
-/// before the FIRST byte (a clean close); EOF mid-buffer, a hard error, a
-/// tripped token or idle expiry all throw.
+/// Reads exactly `n` bytes into `out`.  Returns false when the frame ends
+/// before its FIRST byte -- EOF (a clean close) or a tripped token while
+/// the socket holds nothing more (a drain between frames).  EOF or a
+/// tripped token mid-frame, a hard error or idle expiry all throw.
 bool recv_exact(int fd, char* out, std::size_t n, const CancelToken* cancel,
-                int idle_timeout_ms, bool* started) {
+                int idle_timeout_ms, bool& started) {
   std::size_t got = 0;
   int idle_ms = 0;
   while (got < n) {
-    check_cancel(cancel);
+    // Read before the recv: a peer that sent bytes before the token
+    // tripped has them visible to this recv, so an empty socket after a
+    // seen cancel really is a drain between frames.
+    const bool was_cancelled = cancel != nullptr && cancel->cancelled();
     const ssize_t r = ::recv(fd, out + got, n - got, 0);
     if (r > 0) {
       got += static_cast<std::size_t>(r);
-      if (started != nullptr) *started = true;
+      started = true;
       idle_ms = 0;
       continue;
     }
     if (r == 0) {
-      if (got == 0 && (started == nullptr || !*started)) return false;
+      if (!started) return false;
       throw RunError(RunErrorKind::kIoError,
                      "connection closed mid-frame (" + std::to_string(got) + " of " +
                          std::to_string(n) + " bytes)");
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
+      if (was_cancelled) {
+        if (!started) return false;
+        throw RunError(RunErrorKind::kCancelled, "cancelled during socket I/O");
+      }
       if (!wait_io(fd, POLLIN, kPollSliceMs)) {
         idle_ms += kPollSliceMs;
         if (idle_timeout_ms > 0 && idle_ms >= idle_timeout_ms) {
@@ -188,7 +196,7 @@ std::optional<std::string> read_frame(int fd, const CancelToken* cancel,
                                       int idle_timeout_ms) {
   char prefix[4];
   bool started = false;
-  if (!recv_exact(fd, prefix, sizeof prefix, cancel, idle_timeout_ms, &started)) {
+  if (!recv_exact(fd, prefix, sizeof prefix, cancel, idle_timeout_ms, started)) {
     return std::nullopt;
   }
   std::uint32_t len = 0;
@@ -201,7 +209,7 @@ std::optional<std::string> read_frame(int fd, const CancelToken* cancel,
   }
   std::string payload(len, '\0');
   if (len > 0) {
-    (void)recv_exact(fd, payload.data(), payload.size(), cancel, idle_timeout_ms, &started);
+    (void)recv_exact(fd, payload.data(), payload.size(), cancel, idle_timeout_ms, started);
   }
   return payload;
 }

@@ -64,11 +64,12 @@ class UnixFd {
 /// Sends one length-prefixed frame, honouring `cancel` while blocked.
 void write_frame(int fd, std::string_view payload, const CancelToken* cancel);
 
-/// Receives one frame payload.  nullopt = clean EOF at a frame boundary.
-/// Throws ProtocolError for an oversized length field (before allocating),
-/// RunError(kIoError) for EOF mid-frame, hard socket errors or an idle
-/// connection exceeding `idle_timeout_ms` (0 = no limit), and
-/// RunError(kCancelled) when `cancel` trips.
+/// Receives one frame payload.  nullopt = the connection ended at a frame
+/// boundary: clean EOF, or `cancel` tripped before the frame's first byte
+/// arrived.  Throws ProtocolError for an oversized length field (before
+/// allocating), RunError(kIoError) for EOF mid-frame, hard socket errors or
+/// an idle connection exceeding `idle_timeout_ms` (0 = no limit), and
+/// RunError(kCancelled) when `cancel` trips mid-frame.
 [[nodiscard]] std::optional<std::string> read_frame(int fd, const CancelToken* cancel,
                                                     int idle_timeout_ms);
 

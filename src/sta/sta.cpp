@@ -8,11 +8,21 @@
 
 namespace halotis {
 
+namespace {
+
+/// The analyzer's gate order; STA is defined on acyclic netlists only.
+std::vector<GateId> acyclic_order(const Netlist& netlist) {
+  Netlist::Levelization levels = netlist.levelize();
+  require(!levels.has_cycles, "StaticTimingAnalyzer: netlist has combinational cycles");
+  return std::move(levels.order);
+}
+
+}  // namespace
+
 StaticTimingAnalyzer::StaticTimingAnalyzer(const Netlist& netlist, TimeNs input_slew)
     : netlist_(&netlist), input_slew_(input_slew) {
   require(input_slew > 0.0, "StaticTimingAnalyzer: input slew must be positive");
-  require(!netlist.has_combinational_cycles(),
-          "StaticTimingAnalyzer: netlist has combinational cycles");
+  order_ = acyclic_order(netlist);
   owned_timing_ =
       std::make_unique<TimingGraph>(TimingGraph::build(netlist, TimingPolicy{}));
   timing_ = owned_timing_.get();
@@ -22,8 +32,7 @@ StaticTimingAnalyzer::StaticTimingAnalyzer(const Netlist& netlist,
                                            const TimingGraph& timing, TimeNs input_slew)
     : netlist_(&netlist), input_slew_(input_slew), timing_(&timing) {
   require(input_slew > 0.0, "StaticTimingAnalyzer: input slew must be positive");
-  require(!netlist.has_combinational_cycles(),
-          "StaticTimingAnalyzer: netlist has combinational cycles");
+  order_ = acyclic_order(netlist);
   require(&timing.netlist() == &netlist,
           "StaticTimingAnalyzer: TimingGraph was elaborated over a different netlist");
 }
@@ -42,7 +51,7 @@ TimingReport StaticTimingAnalyzer::analyze() const {
   // recover the critical path afterwards.
   std::vector<PathStep> latest_cause(nl.num_signals());
 
-  for (const GateId gid : nl.topological_order()) {
+  for (const GateId gid : order_) {
     const Gate& gate = nl.gate(gid);
     ArrivalWindow out{kNeverNs, 0.0, 0.0};
     PathStep cause;

@@ -80,6 +80,7 @@ class StaticTimingAnalyzer {
   TimeNs input_slew_;
   std::unique_ptr<TimingGraph> owned_timing_;  ///< set by the internal-build ctor
   const TimingGraph* timing_ = nullptr;
+  std::vector<GateId> order_;  ///< topological order, checked acyclic at construction
 };
 
 }  // namespace halotis

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -25,7 +26,6 @@
 #include "src/lint/lint.hpp"
 #include "src/netlist/library.hpp"
 #include "src/parsers/bench_format.hpp"
-#include "src/parsers/hierarchy.hpp"
 #include "src/parsers/netlist_io.hpp"
 #include "src/parsers/sdf.hpp"
 #include "src/parsers/stimulus_file.hpp"
@@ -66,13 +66,18 @@ struct Options {
   }
   [[nodiscard]] std::string require_flag(const std::string& name) const {
     const auto value = get(name);
-    require(value.has_value(), "missing required flag --" + name);
+    require(value.has_value(), [&] { return "missing required flag --" + name; });
     return *value;
   }
+  /// A real-valued flag: a finite number (parse_finite) or a usage error.
   [[nodiscard]] double number(const std::string& name, double fallback) const {
     const auto value = get(name);
     if (!value.has_value()) return fallback;
-    return parse_double(*value, "--" + name);
+    const std::optional<double> parsed = parse_finite(trim(*value));
+    if (!parsed.has_value()) {
+      throw UsageError("--" + name + " expects a finite number, got '" + *value + "'");
+    }
+    return *parsed;
   }
 };
 
@@ -101,6 +106,27 @@ std::uint64_t usage_unsigned(const Options& options, const std::string& name,
   return parsed;
 }
 
+/// usage_unsigned for a count held in an int (threads, partitions, limits).
+int usage_count(const Options& options, const std::string& name, int fallback) {
+  const std::uint64_t value =
+      usage_unsigned(options, name, static_cast<std::uint64_t>(fallback));
+  if (value > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    throw UsageError("--" + name + " is out of range, got '" + *options.get(name) + "'");
+  }
+  return static_cast<int>(value);
+}
+
+/// A size flag given in MiB, as bytes: finite, non-negative and below 2^64
+/// bytes (2^44 MiB), so the conversion is defined.
+std::uint64_t usage_mebibytes(const Options& options, const std::string& name,
+                              double fallback) {
+  const double bytes = options.number(name, fallback) * 1024.0 * 1024.0;
+  if (!(bytes >= 0.0 && bytes < 0x1p64)) {
+    throw UsageError("--" + name + " must be >= 0 and below 2^44");
+  }
+  return static_cast<std::uint64_t>(bytes);
+}
+
 [[nodiscard]] std::string hex64(std::uint64_t v) {
   char buffer[24];
   std::snprintf(buffer, sizeof buffer, "%016llx", static_cast<unsigned long long>(v));
@@ -113,7 +139,7 @@ Options parse_args(const std::vector<std::string>& args) {
   options.command = args[0];
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    require(starts_with(arg, "--"), "expected --flag, got '" + arg + "'");
+    require(starts_with(arg, "--"), [&] { return "expected --flag, got '" + arg + "'"; });
     const std::string name = arg.substr(2);
     // Boolean flags (no value) vs valued flags.
     if (i + 1 < args.size() && !starts_with(args[i + 1], "--")) {
@@ -153,10 +179,10 @@ const Library& default_library() {
 /// cleanly with exit 5.
 RunSupervisor make_supervisor(const Options& options, const ServiceEnv& env = {}) {
   RunBudget budget;
-  budget.max_events = static_cast<std::uint64_t>(options.number("budget-events", 0.0));
-  budget.max_arena_bytes =
-      static_cast<std::uint64_t>(options.number("budget-mem-mb", 0.0) * 1024.0 * 1024.0);
+  budget.max_events = usage_unsigned(options, "budget-events", 0);
+  budget.max_arena_bytes = usage_mebibytes(options, "budget-mem-mb", 0.0);
   budget.deadline_s = options.number("deadline-s", 0.0);
+  if (budget.deadline_s < 0.0) throw UsageError("--deadline-s must be >= 0");
   RunSupervisor supervisor(budget,
                            env.ctx != nullptr ? env.ctx->stop : cli_cancel_token());
   supervisor.arm();
@@ -169,7 +195,7 @@ RunSupervisor make_supervisor(const Options& options, const ServiceEnv& env = {}
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
-  require(in.good(), "cannot open '" + path + "'");
+  require(in.good(), [&] { return "cannot open '" + path + "'"; });
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
@@ -183,7 +209,7 @@ std::string read_file(const std::string& path) {
 std::string read_input(const ServiceEnv& env, const std::string& path) {
   if (env.daemon()) {
     const auto it = env.io->files.find(path);
-    require(it != env.io->files.end(), "cannot open '" + path + "'");
+    require(it != env.io->files.end(), [&] { return "cannot open '" + path + "'"; });
     return it->second;
   }
   return read_file(path);
@@ -214,23 +240,9 @@ std::string detect_format(const Options& options, const std::string& path) {
   return extension_format(path);
 }
 
-Netlist load_netlist_file(const std::string& path, const std::string& format,
-                          const Library& lib) {
-  const std::string text = read_file(path);
-  if (format == "bench") return read_bench(text, lib);
-  if (format == "verilog") return read_verilog(text, lib);
-  if (format == "native") {
-    // Native files may use the flat or the hierarchical dialect.
-    return looks_hierarchical(text) ? read_hierarchical(text, lib)
-                                    : read_netlist(text, lib);
-  }
-  require(false, "unknown netlist format '" + format + "'");
-  return Netlist(lib);  // unreachable
-}
-
 Netlist load_netlist(const Options& options, const Library& lib) {
   const std::string path = options.require_flag("netlist");
-  return load_netlist_file(path, detect_format(options, path), lib);
+  return serve::parse_netlist_text(read_file(path), detect_format(options, path), lib);
 }
 
 std::unique_ptr<DelayModel> make_model(const Options& options) {
@@ -243,7 +255,7 @@ std::unique_ptr<DelayModel> make_model(const Options& options) {
   if (name == "transport") {
     return std::make_unique<CdmDelayModel>(CdmDelayModel::InertialWindow::kNone);
   }
-  require(false, "unknown model '" + name + "' (ddm|cdm|cdm-classical|transport)");
+  require(false, [&] { return "unknown model '" + name + "' (ddm|cdm|cdm-classical|transport)"; });
   return nullptr;  // unreachable
 }
 
@@ -328,8 +340,7 @@ int sim_replay_corners(const ServiceEnv& env, const Options& options,
   if (!sdf_flag.has_value()) {
     throw UsageError("sim --replay needs --sdf corner file(s) to re-time");
   }
-  if (static_cast<int>(options.number("threads", 1)) != 1 ||
-      options.number("partitions", 0.0) != 0.0) {
+  if (usage_count(options, "threads", 1) != 1 || usage_count(options, "partitions", 0) != 0) {
     throw UsageError("sim --replay requires the serial kernel (--threads 1)");
   }
   if (options.get("report") || options.get("vcd") || options.get("waves")) {
@@ -408,9 +419,8 @@ int cmd_sim(const Options& options, std::ostream& out, const ServiceEnv& env) {
   config.t_end = options.number("t-end", kNeverNs);
   const RunSupervisor supervisor = make_supervisor(options, env);
 
-  const int threads = static_cast<int>(options.number("threads", 1));
-  const auto partitions = static_cast<std::uint32_t>(options.number("partitions", 0));
-  require(threads >= 0, "--threads must be >= 0 (0 = all hardware threads)");
+  const int threads = usage_count(options, "threads", 1);
+  const auto partitions = static_cast<std::uint32_t>(usage_count(options, "partitions", 0));
 
   const auto print_run = [&](const RunResult& result, const SimStats& stats) {
     out << "model: " << model->name() << "\n";
@@ -541,10 +551,7 @@ int cmd_variation(const Options& options, std::ostream& out, const ServiceEnv& e
   config.seed = usage_unsigned(options, "seed", 1);
   config.sigma = options.number("sigma", 0.1);
   if (!(config.sigma >= 0.0)) throw UsageError("--sigma must be >= 0");
-  config.threads = static_cast<int>(options.number("threads", 1));
-  if (config.threads < 0) {
-    throw UsageError("--threads must be >= 0 (0 = all hardware threads)");
-  }
+  config.threads = usage_count(options, "threads", 1);
   config.use_replay = options.get("replay").has_value();
   config.sim.t_end = options.number("t-end", kNeverNs);
 
@@ -631,7 +638,8 @@ int cmd_lint(const Options& options, std::ostream& out) {
   const std::string netlist_path = options.require_flag("netlist");
   const std::string netlist_format =
       options.get("netlist-format").value_or(extension_format(netlist_path));
-  const Netlist netlist = load_netlist_file(netlist_path, netlist_format, lib);
+  const Netlist netlist =
+      serve::parse_netlist_text(read_file(netlist_path), netlist_format, lib);
   const std::unique_ptr<DelayModel> model = make_model(options);
   const RunSupervisor supervisor = make_supervisor(options);
 
@@ -644,7 +652,7 @@ int cmd_lint(const Options& options, std::ostream& out) {
 
   lint::LintOptions lint_options;
   lint_options.input_slew = options.number("slew", 0.5);
-  lint_options.fanout_limit = static_cast<int>(options.number("fanout-limit", 64.0));
+  lint_options.fanout_limit = usage_count(options, "fanout-limit", 64);
   lint_options.sdf_coverage = options.get("sdf").has_value();
   lint_options.supervisor = &supervisor;
   lint::LintReport report = lint::run_lint(netlist, timing, lint_options);
@@ -683,13 +691,13 @@ int cmd_fault(const Options& options, std::ostream& out, const ServiceEnv& env) 
   const std::shared_ptr<const serve::Elaboration> elab =
       service_elaboration(env, options, model->timing_policy(), /*want_sdf=*/false);
   const Netlist& netlist = elab->netlist;
-  const int threads = static_cast<int>(options.number("threads", 0));
+  const int threads = usage_count(options, "threads", 0);
   const RunSupervisor supervisor = make_supervisor(options, env);
 
   if (options.get("atpg")) {
     AtpgOptions atpg;
     atpg.period = options.number("period", 5.0);
-    atpg.max_candidates = static_cast<int>(options.number("candidates", 200));
+    atpg.max_candidates = usage_count(options, "candidates", 200);
     atpg.seed = usage_unsigned(options, "seed", 1);
     atpg.threads = threads;
     atpg.supervisor = &supervisor;
@@ -795,7 +803,7 @@ int cmd_repro(const Options& options, std::ostream& out) {
 
   repro::RunOptions run_options;
   run_options.quick = options.get("quick").has_value();
-  run_options.threads = static_cast<int>(options.number("threads", 0));
+  run_options.threads = usage_count(options, "threads", 0);
   if (const auto only = options.get("only")) {
     for (const std::string& id : split(*only, ',')) {
       if (!id.empty()) run_options.only.push_back(id);
@@ -880,7 +888,7 @@ int cmd_convert(const Options& options, std::ostream& out) {
   } else if (to == "sdf") {
     text = write_sdf(netlist, options.number("slew", 0.5));
   } else {
-    require(false, "unknown target format '" + to + "'");
+    require(false, [&] { return "unknown target format '" + to + "'"; });
   }
   if (const auto path = options.get("out")) {
     write_file_atomic(*path, text);
@@ -898,14 +906,10 @@ int cmd_convert(const Options& options, std::ostream& out) {
 int cmd_serve(const Options& options, std::ostream& out) {
   serve::ServeOptions serve_options;
   serve_options.socket_path = options.require_flag("socket");
-  const int threads = static_cast<int>(options.number("threads", 0.0));
-  require(threads >= 0, "--threads must be >= 0 (0 = all hardware threads)");
-  serve_options.threads = threads;
-  const double cache_mb = options.number("cache-mb", 256.0);
-  require(cache_mb > 0.0, "--cache-mb must be > 0");
-  serve_options.cache_bytes = static_cast<std::size_t>(cache_mb * 1024.0 * 1024.0);
-  serve_options.idle_timeout_ms =
-      static_cast<int>(options.number("idle-timeout-ms", 30000.0));
+  serve_options.threads = usage_count(options, "threads", 0);
+  serve_options.cache_bytes = usage_mebibytes(options, "cache-mb", 256.0);
+  require(serve_options.cache_bytes > 0, "--cache-mb must be > 0");
+  serve_options.idle_timeout_ms = usage_count(options, "idle-timeout-ms", 30000);
   serve_options.stop = cli_cancel_token();
   // SIGTERM drains exactly like Ctrl-C: systemd stop / CI teardown get a
   // clean socket unlink and only whole artifacts.

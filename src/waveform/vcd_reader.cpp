@@ -21,13 +21,15 @@ double parse_timescale(const std::string& spec) {
       unit.push_back(c);
     }
   }
-  require(!digits.empty() && !unit.empty(), "vcd: malformed $timescale '" + spec + "'");
+  require(!digits.empty() && !unit.empty(), [&] {
+    return "vcd: malformed $timescale '" + spec + "'";
+  });
   const double value = parse_double(digits, "vcd timescale");
   if (unit == "fs") return value * 1e-6;
   if (unit == "ps") return value * 1e-3;
   if (unit == "ns") return value;
   if (unit == "us") return value * 1e3;
-  require(false, "vcd: unsupported timescale unit '" + unit + "'");
+  require(false, [&] { return "vcd: unsupported timescale unit '" + unit + "'"; });
   return 1.0;
 }
 
@@ -55,7 +57,7 @@ VcdDocument read_vcd(std::string_view text) {
   std::size_t i = 0;
   const auto skip_to_end = [&](const char* what) {
     while (i < tokens.size() && tokens[i] != "$end") ++i;
-    require(i < tokens.size(), std::string("vcd: unterminated ") + what);
+    require(i < tokens.size(), [&] { return std::string("vcd: unterminated ") + what; });
     ++i;  // consume $end
   };
 
@@ -75,10 +77,12 @@ VcdDocument read_vcd(std::string_view text) {
       const std::string& width = tokens[i + 2];
       const std::string& id = tokens[i + 3];
       const std::string& name = tokens[i + 4];
-      require(kind == "wire" || kind == "reg",
-              "vcd: unsupported var kind '" + kind + "'");
-      require(width == "1", "vcd: only scalar signals supported (got width " +
-                                width + " for '" + name + "')");
+      require(kind == "wire" || kind == "reg", [&] {
+        return "vcd: unsupported var kind '" + kind + "'";
+      });
+      require(width == "1", [&] {
+        return "vcd: only scalar signals supported (got width " + width + " for '" + name + "')";
+      });
       vars[id].name = name;
       i += 5;
       skip_to_end("$var");
@@ -100,7 +104,7 @@ VcdDocument read_vcd(std::string_view text) {
       const bool value = t[0] == '1';
       const std::string id = t.substr(1);
       const auto it = vars.find(id);
-      require(it != vars.end(), "vcd: value change for unknown id '" + id + "'");
+      require(it != vars.end(), [&] { return "vcd: value change for unknown id '" + id + "'"; });
       if (!it->second.have_initial && now == 0) {
         it->second.initial = value;
         it->second.have_initial = true;
@@ -113,7 +117,7 @@ VcdDocument read_vcd(std::string_view text) {
     } else if (!t.empty() && t[0] == 'b') {
       require(false, "vcd: vector values are not supported");
     } else {
-      require(false, "vcd: unexpected token '" + t + "'");
+      require(false, [&] { return "vcd: unexpected token '" + t + "'"; });
     }
   }
 

@@ -2,11 +2,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <concepts>
+#include <cstdint>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/base/check.hpp"
 #include "src/base/ids.hpp"
 #include "src/base/mathfit.hpp"
+#include "src/base/name_index.hpp"
 #include "src/base/rng.hpp"
 #include "src/base/strings.hpp"
 
@@ -21,6 +28,40 @@ TEST(Check, RequireThrowsWithMessage) {
   } catch (const ContractViolation& e) {
     EXPECT_NE(std::string(e.what()).find("broken contract"), std::string::npos);
   }
+}
+
+TEST(Check, MessageBuilderRunsOnlyOnFailure) {
+  int built = 0;
+  const auto message = [&built] {
+    ++built;
+    return std::string("built ") + "lazily";
+  };
+  require(true, message);
+  ensure(true, message);
+  EXPECT_EQ(built, 0);
+  try {
+    require(false, message);
+    FAIL() << "require(false) must throw";
+  } catch (const ContractViolation& e) {
+    EXPECT_EQ(built, 1);
+    EXPECT_EQ(std::string(e.what()).find("built lazily ["), 0u) << e.what();
+  }
+}
+
+/// Whether `require(bool, M)` compiles for a message argument of type M.
+template <class M>
+concept AcceptedMessage = requires(M&& message) { require(true, std::forward<M>(message)); };
+
+TEST(Check, EagerlyBuiltMessagesDoNotCompile) {
+  static_assert(AcceptedMessage<const char*>);
+  static_assert(AcceptedMessage<std::string_view>);
+  static_assert(AcceptedMessage<const std::string&>);
+  static_assert(AcceptedMessage<std::string&>);
+  static_assert(AcceptedMessage<std::string (*)()>);
+  // `"..." + name`, std::to_string(...), std::string(...): a fresh string
+  // would be built on every passing check.
+  static_assert(!AcceptedMessage<std::string>);
+  static_assert(!AcceptedMessage<std::string&&>);
 }
 
 TEST(Ids, DefaultIsInvalid) {
@@ -133,6 +174,51 @@ TEST(Strings, ParseNumbers) {
   EXPECT_THROW((void)parse_double("abc", "test"), ContractViolation);
   EXPECT_THROW((void)parse_unsigned("-1", "test"), ContractViolation);
   EXPECT_THROW((void)parse_double("1.5x", "test"), ContractViolation);
+}
+
+TEST(Strings, OnlyFiniteNumbersParse) {
+  EXPECT_DOUBLE_EQ(*parse_finite("-1.25e-3"), -1.25e-3);
+  EXPECT_DOUBLE_EQ(*parse_finite("1e308"), 1e308);
+  for (const char* bad : {"nan", "-nan", "NaN", "inf", "-inf", "infinity", "INF", "1e999",
+                          "-1e999", "0x1p1", "+1", "", " 1", "1 "}) {
+    EXPECT_FALSE(parse_finite(bad).has_value()) << "'" << bad << "'";
+  }
+  try {
+    (void)parse_double("nan", "stimulus line", 7);
+    FAIL() << "nan accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_EQ(std::string(e.what()).find("failed to parse number 'nan' in stimulus line 7 ["),
+              0u)
+        << e.what();
+  }
+}
+
+TEST(NameIndex, InsertFindAndGrow) {
+  std::vector<std::string> names;
+  NameIndex index;
+  const auto name_of = [&names](std::uint32_t id) -> std::string_view { return names[id]; };
+  EXPECT_EQ(index.find("absent", name_of), NameIndex::kNone);
+  for (std::uint32_t i = 0; i < 5000; ++i) {  // grows from the first slot table many times
+    names.push_back("n" + std::to_string(i));
+    EXPECT_EQ(index.insert(names.back(), i, name_of), i);
+  }
+  for (std::uint32_t i = 0; i < 5000; ++i) {
+    EXPECT_EQ(index.find("n" + std::to_string(i), name_of), i);
+    EXPECT_EQ(index.insert("n" + std::to_string(i), 9999, name_of), i);  // already present
+  }
+  EXPECT_EQ(index.find("n5000", name_of), NameIndex::kNone);
+  EXPECT_EQ(index.find("", name_of), NameIndex::kNone);
+}
+
+TEST(Strings, NextLineMatchesGetline) {
+  for (const std::string text : {"", "\n", "a", "a\n", "a\r\nb", "\n\nlast", "x\ny\n"}) {
+    std::vector<std::string> expected;
+    std::istringstream stream(text);
+    for (std::string line; std::getline(stream, line);) expected.push_back(line);
+    std::vector<std::string> got;
+    for (std::size_t pos = 0; pos < text.size();) got.emplace_back(next_line(text, pos));
+    EXPECT_EQ(got, expected) << "'" << text << "'";
+  }
 }
 
 TEST(Rng, Deterministic) {

@@ -257,6 +257,72 @@ TEST_F(CliTest, MalformedFlagsExitTwoWithUsage) {
             0);
 }
 
+/// Number flags accept finite numbers only, and count flags whole unsigned
+/// integers only: anything else is a usage error (exit 2), never a run
+/// that silently treats `nan` as an absent flag or casts `-5` to a count.
+TEST_F(CliTest, NonFiniteAndNonIntegerNumberFlagsExitTwo) {
+  const std::string netlist = write("and2.bench", kBench);
+  const std::string stim = write("and2.stim", kStim);
+  const auto sim = [&](std::vector<std::string> extra) {
+    std::vector<std::string> args{"sim", "--netlist", netlist, "--stim", stim};
+    args.insert(args.end(), extra.begin(), extra.end());
+    return args;
+  };
+  const auto expect_usage = [&](const std::vector<std::string>& args,
+                                const std::string& needle) {
+    EXPECT_EQ(run(args), 2) << needle;
+    EXPECT_NE(err_.str().find("usage error: " + needle), std::string::npos) << err_.str();
+  };
+  for (const char* bad : {"nan", "inf", "-inf", "1e999", "abc", "0x1p1", ""}) {
+    expect_usage(sim({"--t-end", bad}), "--t-end expects a finite number");
+    expect_usage(sim({"--deadline-s", bad}), "--deadline-s expects a finite number");
+    expect_usage(sim({"--budget-mem-mb", bad}), "--budget-mem-mb expects a finite number");
+  }
+  for (const char* bad : {"nan", "-5", "1e30", "1.5", "abc"}) {
+    expect_usage(sim({"--budget-events", bad}), "--budget-events expects an unsigned integer");
+    expect_usage(sim({"--threads", bad}), "--threads expects an unsigned integer");
+    expect_usage(sim({"--partitions", bad}), "--partitions expects an unsigned integer");
+    expect_usage({"lint", netlist, "--fanout-limit", bad},
+                 "--fanout-limit expects an unsigned integer");
+  }
+  expect_usage(sim({"--threads", "4294967296"}), "--threads is out of range");
+  expect_usage(sim({"--deadline-s", "-1"}), "--deadline-s must be >= 0");
+  expect_usage(sim({"--budget-mem-mb", "-1"}), "--budget-mem-mb must be >= 0");
+  expect_usage(sim({"--budget-mem-mb", "1e300"}), "--budget-mem-mb must be >= 0");
+  expect_usage({"sta", "--netlist", netlist, "--slew", "nan"}, "--slew expects a finite number");
+
+  // In range, the same flags still run.
+  EXPECT_EQ(run(sim({"--t-end", "7.5", "--deadline-s", "60", "--budget-events", "1000000"})),
+            0);
+  EXPECT_EQ(run({"lint", netlist, "--fanout-limit", "8"}), 0);
+}
+
+TEST_F(CliTest, NonFiniteStimulusNumberNamesTheLine) {
+  const std::string netlist = write("and2.bench", kBench);
+  for (const char* line : {"edge a inf 1", "edge a 5 1 inf", "edge a nan 1", "slew nan"}) {
+    const std::string stim = write("bad.stim", std::string("init a 0\n") + line + "\n");
+    EXPECT_EQ(run({"sim", "--netlist", netlist, "--stim", stim}), 1) << line;
+    EXPECT_NE(err_.str().find("in stimulus line 2"), std::string::npos) << err_.str();
+  }
+}
+
+TEST_F(CliTest, NonFiniteSdfDelayIsRejected) {
+  const std::string netlist = write("and2.bench", kBench);
+  const std::string sdf = (dir_ / "and2.sdf").string();
+  ASSERT_EQ(run({"convert", "--netlist", netlist, "--to", "sdf", "--out", sdf}), 0);
+  std::ifstream in(sdf);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::string bad = text.str();
+  const std::size_t open = bad.find("(IOPATH A Y (");
+  ASSERT_NE(open, std::string::npos);
+  const std::size_t value = open + 13;
+  bad.replace(value, bad.find(')', value) - value, "1:inf:2");  // typ = inf
+  const std::string bad_path = write("bad.sdf", bad);
+  EXPECT_EQ(run({"sta", "--netlist", netlist, "--sdf", bad_path}), 1);
+  EXPECT_NE(err_.str().find("bad delay value 'inf'"), std::string::npos) << err_.str();
+}
+
 TEST_F(CliTest, ModelVariantsAllRun) {
   const std::string netlist = write("and2.bench", kBench);
   const std::string stim = write("and2.stim", kStim);

@@ -185,5 +185,35 @@ TEST_F(NetlistTest, DepthOfDiamond) {
   EXPECT_EQ(nl.depth(), 2);
 }
 
+/// A latch, a gate downstream of it (created first, so ids and
+/// dependencies disagree) and one acyclic gate.  The order, depth and
+/// cycle flag are pinned at the values the separate order/depth/cycle
+/// walks gave before levelize() merged them: depth bounds the settle
+/// sweeps on cyclic designs, so it must not drift.
+TEST_F(NetlistTest, LevelizeOnCyclicDesignIsPinned) {
+  Netlist nl(lib_);
+  const SignalId s = nl.add_primary_input("s");
+  const SignalId r = nl.add_primary_input("r");
+  const SignalId q = nl.add_signal("q");
+  const SignalId qn = nl.add_signal("qn");
+  const SignalId y1 = nl.add_signal("y1");
+  const SignalId y2 = nl.add_signal("y2");
+  const SignalId z = nl.add_signal("z");
+  (void)nl.add_gate("g0", CellKind::kInv, std::array<SignalId, 1>{y1}, y2);
+  (void)nl.add_gate("g1", CellKind::kNand2, std::array<SignalId, 2>{s, qn}, q);
+  (void)nl.add_gate("g2", CellKind::kNand2, std::array<SignalId, 2>{r, q}, qn);
+  (void)nl.add_gate("g3", CellKind::kBuf, std::array<SignalId, 1>{q}, y1);
+  (void)nl.add_gate("g4", CellKind::kInv, std::array<SignalId, 1>{s}, z);
+
+  const Netlist::Levelization levels = nl.levelize();
+  const std::vector<GateId> expected{GateId{4}, GateId{0}, GateId{1}, GateId{2}, GateId{3}};
+  EXPECT_EQ(levels.order, expected);  // acyclic part first, then the rest in id order
+  EXPECT_EQ(levels.depth, 2);
+  EXPECT_TRUE(levels.has_cycles);
+  EXPECT_EQ(nl.topological_order(), levels.order);
+  EXPECT_EQ(nl.depth(), levels.depth);
+  EXPECT_TRUE(nl.has_combinational_cycles());
+}
+
 }  // namespace
 }  // namespace halotis

@@ -19,8 +19,11 @@
 
 #include "src/base/check.hpp"
 #include "src/parsers/bench_format.hpp"
+#include "src/parsers/hierarchy.hpp"
+#include "src/parsers/netlist_io.hpp"
 #include "src/parsers/sdf.hpp"
 #include "src/parsers/stimulus_file.hpp"
+#include "src/waveform/vcd_reader.hpp"
 
 namespace halotis {
 namespace {
@@ -126,6 +129,77 @@ TEST(ParserFuzzTest, TruncatedBenchDiagnosticNamesTheLine) {
   } catch (const ContractViolation& e) {
     EXPECT_NE(std::string(e.what()).find("line"), std::string::npos) << e.what();
   }
+}
+
+// ---- non-finite numbers -----------------------------------------------------
+//
+// Every number a parser reads goes through parse_finite: nan, infinities,
+// values that overflow to infinity and hex floats are rejected with a
+// diagnostic naming the line, never simulated (`edge a inf 1` used to be
+// accepted as an edge that never happens).
+
+constexpr const char* kNonFinite[] = {"nan",      "-nan", "NaN",  "inf",  "-inf",
+                                      "infinity", "INF",  "1e999", "-1e999", "0x1p1"};
+
+/// Parses `text` expecting a ContractViolation whose message contains
+/// `where` (the line) and the offending token.
+template <class ParseFn>
+void expect_rejected(const std::string& text, const std::string& where,
+                     const std::string& token, const ParseFn& parse) {
+  SCOPED_TRACE(text);
+  try {
+    parse(text);
+    ADD_FAILURE() << "accepted a non-finite number";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(where), std::string::npos) << what;
+    EXPECT_NE(what.find("'" + token + "'"), std::string::npos) << what;
+  }
+}
+
+TEST(ParserFuzzTest, StimulusRejectsNonFiniteNumbers) {
+  const Library lib = Library::default_u6();
+  const Netlist netlist = read_bench(kAnd2Bench, lib);
+  const auto parse = [&](const std::string& text) { (void)read_stimulus(text, netlist); };
+  for (const std::string token : kNonFinite) {
+    expect_rejected("init a 0\nedge a " + token + " 1\n", "stimulus line 2", token, parse);
+    expect_rejected("edge a 1 1 " + token + "\n", "stimulus line 1", token, parse);
+    expect_rejected("# slew\n\nslew " + token + "\n", "stimulus line 3", token, parse);
+    expect_rejected("seq a b start " + token + " period 5 words 0 3\n", "stimulus line 1",
+                    token, parse);
+    expect_rejected("seq a b start 0 period " + token + " words 0 3\n", "stimulus line 1",
+                    token, parse);
+  }
+}
+
+TEST(ParserFuzzTest, NetlistsRejectNonFiniteWireCaps) {
+  const Library lib = Library::default_u6();
+  for (const std::string token : kNonFinite) {
+    const std::string deck = "input a\nsignal y\ngate g INV_X1 y a\nwirecap y " + token + "\n";
+    expect_rejected(deck, "netlist line 4", token,
+                    [&](const std::string& text) { (void)read_netlist(text, lib); });
+    expect_rejected(deck, "hierarchical netlist line 4", token,
+                    [&](const std::string& text) { (void)read_hierarchical(text, lib); });
+  }
+}
+
+TEST(ParserFuzzTest, SdfRejectsNonFiniteDelays) {
+  for (const std::string token : kNonFinite) {
+    const std::string head =
+        "(DELAYFILE\n(CELL (CELLTYPE \"INV_X1\") (INSTANCE g)\n(DELAY (ABSOLUTE\n";
+    const auto parse = [](const std::string& text) { (void)read_sdf(text); };
+    expect_rejected(head + "(IOPATH A Y (" + token + ") (1))))))\n", "sdf line 4", token,
+                    parse);
+    expect_rejected(head + "(IOPATH A Y (1) (1.2:" + token + ":1.9))))))\n", "sdf line 4",
+                    token, parse);
+  }
+  EXPECT_THROW((void)read_sdf("(DELAYFILE (TIMESCALE 1e999ns))"), ContractViolation);
+}
+
+TEST(ParserFuzzTest, VcdRejectsOverflowingTimescale) {
+  const std::string digits(400, '9');
+  EXPECT_THROW((void)read_vcd("$timescale " + digits + "ns $end\n$enddefinitions $end\n"),
+               ContractViolation);
 }
 
 }  // namespace

@@ -2,9 +2,14 @@
 // netlist format and the stimulus file format.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "src/base/rng.hpp"
 #include "src/circuits/generators.hpp"
@@ -396,6 +401,199 @@ TEST_F(ParsersTest, StimulusHexWordEdgeCases) {
       "seq a1 a0 b1 b0 start 5 period 5 words 0x0 0xFFFFFFFFFFFFFFFF\n", mult.netlist);
   EXPECT_EQ(wide.edges(mult.a[0]).size(), 1u);
   EXPECT_TRUE(wide.edges(mult.a[0])[0].value);
+}
+
+// ---- reader goldens ---------------------------------------------------------
+//
+// tests/data/readers/goldens.txt pins everything the two netlist readers
+// promise over a corpus of decks: for a well-formed deck the parsed
+// netlist's native text (cells, gate names and order, port order, wire
+// caps) plus its signal id order; for a malformed deck the exact
+// diagnostic, minus the "[file:line]" suffix that names the checking
+// source line.  The goldens were produced by running this formatter over
+// the earlier istringstream-based readers, so any reader rewrite is held to
+// byte identity.  On a mismatch the computed text is written to
+// reader_goldens.actual.txt in the working directory for diffing.
+
+std::string slurp_fixture(const std::string& relative) {
+  std::ifstream in(std::string(HALOTIS_SOURCE_DIR) + "/" + relative, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+std::string replace_all(std::string text, std::string_view from, std::string_view to) {
+  for (std::size_t pos = text.find(from); pos != std::string::npos;
+       pos = text.find(from, pos + to.size())) {
+    text.replace(pos, from.size(), to);
+  }
+  return text;
+}
+
+std::string lowered(std::string text) {
+  for (char& c : text) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  return text;
+}
+
+/// Comments on their own lines, after statements, and blank/indented lines.
+std::string commented(const std::string& text) {
+  std::string out = "# leading comment\n\n";
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    out += "  " + line + "\t# trailing (comment)\n   \n";
+  }
+  return out;
+}
+
+struct GoldenDeck {
+  std::string name;
+  bool bench = true;
+  std::string text;
+};
+
+std::vector<GoldenDeck> golden_decks() {
+  const std::string c17{c17_bench_text()};
+  const std::string mult8 = slurp_fixture("tests/data/mult8.bench");
+  const std::string wide =
+      "# every wide-gate decomposition, uses before definitions\n"
+      "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nINPUT(e)\nINPUT(f)\nINPUT(g)\n"
+      "INPUT(h)\nINPUT(i)\n"
+      "OUTPUT(y1)\nOUTPUT(y2)\nOUTPUT(y3)\nOUTPUT(y4)\nOUTPUT(y5)\nOUTPUT(y6)\n"
+      "OUTPUT(y7)\nOUTPUT(y8)\nOUTPUT(y9)\nOUTPUT(y10)\nOUTPUT(y11)\nOUTPUT(y12)\n"
+      "OUTPUT(y13)\nOUTPUT(y14)\nOUTPUT(y15)\nOUTPUT(y1)\n"
+      "y15 = AND(y16, a)\n"
+      "y1 = NAND(a, b, c, d, e, f)\n"
+      "y2 = XOR(a, b, c, d, e)\n"
+      "y3 = XNOR(a, b, c)\n"
+      "y4 = AND(a, b, c, d, e, f, g, h, i)\n"
+      "y5 = OR(a, b, c, d)\n"
+      "y6 = NOR(a, b, c, d, e)\n"
+      "y7 = XOR(a, b, c)\n"
+      "y8 = AND(y1)\n"
+      "y9 = NAND(y2)\n"
+      "y10 = BUFF(y3)\n"
+      "y11 = NOT(y4)\n"
+      "y12 = BUF(y5)\n"
+      "y13 = INV(y6)\n"
+      "y14 = XOR(a, b, c, d)\n"
+      "y16 = OR(b, c, d, e, f, g, h)\n"
+      "y17 = NAND(a, b, c, d)\n"
+      "y18 = NOR(a, b, c)\n"
+      "y19 = XNOR(a, b)\n"
+      "y20 = NAND ( a , b )  junk after the gate\n"
+      "Output(y18)\n";
+  const std::string dag = slurp_fixture("tests/data/readers/random_dag.net");
+  const std::string native_caps =
+      "input a\ninput b\nsignal m\nsignal y\nsignal z\noutput y\noutput z\noutput y\n"
+      "wirecap m 0.055\nwirecap y 1e-3\nwirecap z 0\n"
+      "gate g1 AOI21_X1 m b a a\ngate g2 INV_X2 y m\ngate g3 MUX2_X1 z a b m\n";
+  return {
+      {"c17", true, c17},
+      {"c17 crlf", true, replace_all(c17, "\n", "\r\n")},
+      {"c17 no final newline", true, c17.substr(0, c17.size() - 1)},
+      {"c17 comments", true, commented(c17)},
+      {"c17 lower case", true, lowered(c17)},
+      {"mult8", true, mult8},
+      {"wide gates", true, wide},
+      {"wide gates lower case", true, lowered(wide)},
+      {"wide gates crlf no final newline", true,
+       replace_all(wide.substr(0, wide.size() - 1), "\n", "\r\n")},
+      {"bench duplicate definition", true,
+       "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\ny = OR(a, b)\n"},
+      {"bench undeclared fanin", true, "INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n"},
+      {"bench cycle", true, "INPUT(a)\nOUTPUT(y)\nu = AND(a, v)\nv = AND(a, u)\ny = AND(u, v)\n"},
+      {"bench self loop", true, "INPUT(a)\nOUTPUT(y)\ny = AND(a, y)\n"},
+      {"bench dff", true, "INPUT(a)\nOUTPUT(q)\nq = dff(a)\n"},
+      {"bench dffsr", true, "INPUT(a)\nOUTPUT(q)\nq = DFFSR(a, a)\n"},
+      {"bench empty operand", true, "INPUT(a)\nOUTPUT(y)\ny = AND(a,,a)\n"},
+      {"bench empty operand list", true, "INPUT(a)\nOUTPUT(y)\ny = AND()\n"},
+      {"bench unknown gate", true, "y = FROB(a)\nINPUT(a)\nOUTPUT(y)\n"},
+      {"bench unknown gate after fanin check", true, "INPUT(a)\ny = frob(a, b)\nb = NOT(a)\n"},
+      {"bench duplicate input", true, "INPUT(a)\nINPUT(a)\nOUTPUT(y)\ny = NOT(a)\n"},
+      {"bench gate redefines input", true,
+       "INPUT(a)\nINPUT(b)\nOUTPUT(y)\na = AND(b, b)\ny = NOT(a)\n"},
+      {"bench input after its gate", true, "INPUT(b)\na = AND(b, b)\nINPUT(a)\n"},
+      {"bench output never defined", true, "INPUT(a)\nOUTPUT(zz)\ny = NOT(a)\n"},
+      {"bench malformed port", true, "INPUT(a\nOUTPUT(y)\ny = NOT(a)\n"},
+      {"bench empty port name", true, "INPUT( )\n"},
+      {"bench expected assignment", true, "INPUT(a)\ny NOT(a)\n"},
+      {"bench malformed gate", true, "INPUT(a)\nOUTPUT(y)\ny = NOT(a\n"},
+      {"bench empty output name", true, "INPUT(a)\n = NOT(a)\n"},
+      {"bench not arity", true, "INPUT(a)\nINPUT(b)\ny = NOT(a, b)\n"},
+      {"bench buff arity", true, "INPUT(a)\nINPUT(b)\ny = BUFF(a, b)\n"},
+      {"bench synthesized name clash", true,
+       "INPUT(bench_t0)\nINPUT(b)\nINPUT(c)\ny = AND(bench_t0, b, c, b, c)\n"},
+      {"native random dag", false, dag},
+      {"native random dag crlf", false, replace_all(dag, "\n", "\r\n")},
+      {"native random dag comments no final newline", false,
+       commented(dag).substr(0, commented(dag).size() - 1)},
+      {"native wire caps", false, native_caps},
+      {"native latch cycle", false,
+       "input s\ninput r\nsignal q\nsignal qn\noutput q\n"
+       "gate g1 NAND2_X1 q s qn\ngate g2 NAND2_X1 qn r q\n"},
+      {"native duplicate signal", false, "input a\nsignal a\n"},
+      {"native duplicate gate", false,
+       "input a\nsignal y\nsignal z\ngate g INV_X1 y a\ngate g INV_X1 z a\n"},
+      {"native second driver", false,
+       "input a\nsignal y\ngate g1 INV_X1 y a\ngate g2 BUF_X1 y a\n"},
+      {"native drives input", false, "input a\ninput b\ngate g INV_X1 b a\n"},
+      {"native undeclared fanin", false, "input a\nsignal y\ngate g INV_X1 y ghost\n"},
+      {"native undeclared output", false, "input a\ngate g INV_X1 y a\n"},
+      {"native unknown directive", false, "input a\nfrob a\n"},
+      {"native unknown cell", false, "input a\nsignal y\ngate g FROB_X1 y a\n"},
+      {"native wrong arity", false, "input a\nsignal y\ngate g NAND2_X1 y a\n"},
+      {"native undriven signal", false, "input a\nsignal y\noutput y\n"},
+      {"native output unknown", false, "input a\noutput nope\n"},
+      {"native input arity", false, "input\n"},
+      {"native signal arity", false, "signal a b\n"},
+      {"native output arity", false, "input a\noutput a a\n"},
+      {"native wirecap arity", false, "input a\nwirecap a\n"},
+      {"native wirecap unknown", false, "input a\nwirecap b 1\n"},
+      {"native wirecap bad number", false, "input a\nwirecap a 1.5pF\n"},
+      {"native wirecap negative", false, "input a\nwirecap a -1\n"},
+      {"native gate arity", false, "input a\nsignal y\ngate g INV_X1 y\n"},
+      {"native empty", false, "# nothing\n"},
+  };
+}
+
+/// ContractViolation text without the trailing " [file:line]" that names
+/// the checking source line (not part of the diagnostic contract).
+std::string strip_location(const std::string& what) {
+  const std::size_t open = what.rfind(" [");
+  return open != std::string::npos && !what.empty() && what.back() == ']'
+             ? what.substr(0, open)
+             : what;
+}
+
+std::string describe_deck(const GoldenDeck& deck, const Library& lib) {
+  std::string out = "=== " + deck.name + (deck.bench ? " (bench)\n" : " (native)\n");
+  try {
+    const Netlist nl = deck.bench ? read_bench(deck.text, lib) : read_netlist(deck.text, lib);
+    out += write_netlist(nl);
+    out += "signal order:";
+    for (std::size_t s = 0; s < nl.num_signals(); ++s) {
+      out += ' ';
+      out += nl.signal(SignalId{static_cast<SignalId::underlying_type>(s)}).name;
+    }
+    out += '\n';
+  } catch (const ContractViolation& e) {
+    out += "error: " + strip_location(e.what()) + '\n';
+  }
+  return out;
+}
+
+TEST_F(ParsersTest, ReadersMatchCommittedGoldens) {
+  std::string actual;
+  for (const GoldenDeck& deck : golden_decks()) actual += describe_deck(deck, lib_);
+  const std::string golden = slurp_fixture("tests/data/readers/goldens.txt");
+  if (actual != golden) {
+    std::ofstream("reader_goldens.actual.txt", std::ios::binary) << actual;
+  }
+  ASSERT_FALSE(golden.empty()) << "missing tests/data/readers/goldens.txt";
+  EXPECT_TRUE(actual == golden)
+      << "reader output diverged from tests/data/readers/goldens.txt; see "
+         "reader_goldens.actual.txt";
 }
 
 }  // namespace

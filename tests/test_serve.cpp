@@ -561,6 +561,44 @@ TEST_F(ServeTest, DrainUnlinksSocketAndLeavesNoLitter) {
   EXPECT_EQ(run_daemon({"sim", "--netlist", netlist, "--stim", stim}).code, 0);
 }
 
+/// A drain ends a connection that sits between frames cleanly -- idle
+/// after its last response, or just closed by its client -- and aborts
+/// only a connection whose frame has started to arrive.
+TEST_F(ServeTest, DrainBetweenFramesIsCleanMidFrameIsAnAbort) {
+  const serve::RequestFrame request{{"sim", "--netlist", "a.bench", "--stim", "a.stim"},
+                                    {{"a.bench", kBenchA}, {"a.stim", kStimA}}};
+  const auto exchange = [&](const serve::UnixFd& conn) {
+    serve::write_frame(conn.get(), serve::encode_request(request), nullptr);
+    const std::optional<std::string> payload = serve::read_frame(conn.get(), nullptr, 5000);
+    ASSERT_TRUE(payload.has_value());
+    EXPECT_EQ(serve::decode_response(*payload).exit_code, 0);
+  };
+
+  start_daemon(2);
+  const serve::UnixFd idle = serve::connect_unix(socket_);
+  exchange(idle);
+  {
+    const serve::UnixFd closed = serve::connect_unix(socket_);
+    exchange(closed);
+  }
+  stop_.cancel();
+  thread_.join();
+  EXPECT_EQ(server_->stats().requests, 2u);
+  EXPECT_EQ(server_->stats().aborted_connections, 0u);
+
+  stop_daemon();
+  start_daemon(1);
+  const serve::UnixFd torn = serve::connect_unix(socket_);
+  exchange(torn);  // the connection is being served...
+  const unsigned char prefix[4] = {64, 0, 0, 0};
+  send_raw(torn.get(), prefix, sizeof prefix);  // ...and its next frame has begun
+  send_raw(torn.get(), "halfsent", 8);
+  stop_.cancel();
+  thread_.join();
+  EXPECT_EQ(server_->stats().requests, 1u);
+  EXPECT_EQ(server_->stats().aborted_connections, 1u);
+}
+
 TEST_F(ServeTest, StaleSocketFileIsReboundLiveOneRefused) {
   {
     // A crashed daemon's leftover: the file exists, nobody accepts on it.
