@@ -1,11 +1,9 @@
-// Ablation (google-benchmark): the indexed-heap event queue -- in both its
-// binary and 4-ary instantiations -- against a std::multiset-based
-// alternative, under the push / pop / cancel mix the simulator actually
-// generates.  Cancellable queues are a hard requirement of the paper's
-// algorithm (Fig. 4 deletes pending events); this measures what the
-// position-tracked heap buys over the multiset, and what the 4-ary layout
-// (sort keys inline, children sharing a cache line) buys over the binary
-// one.  All variants pop the identical sequence; only constants differ.
+// Ablation (google-benchmark): the simulator's indexed 4-ary heap event
+// queue against a std::multiset-based alternative, under the push / pop /
+// cancel mix the simulator actually generates.  Cancellable queues are a
+// hard requirement of the paper's algorithm (Fig. 4 deletes pending
+// events); this measures what the position-tracked heap buys over the
+// multiset.  Both pop the identical sequence; only constants differ.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -56,10 +54,9 @@ class MultisetQueue {
 // Workload in both benchmarks: bursts of pushes, ~20 % cancellations of the
 // youngest pending event, pops otherwise -- the mix the simulator generates.
 
-template <unsigned kArity>
 void BM_IndexedHeapQueue(benchmark::State& state) {
   for (auto _ : state) {
-    BasicEventQueue<kArity> q;
+    EventQueue q;
     std::vector<EventId> live;
     SplitMix64 rng(42);
     const int ops = static_cast<int>(state.range(0));
@@ -83,10 +80,7 @@ void BM_IndexedHeapQueue(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_IndexedHeapQueue<2>)->Name("BM_IndexedHeapQueue/binary")
-    ->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
-BENCHMARK(BM_IndexedHeapQueue<4>)->Name("BM_IndexedHeapQueue/4ary")
-    ->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
+BENCHMARK(BM_IndexedHeapQueue)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
 
 void BM_MultisetQueue(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,10 +1,11 @@
 // Kernel perf report: deterministic hot-path workloads -> BENCH_kernel.json.
 //
 // Runs the Table-2 multiplier sequences plus larger scaling workloads (the
-// 8x8 multiplier under a pseudo-random word stream and a random DAG) under
-// both delay models, and emits one JSON run-record containing, per workload:
-// events/sec, best-of-N wall time, the full SimStats counters and a 64-bit
-// FNV-1a hash of every surviving transition (signal, edge, t_start, tau).
+// 8x8 multiplier under a pseudo-random word stream, a random DAG and a
+// layered synthetic design) under both delay models, and emits one JSON
+// run-record containing, per workload: events/sec, best-of-N wall time,
+// the full SimStats counters and a 64-bit FNV-1a hash of every surviving
+// transition (signal, edge, t_start, tau).
 // The hash makes kernel regressions visible: any change to event ordering,
 // filtering decisions or float arithmetic changes it, so two kernels that
 // report the same hash on all workloads produced bit-identical waveforms.
@@ -46,7 +47,6 @@
 #include "src/base/supervision.hpp"
 #include "src/circuits/generators.hpp"
 #include "src/core/delay_model.hpp"
-#include "src/core/partition.hpp"
 #include "src/core/simulator.hpp"
 #include "src/fault/campaign.hpp"
 #include "src/fault/fault.hpp"
@@ -80,16 +80,6 @@ struct WorkloadResult {
   std::uint64_t peak_live_transitions = 0;  // peak live tracking records
   std::uint64_t arena_bytes = 0;            // transition arena + pools footprint
 };
-
-/// Order- and bit-sensitive hash of all surviving transitions -- the
-/// canonical replay::hash_sim_history (src/replay/history_hash.hpp), built
-/// on the repo-wide FNV-1a (src/base/fnv.hpp).  Works on both the serial
-/// Simulator and the PartitionedSimulator (whose history() routes to the
-/// owning partition) -- equal hashes mean bit-identical waveforms.
-template <class Sim>
-std::uint64_t hash_history(const Sim& sim) {
-  return replay::hash_sim_history(sim);
-}
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
@@ -280,111 +270,6 @@ FaultCampaignResult run_fault_campaign_workload(const Library& lib, bool quick) 
   return result;
 }
 
-// ---- partitioned-kernel scaling workload ------------------------------------
-
-/// The PR-6 scaling workload: a deterministic layered synthetic circuit
-/// (100k gates full, 10k quick) under CDM, run through the serial kernel
-/// and the partitioned kernel at 1 and 4 threads.  CDM because the static
-/// window lookahead is provably conservative without delay degradation, so
-/// the run stays on the windowed path; the stimulus is staggered so no
-/// cross-partition simultaneity tie forces the serial fallback.
-///
-/// On the single-core trajectory containers the 4-thread wall time cannot
-/// show real scaling, so the record keeps both numbers: measured_speedup_4t
-/// (honest wall clock) and model_speedup_4p = events_processed /
-/// critical_path_events, the speedup an ideal 4-core host would see given
-/// the per-window partition balance actually achieved.
-struct PartitionScalingResult {
-  std::string name;
-  std::size_t gates = 0;
-  std::uint32_t partitions = 0;
-  double serial_wall_s = 0.0;
-  double part1_wall_s = 0.0;
-  double part4_wall_s = 0.0;
-  std::uint64_t events_processed = 0;
-  double events_per_sec_1t = 0.0;
-  double events_per_sec_4t = 0.0;
-  double measured_speedup_4t = 0.0;   // part1_wall / part4_wall
-  double model_speedup_4p = 0.0;      // events / critical-path events
-  std::uint64_t windows = 0;
-  std::uint64_t messages = 0;
-  bool fell_back_serial = false;
-  std::uint64_t hash_serial = 0;
-  std::uint64_t hash_part1 = 0;
-  std::uint64_t hash_part4 = 0;
-};
-
-PartitionScalingResult run_partition_scaling(const Library& lib, bool quick,
-                                             int reps) {
-  const CdmDelayModel cdm;
-  const int width = quick ? 100 : 500;
-  const int depth = quick ? 100 : 200;
-  LayeredCircuit circuit = make_layered_circuit(lib, width, depth, 7);
-  const TimingGraph timing = TimingGraph::build(circuit.netlist, cdm.timing_policy());
-  const Stimulus stim =
-      staggered_random_stimulus(circuit.inputs, quick ? 4 : 6, 911);
-
-  PartitionScalingResult result;
-  result.name = quick ? "layered10k_part" : "layered100k_part";
-  result.gates = circuit.netlist.num_gates();
-  result.partitions = 4;
-
-  {
-    std::vector<double> times;
-    for (int r = 0; r < reps; ++r) {
-      const auto start = std::chrono::steady_clock::now();
-      Simulator sim(circuit.netlist, cdm, timing);
-      sim.apply_stimulus(stim);
-      (void)sim.run();
-      times.push_back(seconds_since(start));
-      if (r == 0) result.hash_serial = hash_history(sim);
-    }
-    result.serial_wall_s = *std::min_element(times.begin(), times.end());
-  }
-
-  const auto run_partitioned = [&](int threads, double* wall,
-                                   std::uint64_t* hash) {
-    std::vector<double> times;
-    for (int r = 0; r < reps; ++r) {
-      PartitionedConfig config;
-      config.threads = threads;
-      config.partitions = result.partitions;
-      const auto start = std::chrono::steady_clock::now();
-      PartitionedSimulator sim(circuit.netlist, cdm, timing, config);
-      sim.apply_stimulus(stim);
-      (void)sim.run();
-      times.push_back(seconds_since(start));
-      if (r == 0) {
-        *hash = hash_history(sim);
-        result.events_processed = sim.stats().events_processed;
-        result.windows = sim.window_stats().windows;
-        result.messages = sim.window_stats().messages;
-        result.fell_back_serial = sim.window_stats().fell_back_serial;
-        const std::uint64_t critical = sim.window_stats().critical_path_events;
-        result.model_speedup_4p =
-            critical > 0 ? static_cast<double>(sim.stats().events_processed) /
-                               static_cast<double>(critical)
-                         : 0.0;
-      }
-    }
-    *wall = *std::min_element(times.begin(), times.end());
-  };
-  run_partitioned(1, &result.part1_wall_s, &result.hash_part1);
-  run_partitioned(4, &result.part4_wall_s, &result.hash_part4);
-
-  result.events_per_sec_1t =
-      result.part1_wall_s > 0.0
-          ? static_cast<double>(result.events_processed) / result.part1_wall_s
-          : 0.0;
-  result.events_per_sec_4t =
-      result.part4_wall_s > 0.0
-          ? static_cast<double>(result.events_processed) / result.part4_wall_s
-          : 0.0;
-  result.measured_speedup_4t =
-      result.part4_wall_s > 0.0 ? result.part1_wall_s / result.part4_wall_s : 0.0;
-  return result;
-}
-
 template <class MakeStimulus>
 WorkloadResult run_workload(const std::string& name, const Netlist& netlist,
                             const DelayModel& model, MakeStimulus&& make_stimulus,
@@ -404,7 +289,7 @@ WorkloadResult run_workload(const std::string& name, const Netlist& netlist,
     times.push_back(seconds_since(start));
     if (r == 0) {
       result.stats = sim.stats();
-      result.history_hash = hash_history(sim);
+      result.history_hash = replay::hash_sim_history(sim);
       result.transitions_total = sim.stats().transitions_created;
       result.peak_live_transitions = sim.peak_live_transitions();
       result.arena_bytes = sim.transition_arena_bytes() + sim.event_arena_bytes();
@@ -484,7 +369,7 @@ StormGuardResult run_storm_guard(const Library& lib, bool quick, int reps) {
     if (r == 0) {
       result.budget_tripped = tripped;
       result.events_processed = sim.stats().events_processed;
-      result.history_hash = hash_history(sim);
+      result.history_hash = replay::hash_sim_history(sim);
     }
   }
   result.wall_s = *std::min_element(times.begin(), times.end());
@@ -497,8 +382,8 @@ StormGuardResult run_storm_guard(const Library& lib, bool quick, int reps) {
 
 // ---- lint throughput workload -----------------------------------------------
 
-/// Static analyzer (PR 8) over the same layered circuit as the partition
-/// scaling workload: full structural + hazard + timing lint on the 100k-gate
+/// Static analyzer (PR 8) over the same layered circuit as the layered
+/// workload: full structural + hazard + timing lint on the 100k-gate
 /// generator output (10k quick).  Gates/sec keeps lint on the perf
 /// trajectory; findings_hash (FNV-1a over the sorted finding ids, which
 /// already encode rule + location) pins the analyzer's verdicts.  The field
@@ -650,7 +535,7 @@ ReplayThroughputResult run_replay_throughput(const Library& lib, bool quick) {
     Simulator sim(mult.netlist, ddm, corners[0], SimConfig{});
     sim.apply_stimulus(stim);
     (void)sim.run();
-    result.hash_full = hash_history(sim);
+    result.hash_full = replay::hash_sim_history(sim);
   }
 
   result.samples_per_sec_replay =
@@ -993,13 +878,20 @@ int main(int argc, char** argv) {
         reps));
   }
 
+  // Scaling workload 3: the layered synthetic design (100k gates, 10k
+  // quick) under CDM with a tie-free staggered stimulus.  Big runs are
+  // expensive, so fewer repetitions than the microbenchmarks.
+  {
+    const int width = quick ? 100 : 500;
+    const int depth = quick ? 100 : 200;
+    LayeredCircuit circuit = make_layered_circuit(lib, width, depth, 7);
+    const Stimulus stim = staggered_random_stimulus(circuit.inputs, quick ? 4 : 6, 911);
+    results.push_back(run_workload(quick ? "layered10k" : "layered100k", circuit.netlist,
+                                   cdm, [&] { return stim; }, quick ? 2 : 3));
+  }
+
   // Fault-campaign workload: serial engine vs parallel campaign.
   const FaultCampaignResult fault = run_fault_campaign_workload(lib, quick);
-
-  // Partitioned-kernel scaling workload (PR 6): big runs are expensive, so
-  // fewer repetitions than the microbenchmarks.
-  const PartitionScalingResult part =
-      run_partition_scaling(lib, quick, quick ? 2 : 3);
 
   // Event-storm guard workload (PR 7): the supervision layer stopping a
   // self-sustaining oscillator at an exact event budget.
@@ -1007,7 +899,7 @@ int main(int argc, char** argv) {
 
   // Lint throughput workload (PR 8): static analysis over the layered
   // circuit -- fewer repetitions, it is a whole-netlist pass like the
-  // partition workload.
+  // layered simulation workload.
   const LintThroughputResult lint_tp =
       run_lint_throughput(lib, quick, quick ? 2 : 3);
 
@@ -1035,19 +927,6 @@ int main(int argc, char** argv) {
       fault.verdicts_identical ? "identical" : "DIVERGED", fault.serial_wall_s,
       fault.campaign_1t_wall_s, fault.speedup_1t, fault.campaign_4t_wall_s,
       fault.speedup_4t, fault.faults_per_sec_4t);
-
-  const bool part_hashes_ok =
-      part.hash_serial == part.hash_part1 && part.hash_part1 == part.hash_part4;
-  std::printf(
-      "\n%s: %zu gates, %u partitions, %llu windows, %llu boundary messages%s\n"
-      "  serial %.3f s | partitioned 1t %.3f s | 4t %.3f s"
-      " (measured %.2fx, model %.2fx) | hashes %s\n",
-      part.name.c_str(), part.gates, part.partitions,
-      static_cast<unsigned long long>(part.windows),
-      static_cast<unsigned long long>(part.messages),
-      part.fell_back_serial ? " [FELL BACK TO SERIAL]" : "", part.serial_wall_s,
-      part.part1_wall_s, part.part4_wall_s, part.measured_speedup_4t,
-      part.model_speedup_4p, part_hashes_ok ? "identical" : "DIVERGED");
 
   const double supervision_overhead_pct =
       supervision_base_wall_s > 0.0
@@ -1144,33 +1023,6 @@ int main(int argc, char** argv) {
                   fault.campaign_4t_wall_s, fault.speedup_1t, fault.speedup_4t,
                   fault.faults_per_sec_4t, fault.verdicts_identical ? "true" : "false");
     entry += fc;
-    // The three history_hash fields ride the same CI quick-hash diff as the
-    // workload hashes above -- they pin the multi-threaded kernel's waveform
-    // (and must all be equal: serial == partitioned-1t == partitioned-4t).
-    char pc[896];
-    std::snprintf(
-        pc, sizeof pc,
-        "   \"partition_scaling\": {\"workload\": \"%s\", \"gates\": %zu,"
-        " \"partitions\": %u, \"windows\": %llu, \"messages\": %llu,"
-        " \"fell_back_serial\": %s,\n"
-        "    \"serial_wall_s\": %.6f, \"part1_wall_s\": %.6f,"
-        " \"part4_wall_s\": %.6f, \"events_processed\": %llu,\n"
-        "    \"events_per_sec_1t\": %.1f, \"events_per_sec_4t\": %.1f,"
-        " \"measured_speedup_4t\": %.3f, \"model_speedup_4p\": %.3f,\n"
-        "    \"serial\": {\"history_hash\": \"%016llx\"},"
-        " \"part1\": {\"history_hash\": \"%016llx\"},"
-        " \"part4\": {\"history_hash\": \"%016llx\"}},\n",
-        part.name.c_str(), part.gates, part.partitions,
-        static_cast<unsigned long long>(part.windows),
-        static_cast<unsigned long long>(part.messages),
-        part.fell_back_serial ? "true" : "false", part.serial_wall_s,
-        part.part1_wall_s, part.part4_wall_s,
-        static_cast<unsigned long long>(part.events_processed),
-        part.events_per_sec_1t, part.events_per_sec_4t, part.measured_speedup_4t,
-        part.model_speedup_4p, static_cast<unsigned long long>(part.hash_serial),
-        static_cast<unsigned long long>(part.hash_part1),
-        static_cast<unsigned long long>(part.hash_part4));
-    entry += pc;
     // The storm-guard hash joins the CI quick-hash diff (grep picks up every
     // history_hash in order); the supervision block pins the overhead story.
     char sg[512];

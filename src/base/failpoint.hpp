@@ -5,8 +5,8 @@
 // A fail point is a named site compiled into ALL builds -- Release
 // included -- where a test, the soak harness or an operator can inject a
 // failure: an allocation that throws, a file write that goes short, a
-// worker task that dies mid-flight, a partition window forced into the
-// violation path.  Sites are strings ("io.write", "worker.task", ...; the
+// worker task that dies mid-flight, a daemon frame that never arrives.
+// Sites are strings ("io.write", "worker.task", ...; the
 // full table lives in docs/ARCHITECTURE.md); arming is done through the
 // test API (FailPoints::arm) or a spec string from the HALOTIS_FAILPOINTS
 // environment variable / --failpoints CLI flag.
@@ -95,8 +95,9 @@ class FailPoints {
 };
 
 /// The site check: false (one relaxed load) when nothing is armed.  Use
-/// for sites whose failure is a control-flow decision (e.g. forcing a
-/// partition-window violation).
+/// for sites whose failure is a control-flow decision (e.g. a short write
+/// or a failed rename in write_file_atomic, or the simulator's arena
+/// reservation throwing std::bad_alloc).
 [[nodiscard]] inline bool failpoint(std::string_view site) {
   FailPoints& registry = FailPoints::instance();
   if (!registry.any_armed()) return false;

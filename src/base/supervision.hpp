@@ -126,8 +126,7 @@ class RunSupervisor {
   }
 
   /// Slow poll -- deadline, cancellation, memory budgets.  Called every
-  /// poll_events events by the kernel, and at coarse boundaries (fault,
-  /// experiment, window barrier) by the drivers.
+  /// poll_events events by the kernel.
   void check_poll(std::uint64_t live_transitions, std::uint64_t arena_bytes,
                   std::string_view where) const;
 

@@ -314,8 +314,8 @@ LayeredCircuit make_layered_circuit(const Library& lib, int width, int depth,
                                         CellKind::kOr2,  CellKind::kXor2};
   const std::size_t w = static_cast<std::size_t>(width);
   // Local taps stay within +-window of the gate's own column, so gates of
-  // one column range mostly feed gates of the same column range -- the
-  // structure a min-cut partitioner should find and keep.
+  // one column range mostly feed gates of the same column range: activity
+  // spreads as a cone, as in real datapaths, not across the whole design.
   const std::size_t window = std::max<std::size_t>(2, w / 16);
   std::vector<SignalId> prev = c.inputs;
   std::vector<SignalId> all = c.inputs;

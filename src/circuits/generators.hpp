@@ -96,12 +96,13 @@ struct RandomCircuit {
 [[nodiscard]] RandomCircuit make_random_circuit(const Library& lib, int num_inputs,
                                                 int num_gates, std::uint64_t seed);
 
-/// Deterministic layered synthetic benchmark for the partitioned-kernel
-/// scaling experiments: `width` primary inputs feeding `depth` layers of
-/// `width` gates each (total gates = width * depth).  Fanins come mostly
-/// from a local window of the previous layer -- the locality a partitioner
-/// can exploit -- with occasional long-range taps for reconvergent fanout.
-/// Same (width, depth, seed) always yields the bit-identical netlist.
+/// Deterministic layered synthetic design for large-circuit workloads (the
+/// 100k-gate cold-path, kernel and lint records of perf_report, the
+/// perfbench `kernel_large` deck, randomized replay tests): `width` primary
+/// inputs feeding `depth` layers of `width` gates each (total gates =
+/// width * depth).  Fanins come mostly from a local window of the previous
+/// layer, with occasional long-range taps for reconvergent fanout.  Same
+/// (width, depth, seed) always yields the bit-identical netlist.
 struct LayeredCircuit {
   Netlist netlist;
   std::vector<SignalId> inputs;   ///< size = width

@@ -54,10 +54,10 @@ inline std::vector<std::uint64_t> fig7_sequence() { return {0x00, 0xFF, 0x00, 0x
 
 /// Per-signal staggered random edges: every input gets its own random
 /// 20-bit-fraction period and phase, so independent edges essentially never
-/// land on bit-equal times.  The partitioned kernel's windowed path wants
-/// tie-free stimuli -- synchronized word streams drive bit-equal event
-/// times into gates fed from different partitions, which (deliberately)
-/// forces its serial fallback.
+/// land on bit-equal times.  Replay workloads want tie-free stimuli: under
+/// synchronized word streams any timing perturbation separates bit-equal
+/// event times, which the replayer detects and answers with a full-sim
+/// fallback (docs/REPLAY.md).
 [[nodiscard]] inline Stimulus staggered_random_stimulus(
     std::span<const SignalId> inputs, std::size_t edges, std::uint64_t seed,
     TimeNs slew = 0.5) {

@@ -4,7 +4,7 @@
 // The queue must support, besides the usual push / pop-earliest, *erasure*
 // of pending events: the inertial treatment cancels a pending event Ej-1
 // whenever the following transition's crossing Ej on the same input does
-// not come after it (paper Fig. 4).  The implementation is a d-ary
+// not come after it (paper Fig. 4).  The implementation is a 4-ary
 // min-heap over an event arena with position tracking, giving O(log n)
 // push / pop / erase and stable FIFO ordering of simultaneous events.
 //
@@ -15,12 +15,9 @@
 // assigned in creation order, so (time, id) ordering is identical to the
 // paper's (time, seq) ordering.
 //
-// The arity is a compile-time parameter: `EventQueue` is the 4-ary
-// instantiation used by the simulator (shallower tree; the four children
-// of a node share one cache line); the binary instantiation is kept alive
-// for the ablation benchmark (`bench/ablation_event_queue.cpp`).  Pop
-// order is a deterministic total order on (time, id), so every arity pops
-// the same sequence; only the constant factors differ.
+// The heap is 4-ary: a shallower tree than a binary heap, and the four
+// children of a node share one cache line.  Pop order is a deterministic
+// total order on (time, id).
 #pragma once
 
 #include <cstdint>
@@ -44,10 +41,7 @@ struct Event {
 
 enum class EventState : std::uint8_t { kPending, kFired, kCancelled };
 
-template <unsigned kArity>
-class BasicEventQueue {
-  static_assert(kArity >= 2, "a heap needs at least two children per node");
-
+class EventQueue {
  public:
   /// Creates and enqueues an event.  Returns its id.
   EventId push(TimeNs time, TransitionId transition, PinRef target);
@@ -100,17 +94,6 @@ class BasicEventQueue {
   /// Requires state(id) == kPending.
   void cancel(EventId id);
 
-  /// Marks a pending, never-scheduled event fired without touching the
-  /// heap -- the partitioned kernel's owner-side replay of a firing that
-  /// physically happened in the receiving partition's queue.
-  void mark_fired_unscheduled(EventId id) {
-    Node& node = nodes_[id.value()];
-    debug_ensure(node.state == EventState::kPending && node.heap_pos == 0xFFFFFFFFu,
-                 "EventQueue::mark_fired_unscheduled(): event scheduled or not pending");
-    node.state = EventState::kFired;
-    ++fired_;
-  }
-
   /// Owner-managed intrusive list links stored alongside each event: the
   /// simulator threads its per-input pending lists through these so the
   /// event, its lifecycle state and its links share one ~40-byte record
@@ -148,6 +131,8 @@ class BasicEventQueue {
   }
 
  private:
+  static constexpr std::size_t kArity = 4;
+
   /// Heap node: the sort key, stored inline so comparisons stay in-cache.
   struct HeapSlot {
     TimeNs time;
@@ -175,7 +160,7 @@ class BasicEventQueue {
   }
 
   std::vector<Node> nodes_;      // arena, indexed by EventId
-  std::vector<HeapSlot> heap_;   // d-ary min-heap of scheduled pending events
+  std::vector<HeapSlot> heap_;   // 4-ary min-heap of scheduled pending events
   std::uint64_t cancelled_ = 0;
   std::uint64_t fired_ = 0;
 };
@@ -189,17 +174,13 @@ namespace detail {
 constexpr std::uint32_t kNoHeapPos = 0xFFFFFFFFu;
 }
 
-template <unsigned kArity>
-EventId BasicEventQueue<kArity>::push(TimeNs time, TransitionId transition,
-                                      PinRef target) {
+inline EventId EventQueue::push(TimeNs time, TransitionId transition, PinRef target) {
   const EventId id = create(time, transition, target);
   enqueue(id);
   return id;
 }
 
-template <unsigned kArity>
-EventId BasicEventQueue<kArity>::create(TimeNs time, TransitionId transition,
-                                        PinRef target) {
+inline EventId EventQueue::create(TimeNs time, TransitionId transition, PinRef target) {
   const auto raw = static_cast<EventId::underlying_type>(nodes_.size());
   Node node;
   node.ev.time = time;
@@ -209,8 +190,7 @@ EventId BasicEventQueue<kArity>::create(TimeNs time, TransitionId transition,
   return EventId{raw};
 }
 
-template <unsigned kArity>
-void BasicEventQueue<kArity>::enqueue(EventId id) {
+inline void EventQueue::enqueue(EventId id) {
   const std::uint32_t raw = id.value();
   Node& node = nodes_[raw];
   debug_ensure(node.state == EventState::kPending && node.heap_pos == detail::kNoHeapPos,
@@ -220,8 +200,7 @@ void BasicEventQueue<kArity>::enqueue(EventId id) {
   sift_up(heap_.size() - 1);
 }
 
-template <unsigned kArity>
-void BasicEventQueue<kArity>::dequeue(EventId id) {
+inline void EventQueue::dequeue(EventId id) {
   const std::uint32_t raw = id.value();
   Node& node = nodes_[raw];
   debug_ensure(node.state == EventState::kPending, "EventQueue::dequeue(): not pending");
@@ -232,20 +211,17 @@ void BasicEventQueue<kArity>::dequeue(EventId id) {
   remove_at(pos);
 }
 
-template <unsigned kArity>
-void BasicEventQueue<kArity>::reserve(std::size_t expected_events) {
+inline void EventQueue::reserve(std::size_t expected_events) {
   nodes_.reserve(expected_events);
   heap_.reserve(expected_events);
 }
 
-template <unsigned kArity>
-EventId BasicEventQueue<kArity>::peek() const {
+inline EventId EventQueue::peek() const {
   require(!heap_.empty(), "EventQueue::peek(): queue is empty");
   return EventId{heap_.front().id};
 }
 
-template <unsigned kArity>
-EventId BasicEventQueue<kArity>::pop() {
+inline EventId EventQueue::pop() {
   require(!heap_.empty(), "EventQueue::pop(): queue is empty");
   const std::uint32_t raw = heap_.front().id;
   const HeapSlot last = heap_.back();
@@ -260,8 +236,7 @@ EventId BasicEventQueue<kArity>::pop() {
   return EventId{raw};
 }
 
-template <unsigned kArity>
-EventId BasicEventQueue<kArity>::pop_replacing(EventId next) {
+inline EventId EventQueue::pop_replacing(EventId next) {
   require(!heap_.empty(), "EventQueue::pop_replacing(): queue is empty");
   const std::uint32_t raw = heap_.front().id;
   nodes_[raw].heap_pos = detail::kNoHeapPos;
@@ -276,8 +251,7 @@ EventId BasicEventQueue<kArity>::pop_replacing(EventId next) {
   return EventId{raw};
 }
 
-template <unsigned kArity>
-void BasicEventQueue<kArity>::cancel(EventId id) {
+inline void EventQueue::cancel(EventId id) {
   require(id.valid() && id.value() < nodes_.size(), "EventQueue::cancel(): invalid id");
   Node& node = nodes_[id.value()];
   require(node.state == EventState::kPending,
@@ -294,8 +268,7 @@ void BasicEventQueue<kArity>::cancel(EventId id) {
   ++cancelled_;
 }
 
-template <unsigned kArity>
-void BasicEventQueue<kArity>::remove_at(std::size_t pos) {
+inline void EventQueue::remove_at(std::size_t pos) {
   const HeapSlot last = heap_.back();
   heap_.pop_back();
   if (pos < heap_.size()) {
@@ -306,20 +279,17 @@ void BasicEventQueue<kArity>::remove_at(std::size_t pos) {
   }
 }
 
-template <unsigned kArity>
-const Event& BasicEventQueue<kArity>::event(EventId id) const {
+inline const Event& EventQueue::event(EventId id) const {
   require(id.valid() && id.value() < nodes_.size(), "EventQueue::event(): invalid id");
   return nodes_[id.value()].ev;
 }
 
-template <unsigned kArity>
-EventState BasicEventQueue<kArity>::state(EventId id) const {
+inline EventState EventQueue::state(EventId id) const {
   require(id.valid() && id.value() < nodes_.size(), "EventQueue::state(): invalid id");
   return nodes_[id.value()].state;
 }
 
-template <unsigned kArity>
-void BasicEventQueue<kArity>::sift_up(std::size_t index) {
+inline void EventQueue::sift_up(std::size_t index) {
   const HeapSlot moving = heap_[index];
   while (index > 0) {
     const std::size_t parent = (index - 1) / kArity;
@@ -330,8 +300,7 @@ void BasicEventQueue<kArity>::sift_up(std::size_t index) {
   place(index, moving);
 }
 
-template <unsigned kArity>
-void BasicEventQueue<kArity>::sift_down(std::size_t index) {
+inline void EventQueue::sift_down(std::size_t index) {
   const std::size_t n = heap_.size();
   const HeapSlot moving = heap_[index];
   while (true) {
@@ -339,22 +308,14 @@ void BasicEventQueue<kArity>::sift_down(std::size_t index) {
     if (first_child >= n) break;
     std::size_t smallest;
     if (first_child + kArity <= n) {
-      if constexpr (kArity == 4) {
-        // Full node: pairwise min tree -- the first two comparisons are
-        // independent, halving the dependency chain of the sequential scan.
-        const std::size_t a =
-            before(heap_[first_child + 1], heap_[first_child]) ? first_child + 1
-                                                               : first_child;
-        const std::size_t b =
-            before(heap_[first_child + 3], heap_[first_child + 2]) ? first_child + 3
-                                                                   : first_child + 2;
-        smallest = before(heap_[b], heap_[a]) ? b : a;
-      } else {
-        smallest = first_child;
-        for (std::size_t child = first_child + 1; child < first_child + kArity; ++child) {
-          if (before(heap_[child], heap_[smallest])) smallest = child;
-        }
-      }
+      // Full node: pairwise min tree -- the first two comparisons are
+      // independent, halving the dependency chain of the sequential scan.
+      const std::size_t a =
+          before(heap_[first_child + 1], heap_[first_child]) ? first_child + 1 : first_child;
+      const std::size_t b = before(heap_[first_child + 3], heap_[first_child + 2])
+                                ? first_child + 3
+                                : first_child + 2;
+      smallest = before(heap_[b], heap_[a]) ? b : a;
     } else {
       smallest = first_child;
       for (std::size_t child = first_child + 1; child < n; ++child) {
@@ -367,11 +328,5 @@ void BasicEventQueue<kArity>::sift_down(std::size_t index) {
   }
   place(index, moving);
 }
-
-extern template class BasicEventQueue<2>;
-extern template class BasicEventQueue<4>;
-
-/// The simulator's queue: 4-ary (see the header comment).
-using EventQueue = BasicEventQueue<4>;
 
 }  // namespace halotis

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <new>
+#include <span>
 
 #include "src/base/check.hpp"
 #include "src/base/failpoint.hpp"
@@ -143,10 +144,6 @@ void Simulator::reset() {
   // Re-prime the slow-poll countdown so every run polls on the same event
   // ordinals regardless of what previous runs consumed.
   if (supervisor_ != nullptr) sup_countdown_ = sup_reload();
-  retire_.clear();
-  for (auto& map : part_handle_map_) map.clear();
-  for (auto& map : part_cause_map_) map.clear();
-  part_tie_violations_ = 0;
 }
 
 void Simulator::inject_stuck_at(SignalId signal, bool value) {
@@ -210,11 +207,7 @@ void Simulator::apply_stimulus(const Stimulus& stimulus) {
   }
 
   // 3. Schedule every stimulus edge as a transition on its primary input.
-  // In partition mode each partition enumerates the same global loop but
-  // materializes only the primary inputs it owns: the relative creation
-  // order of the events every owner produces matches the serial kernel's.
   for (SignalId pi : pis) {
-    if (part_of_gate_ != nullptr && part_owner_of_signal(pi) != part_self_) continue;
     bool value = stimulus.initial_value(pi);
     TransitionId prev;
     for (const StimulusEdge& edge : stimulus.edges(pi)) {
@@ -311,13 +304,7 @@ void Simulator::spawn_events(TransitionId tr_id) {
     ++stats_.events_created;
     const bool was_empty = in.head == kNil;
     list_push_back(in, id);
-    if (part_remote(fo.gate)) {
-      // Remote receiver: the event fires in the receiving partition's heap;
-      // this owner keeps a mirror record (the pending list + bookkeeping
-      // above) replayed through the retirement heap, and ships the event.
-      retire_push(ej, id);
-      part_stage_insert(fo.gate, id, tr);
-    } else if (was_empty) {
+    if (was_empty) {
       // Only the head of a (time-ordered) pending list competes in the
       // heap; later events are promoted when they reach the front.
       queue_.enqueue(id);
@@ -330,15 +317,6 @@ void Simulator::spawn_events(TransitionId tr_id) {
 void Simulator::cancel_pending_event(EventId id) {
   const Event& ev = queue_.event_unchecked(id);
   const TransitionId cause = ev.transition;
-  if (part_remote(ev.target.gate)) {
-    // Revoke the shipped copy; the owner-side mirror is cancelled below and
-    // its retirement entry is dropped lazily.
-    RemoteMsg msg;
-    msg.kind = RemoteMsg::Kind::kCancel;
-    msg.handle = id.value();
-    msg.target = ev.target;
-    part_outbox_[part_of_gate_[ev.target.gate.value()]].push_back(msg);
-  }
   queue_.cancel(id);
   ++stats_.events_cancelled;
   TransitionRec& rec = transitions_[cause.value()];
@@ -354,8 +332,6 @@ RunResult Simulator::run_until(TimeNs t_end) {
 }
 
 void Simulator::record_into(replay::TraceRecorder* recorder) {
-  require(recorder == nullptr || part_of_gate_ == nullptr,
-          "Simulator::record_into(): trace recording is serial-only");
   require(recorder == nullptr || !stimulus_applied_,
           "Simulator::record_into(): attach the recorder before apply_stimulus()");
   recorder_ = recorder;
@@ -439,8 +415,7 @@ RunResult Simulator::run_impl(TimeNs horizon) {
       // Slow path, reached every poll_events events AND exactly on the
       // first over-budget event ordinal (sup_reload() pulls the countdown
       // in), so the event-budget stop point stays bit-deterministic while
-      // the hot path only decrements.  Partition mode is supervised at
-      // window barriers instead (PartitionedSimulator).
+      // the hot path only decrements.
       supervisor_->check_events(stats_.events_processed, "simulator");
       supervisor_->check_poll(live_tracks_,
                               transition_arena_bytes() + queue_.arena_bytes(),
@@ -594,8 +569,7 @@ void Simulator::annihilate(GateId gate_id, TransitionId tr_id) {
         recorder_->on_cancel(ev_id, static_cast<std::uint32_t>(input_index(ev.target)),
                              was_head);
       }
-      // Mirror lists of remote inputs have no entry in this heap.
-      if (was_head && in.head != kNil && !part_remote(ev.target.gate)) {
+      if (was_head && in.head != kNil) {
         queue_.enqueue(EventId{in.head});
       }
     };
@@ -723,11 +697,7 @@ void Simulator::consume_pair_chain(std::uint32_t head, bool resurrect) {
         recorder_->on_resurrect(id, node.pair.partner_event, links.prev, links.next,
                                 static_cast<std::uint32_t>(input_index(node.pair.target)));
       }
-      if (part_remote(node.pair.target.gate)) {
-        // Resurrected remote event: new mirror entry, new shipped copy.
-        retire_push(when, id);
-        part_stage_insert(node.pair.target.gate, id, transitions_[partner.value()].tr);
-      } else if (in.head != old_head) {
+      if (in.head != old_head) {
         if (old_head != kNil) queue_.dequeue(EventId{old_head});
         queue_.enqueue(id);
       }
@@ -903,226 +873,6 @@ std::uint64_t Simulator::transition_arena_bytes() const {
          tracks_.capacity() * sizeof(TrackRec) +
          spawn_pool_.capacity() * sizeof(SpawnNode) +
          pair_pool_.capacity() * sizeof(PairNode);
-}
-
-// ---- partitioned-mode hooks (PR 6) ------------------------------------------
-
-std::uint32_t Simulator::part_owner_of_signal(SignalId signal) const {
-  const Signal& sig = netlist_->signal(signal);
-  if (sig.driver.valid()) return part_of_gate_[sig.driver.value()];
-  if (!sig.fanout.empty()) return part_of_gate_[sig.fanout.front().gate.value()];
-  return 0;
-}
-
-void Simulator::part_attach(std::uint32_t self, std::uint32_t count,
-                            const std::uint32_t* gate_part,
-                            std::vector<RemoteMsg>* outbox) {
-  require(!stimulus_applied_,
-          "Simulator::part_attach(): must attach before apply_stimulus()");
-  require(gate_part != nullptr && outbox != nullptr && self < count,
-          "Simulator::part_attach(): invalid partition attachment");
-  part_self_ = self;
-  part_count_ = count;
-  part_of_gate_ = gate_part;
-  part_outbox_ = outbox;
-  part_handle_map_.assign(count, {});
-  part_cause_map_.assign(count, {});
-}
-
-void Simulator::part_stage_insert(GateId gate, EventId id, const Transition& tr) {
-  const Event& ev = queue_.event_unchecked(id);
-  RemoteMsg msg;
-  msg.kind = RemoteMsg::Kind::kInsert;
-  msg.edge = tr.edge;
-  msg.target = ev.target;
-  msg.handle = id.value();
-  msg.cause = ev.transition.value();
-  msg.signal = tr.signal;
-  msg.time = ev.time;
-  msg.t_start = tr.t_start;
-  msg.tau = tr.tau;
-  part_outbox_[part_of_gate_[gate.value()]].push_back(msg);
-}
-
-void Simulator::retire_push(TimeNs time, EventId id) {
-  retire_.push_back(RetireSlot{time, id.value()});
-  std::push_heap(retire_.begin(), retire_.end(), retire_later);
-}
-
-void Simulator::retire_prune() {
-  while (!retire_.empty() &&
-         queue_.state_unchecked(EventId{retire_.front().id}) != EventState::kPending) {
-    std::pop_heap(retire_.begin(), retire_.end(), retire_later);
-    retire_.pop_back();
-  }
-}
-
-void Simulator::retire_shadow(EventId id) {
-  const Event ev = queue_.event_unchecked(id);
-  InputState& in = inputs_[input_index(ev.target)];
-  debug_ensure(in.head == id.value(),
-               "Simulator: retired mirror event is not its list's earliest");
-  list_remove(in, id);
-  queue_.mark_fired_unscheduled(id);
-  // The receiving partition evaluates the gate and counts the processing;
-  // this owner replays only the lifecycle bookkeeping the serial kernel
-  // would have performed at this instant.
-  now_ = std::max(now_, ev.time);
-  TransitionRec& cause = transitions_[ev.transition.value()];
-  debug_ensure(cause.pending > 0, "Simulator: pending-event accounting out of sync");
-  cause.fired_any = 1;
-  --cause.pending;
-  maybe_reclaim(ev.transition);
-}
-
-TimeNs Simulator::part_next_time() {
-  retire_prune();
-  TimeNs t = kNeverNs;
-  if (!queue_.empty()) t = queue_.event_unchecked(queue_.peek()).time;
-  if (!retire_.empty()) t = std::min(t, retire_.front().time);
-  return t;
-}
-
-void Simulator::part_run_window(TimeNs w_end) {
-  require(stimulus_applied_, "Simulator::part_run_window(): apply_stimulus() first");
-  while (true) {
-    retire_prune();
-    const bool have_main = !queue_.empty();
-    if (!retire_.empty()) {
-      // Interleave owner-side retirements with local firings in the exact
-      // (time, id) order the serial kernel fires them: both live in this
-      // partition's event-id space.
-      const RetireSlot slot = retire_.front();
-      bool retire_first = true;
-      if (have_main) {
-        const EventId mid = queue_.peek();
-        const Event& mev = queue_.event_unchecked(mid);
-        retire_first = slot.time < mev.time ||
-                       (slot.time == mev.time && slot.id < mid.value());
-      }
-      if (retire_first) {
-        if (slot.time >= w_end) return;
-        std::pop_heap(retire_.begin(), retire_.end(), retire_later);
-        retire_.pop_back();
-        retire_shadow(EventId{slot.id});
-        continue;
-      }
-    } else if (!have_main) {
-      return;
-    }
-    const EventId eid = queue_.peek();
-    const Event ev = queue_.event_unchecked(eid);  // copy: queue mutates below
-    if (ev.time >= w_end) return;
-    __builtin_prefetch(&transitions_[ev.transition.value()], 0);
-    __builtin_prefetch(&gates_[ev.target.gate.value()], 1);
-    {
-      // Cross-channel simultaneity tie (see part_tie_violations()): another
-      // pending event at this gate with the bit-equal time whose cause is
-      // owned by a different partition.  The serial kernel orders the pair
-      // by global creation sequence, which no partition can reconstruct;
-      // count it and keep going -- the driver discards this run.
-      const GateRec& gi = gates_[ev.target.gate.value()];
-      for (std::uint32_t p = 0; p < gi.num_inputs; ++p) {
-        if (static_cast<int>(p) == ev.target.pin) continue;
-        const std::uint32_t h = inputs_[gi.input_base + p].head;
-        if (h == kNil) continue;
-        const Event& other = queue_.event_unchecked(EventId{h});
-        if (other.time != ev.time) continue;
-        const SignalId sa = transitions_[ev.transition.value()].tr.signal;
-        const SignalId sb = transitions_[other.transition.value()].tr.signal;
-        if (sa != sb && part_owner_of_signal(sa) != part_owner_of_signal(sb)) {
-          ++part_tie_violations_;
-        }
-      }
-    }
-    InputState& in = inputs_[input_index(ev.target)];
-    debug_ensure(in.head == eid.value(),
-                 "Simulator: fired event is not the input's earliest pending event");
-    list_remove(in, eid);
-    if (in.head != kNil) {
-      (void)queue_.pop_replacing(EventId{in.head});
-    } else {
-      (void)queue_.pop();
-    }
-    now_ = std::max(now_, ev.time);
-    ++stats_.events_processed;
-    TransitionRec& cause = transitions_[ev.transition.value()];
-    debug_ensure(cause.pending > 0, "Simulator: pending-event accounting out of sync");
-    cause.fired_any = 1;
-    --cause.pending;
-    maybe_reclaim(ev.transition);
-    handle_event(ev);
-  }
-}
-
-Simulator::InboxResult Simulator::part_apply_inbox(std::uint32_t src,
-                                                   std::span<const RemoteMsg> msgs,
-                                                   TimeNs prev_w_end) {
-  InboxResult violations;
-  auto& handle_map = part_handle_map_[src];
-  auto& cause_map = part_cause_map_[src];
-  for (const RemoteMsg& msg : msgs) {
-    if (msg.kind == RemoteMsg::Kind::kInsert) {
-      if (msg.time < prev_w_end) {
-        // The event belongs to a window this partition already simulated:
-        // the conservative lookahead was insufficient (a degraded or
-        // clamped boundary pulse).  The driver reruns serially.
-        ++violations.late_inserts;
-        continue;
-      }
-      TransitionId cause;
-      if (const auto it = cause_map.find(msg.cause); it != cause_map.end()) {
-        cause = TransitionId{it->second};
-      } else {
-        // Local copy of the causing transition: just the POD the receiver
-        // needs to evaluate gates.  Lifecycle decisions stay with the
-        // owner, so the copy carries no bookkeeping slot and never joins a
-        // signal history.
-        cause = TransitionId{static_cast<TransitionId::underlying_type>(transitions_.size())};
-        TransitionRec rec;
-        rec.tr.signal = msg.signal;
-        rec.tr.edge = msg.edge;
-        rec.tr.t_start = msg.t_start;
-        rec.tr.tau = msg.tau;
-        rec.track = kNoTrackDead;
-        transitions_.push_back(rec);
-        cause_map.emplace(msg.cause, cause.value());
-      }
-      const EventId id = queue_.create(msg.time, cause, msg.target);
-      handle_map.emplace(msg.handle, id.value());
-      ++transitions_[cause.value()].pending;
-      InputState& in = inputs_[input_index(msg.target)];
-      const std::uint32_t old_head = in.head;
-      list_insert_sorted(in, id);
-      if (in.head != old_head) {
-        if (old_head != kNil) queue_.dequeue(EventId{old_head});
-        queue_.enqueue(id);
-      }
-    } else {
-      const auto it = handle_map.find(msg.handle);
-      if (it == handle_map.end()) {
-        ++violations.late_inserts;  // its insert was itself dropped
-        continue;
-      }
-      const EventId id{it->second};
-      handle_map.erase(it);
-      if (queue_.state_unchecked(id) != EventState::kPending) {
-        ++violations.late_cancels;  // fired before the revocation arrived
-        continue;
-      }
-      const Event ev = queue_.event_unchecked(id);
-      InputState& in = inputs_[input_index(ev.target)];
-      const bool was_head = in.head == id.value();
-      list_remove(in, id);
-      // No stats: the owning partition already counted the cancellation.
-      queue_.cancel(id);
-      TransitionRec& rec = transitions_[ev.transition.value()];
-      debug_ensure(rec.pending > 0, "Simulator: remote pending accounting out of sync");
-      --rec.pending;
-      if (was_head && in.head != kNil) queue_.enqueue(EventId{in.head});
-    }
-  }
-  return violations;
 }
 
 std::vector<SignalId> Simulator::most_active_signals(std::size_t n) const {

@@ -50,9 +50,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/ids.hpp"
@@ -84,28 +82,6 @@ struct SimConfig {
 
 /// Why run() returned.
 enum class StopReason { kQueueExhausted, kHorizonReached, kEventLimit };
-
-/// One boundary message between partitions (PR 6: partitioned kernel).
-/// `kInsert` ships a threshold-crossing event together with the POD of its
-/// causing transition, so the receiving partition can evaluate the gate
-/// without reaching into the owner's arena; `kCancel` revokes a previously
-/// inserted event by its owner-side handle (the pair rule or an output
-/// annihilation removed it before it could fire).  Messages travel over
-/// per-(src, dst) staging vectors written only by the owner during a time
-/// window and drained only at the barrier, so every channel is
-/// single-producer single-consumer by construction.
-struct RemoteMsg {
-  enum class Kind : std::uint8_t { kInsert, kCancel };
-  Kind kind = Kind::kInsert;
-  Edge edge = Edge::kRise;       ///< causing transition sense (kInsert)
-  PinRef target;                 ///< receiving gate input (receiver-owned)
-  std::uint32_t handle = 0;      ///< owner-side EventId: unique per channel
-  std::uint32_t cause = 0;       ///< owner-side TransitionId (copy-map key)
-  SignalId signal;               ///< driving signal (kInsert)
-  TimeNs time = 0.0;             ///< threshold-crossing instant, clamped
-  TimeNs t_start = 0.0;          ///< causing transition ramp start (kInsert)
-  TimeNs tau = 0.0;              ///< causing transition ramp duration (kInsert)
-};
 
 struct RunResult {
   StopReason reason = StopReason::kQueueExhausted;
@@ -178,7 +154,7 @@ class Simulator {
   }
   [[nodiscard]] const RunSupervisor* supervisor() const { return supervisor_; }
 
-  /// Attaches a causal-trace recorder (nullptr detaches); serial mode only.
+  /// Attaches a causal-trace recorder (nullptr detaches).
   /// Must be called before apply_stimulus(): the recorder captures every
   /// scheduling decision of exactly one apply_stimulus() + run() cycle.
   /// After run() returns, finish_recording() seals the trace for replay
@@ -379,73 +355,6 @@ class Simulator {
   /// Shared table-build step of both constructors.
   void build_static_tables();
 
-  // ---- partitioned-mode hooks (PR 6) ---------------------------------------
-  // A partitioned run (core/partition.hpp) instantiates one Simulator per
-  // partition over the *whole* netlist and attaches an ownership map: the
-  // partition executes only events targeting its own gates, mirrors the
-  // pending lists of remote inputs it drives (so every pair-rule /
-  // annihilation / resurrection decision stays owner-local and replays the
-  // serial algorithm verbatim), and exchanges boundary events as RemoteMsg
-  // records at window barriers.  With no attachment (part_of_gate_ ==
-  // nullptr) every hook collapses to a predicted-not-taken branch and the
-  // serial hot path is unchanged.
-  friend class PartitionedSimulator;
-
-  /// Owner-side replay slot: a remote-target event this partition created,
-  /// ordered by the same (time, id) key the receiving partition fires it
-  /// under.  Min-heap over retire_ with lazy deletion of cancelled entries.
-  struct RetireSlot {
-    TimeNs time = 0.0;
-    std::uint32_t id = 0;
-  };
-  [[nodiscard]] static bool retire_later(const RetireSlot& a, const RetireSlot& b) {
-    if (a.time != b.time) return a.time > b.time;
-    return a.id > b.id;
-  }
-
-  [[nodiscard]] bool part_remote(GateId gate) const {
-    return part_of_gate_ != nullptr && part_of_gate_[gate.value()] != part_self_;
-  }
-  /// Owning partition of a signal: its driver's partition; a primary input
-  /// is owned by its first fanout gate's partition (partition 0 if unused).
-  [[nodiscard]] std::uint32_t part_owner_of_signal(SignalId signal) const;
-  /// Enters partition mode.  `gate_part` (size num_gates) and `outbox`
-  /// (size `count`, staging vector per destination) must outlive the run.
-  void part_attach(std::uint32_t self, std::uint32_t count,
-                   const std::uint32_t* gate_part, std::vector<RemoteMsg>* outbox);
-  void part_stage_insert(GateId gate, EventId id, const Transition& tr);
-  void retire_push(TimeNs time, EventId id);
-  void retire_prune();
-  /// Owner-side bookkeeping replay of a remote firing (no gate evaluation,
-  /// no events_processed -- the receiving partition counts those).
-  void retire_shadow(EventId id);
-  /// Earliest pending work (local heap or retirement replay); kNeverNs when
-  /// idle.  Prunes cancelled retirement entries, hence non-const.
-  [[nodiscard]] TimeNs part_next_time();
-  /// Processes every event and retirement with time < w_end in (time, id)
-  /// order -- one conservative time window.
-  void part_run_window(TimeNs w_end);
-  /// Causality violations one barrier delivery detected; any non-zero
-  /// field makes the driver fall back to the serial kernel.
-  struct InboxResult {
-    std::uint64_t late_inserts = 0;  ///< inserts into an already-run window
-    std::uint64_t late_cancels = 0;  ///< revocations after the target fired
-  };
-  /// Applies one channel's barrier-delivered messages in staging order.
-  [[nodiscard]] InboxResult part_apply_inbox(std::uint32_t src,
-                                             std::span<const RemoteMsg> msgs,
-                                             TimeNs prev_w_end);
-  /// Cross-channel simultaneity ties detected while firing: two pending
-  /// events at the same gate with bit-equal times whose causes arrived
-  /// through different channels.  The serial kernel orders such a pair by
-  /// global creation sequence, which partitions cannot reconstruct, so the
-  /// driver treats a nonzero count like a causality violation (serial
-  /// fallback).  Same-channel ties are safe: FIFO delivery preserves the
-  /// owner's creation order, which matches the serial kernel's.
-  [[nodiscard]] std::uint64_t part_tie_violations() const {
-    return part_tie_violations_;
-  }
-
   const Netlist* netlist_;
   const DelayModel* model_;
   SimConfig config_;
@@ -499,18 +408,6 @@ class Simulator {
   SignalId fault_signal_;        ///< injected stuck-at site (invalid: none)
   bool fault_value_ = false;
   SimStats stats_;
-
-  // partitioned-mode state (inert in serial mode; see part_attach())
-  std::uint32_t part_self_ = 0;
-  std::uint32_t part_count_ = 1;
-  const std::uint32_t* part_of_gate_ = nullptr;   ///< null => serial mode
-  std::vector<RemoteMsg>* part_outbox_ = nullptr;  ///< per-destination staging
-  std::vector<RetireSlot> retire_;                 ///< owner-side replay heap
-  /// Per-source-partition maps: owner handle -> local EventId, and owner
-  /// TransitionId -> local copy of the causing transition.
-  std::vector<std::unordered_map<std::uint32_t, std::uint32_t>> part_handle_map_;
-  std::vector<std::unordered_map<std::uint32_t, std::uint32_t>> part_cause_map_;
-  std::uint64_t part_tie_violations_ = 0;
 };
 
 }  // namespace halotis

@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "src/base/fnv.hpp"
+#include "src/core/simulator.hpp"
 #include "src/core/transition.hpp"
 #include "src/netlist/netlist.hpp"
 
@@ -38,10 +39,9 @@ inline constexpr std::uint64_t kFnvOffset = kFnv1aOffset;
   return hash;
 }
 
-/// Hash of all surviving transitions of `sim` (Simulator or
-/// PartitionedSimulator -- anything with netlist() and history()).
-template <class Sim>
-[[nodiscard]] std::uint64_t hash_sim_history(const Sim& sim) {
+/// Hash of all surviving transitions of a finished (or stopped) run: the
+/// CLI's `--hash`, perf_report's history_hash and the replay oracle.
+[[nodiscard]] inline std::uint64_t hash_sim_history(const Simulator& sim) {
   std::uint64_t hash = kFnvOffset;
   const Netlist& nl = sim.netlist();
   for (std::size_t s = 0; s < nl.num_signals(); ++s) {

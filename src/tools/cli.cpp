@@ -19,7 +19,6 @@
 #include "src/base/failpoint.hpp"
 #include "src/base/fileio.hpp"
 #include "src/base/strings.hpp"
-#include "src/core/partition.hpp"
 #include "src/core/simulator.hpp"
 #include "src/fault/campaign.hpp"
 #include "src/fault/fault.hpp"
@@ -106,7 +105,7 @@ std::uint64_t usage_unsigned(const Options& options, const std::string& name,
   return parsed;
 }
 
-/// usage_unsigned for a count held in an int (threads, partitions, limits).
+/// usage_unsigned for a count held in an int (threads, limits).
 int usage_count(const Options& options, const std::string& name, int fallback) {
   const std::uint64_t value =
       usage_unsigned(options, name, static_cast<std::uint64_t>(fallback));
@@ -340,9 +339,6 @@ int sim_replay_corners(const ServiceEnv& env, const Options& options,
   if (!sdf_flag.has_value()) {
     throw UsageError("sim --replay needs --sdf corner file(s) to re-time");
   }
-  if (usage_count(options, "threads", 1) != 1 || usage_count(options, "partitions", 0) != 0) {
-    throw UsageError("sim --replay requires the serial kernel (--threads 1)");
-  }
   if (options.get("report") || options.get("vcd") || options.get("waves")) {
     throw UsageError(
         "sim --replay re-times arrival times and waveform hashes only; "
@@ -396,6 +392,11 @@ int sim_replay_corners(const ServiceEnv& env, const Options& options,
 }
 
 int cmd_sim(const Options& options, std::ostream& out, const ServiceEnv& env) {
+  if (options.get("threads") || options.get("partitions")) {
+    throw UsageError(
+        "sim has no --threads/--partitions: one run is one serial event loop "
+        "(fault, variation and serve take --threads)");
+  }
   const std::unique_ptr<DelayModel> model = make_model(options);
   const bool replay = options.get("replay").has_value();
   // One elaborated timing database for the run; --sdf back-annotates it
@@ -419,67 +420,6 @@ int cmd_sim(const Options& options, std::ostream& out, const ServiceEnv& env) {
   config.t_end = options.number("t-end", kNeverNs);
   const RunSupervisor supervisor = make_supervisor(options, env);
 
-  const int threads = usage_count(options, "threads", 1);
-  const auto partitions = static_cast<std::uint32_t>(usage_count(options, "partitions", 0));
-
-  const auto print_run = [&](const RunResult& result, const SimStats& stats) {
-    out << "model: " << model->name() << "\n";
-    out << "finished at t = " << format_double(result.end_time, 6) << " ns ("
-        << (result.reason == StopReason::kQueueExhausted    ? "queue exhausted"
-            : result.reason == StopReason::kHorizonReached  ? "horizon reached"
-                                                            : "event limit")
-        << ")\n";
-    out << "events: processed " << stats.events_processed << ", filtered "
-        << stats.filtered_events() << ", transitions "
-        << stats.surviving_transitions() << "\n";
-  };
-  const auto print_finals = [&](const auto& sim) {
-    out << "final output values:\n";
-    for (const SignalId po : netlist.primary_outputs()) {
-      out << "  " << netlist.signal(po).name << " = "
-          << (sim.final_value(po) ? 1 : 0) << "\n";
-    }
-  };
-
-  if (threads != 1 || partitions != 0) {
-    // Partitioned parallel kernel: bit-identical history at any thread
-    // count (see src/core/partition.hpp); the analysis flags that consume
-    // the full per-signal database stay serial-only.
-    require(!options.get("report") && !options.get("vcd"),
-            "--report/--vcd require the serial kernel (--threads 1)");
-    PartitionedConfig pconfig;
-    pconfig.threads = threads;
-    pconfig.partitions = partitions;
-    pconfig.sim = config;
-    PartitionedSimulator sim(netlist, *model, timing, pconfig);
-    sim.supervise(&supervisor);
-    sim.apply_stimulus(stimulus);
-    const RunResult result = sim.run();
-    print_run(result, sim.stats());
-    const WindowStats& ws = sim.window_stats();
-    out << "partitions: " << sim.plan().k << ", windows " << ws.windows
-        << ", boundary messages " << ws.messages;
-    if (ws.fell_back_serial) {
-      out << " (violations " << ws.violations << " -> serial fallback)";
-    }
-    out << "\n";
-    print_finals(sim);
-    if (options.get("hash")) {
-      out << "history hash: " << hex64(replay::hash_sim_history(sim)) << "\n";
-    }
-    if (options.get("waves")) {
-      const TimeNs horizon = std::max(result.end_time, 1.0);
-      AsciiPlot plot(0.0, horizon * 1.05, 100);
-      for (const SignalId po : netlist.primary_outputs()) {
-        plot.add_digital(netlist.signal(po).name,
-                         DigitalWaveform::from_transitions(sim.initial_value(po),
-                                                           sim.history(po)));
-      }
-      out << '\n' << plot.render();
-    }
-    return 0;
-  }
-
   // Daemon workers recycle one pooled Simulator across requests
   // (SimulatorLease rebind()s it onto this request's elaboration -- results
   // are bit-identical to a fresh construction); local mode builds its own.
@@ -496,7 +436,16 @@ int cmd_sim(const Options& options, std::ostream& out, const ServiceEnv& env) {
   sim.apply_stimulus(stimulus);
   const RunResult result = sim.run();
 
-  print_run(result, sim.stats());
+  const SimStats& stats = sim.stats();
+  out << "model: " << model->name() << "\n";
+  out << "finished at t = " << format_double(result.end_time, 6) << " ns ("
+      << (result.reason == StopReason::kQueueExhausted    ? "queue exhausted"
+          : result.reason == StopReason::kHorizonReached  ? "horizon reached"
+                                                          : "event limit")
+      << ")\n";
+  out << "events: processed " << stats.events_processed << ", filtered "
+      << stats.filtered_events() << ", transitions " << stats.surviving_transitions()
+      << "\n";
   if (result.reason == StopReason::kEventLimit) {
     out << "event limit hit -- most active signals (possible oscillation):\n";
     for (const SignalId sig : sim.most_active_signals(5)) {
@@ -504,7 +453,11 @@ int cmd_sim(const Options& options, std::ostream& out, const ServiceEnv& env) {
           << " transitions\n";
     }
   }
-  print_finals(sim);
+  out << "final output values:\n";
+  for (const SignalId po : netlist.primary_outputs()) {
+    out << "  " << netlist.signal(po).name << " = " << (sim.final_value(po) ? 1 : 0)
+        << "\n";
+  }
   if (options.get("hash")) {
     out << "history hash: " << hex64(replay::hash_sim_history(sim)) << "\n";
   }
@@ -1002,9 +955,8 @@ commands:
            --netlist F [--format bench|verilog|native] [--stim F]
            [--model ddm|cdm|cdm-classical|transport] [--t-end NS]
            [--sdf F] [--vcd F] [--report] [--waves] [--hash]
-           [--threads N] [--partitions K]   (partitioned parallel kernel;
-           N=0 uses all hardware threads, results are bit-identical at
-           every N; --report/--vcd need --threads 1)
+           one serial event loop; batch work in parallel with fault,
+           variation or serve --threads
            --sdf A[,B...] --replay   record the causal trace once, re-time
            each SDF corner through the replayer (docs/REPLAY.md)
   variation  Monte-Carlo per-gate delay variation (docs/REPLAY.md)

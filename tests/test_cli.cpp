@@ -73,32 +73,19 @@ TEST_F(CliTest, SimProducesStatsAndFinalValues) {
   EXPECT_NE(text.find("y = 0"), std::string::npos);  // a falls back to 0
 }
 
-TEST_F(CliTest, SimThreadsRunsPartitionedKernel) {
+/// `sim` is one serial event loop: the thread and partition flags of the
+/// removed parallel kernel are usage errors, not silently ignored.
+TEST_F(CliTest, SimRejectsThreadAndPartitionFlags) {
   const std::string netlist = write("and2.bench", kBench);
   const std::string stim = write("and2.stim", kStim);
-  EXPECT_EQ(run({"sim", "--netlist", netlist, "--stim", stim, "--threads", "2",
-                 "--partitions", "2"}),
-            0);
-  const std::string parallel = out_.str();
-  EXPECT_NE(parallel.find("partitions: 2"), std::string::npos);
-  EXPECT_NE(parallel.find("events: processed"), std::string::npos);
-
-  // The serial run reports the same event counts and final values.
-  EXPECT_EQ(run({"sim", "--netlist", netlist, "--stim", stim}), 0);
-  const std::string serial = out_.str();
-  const auto line = [](const std::string& text, const char* prefix) {
-    const std::size_t at = text.find(prefix);
-    return text.substr(at, text.find('\n', at) - at);
-  };
-  EXPECT_EQ(line(parallel, "events:"), line(serial, "events:"));
-  EXPECT_EQ(line(parallel, "finished at"), line(serial, "finished at"));
-  EXPECT_EQ(line(parallel, "y ="), line(serial, "y ="));
-
-  // Serial-only analyses are rejected up front under --threads.
-  EXPECT_EQ(run({"sim", "--netlist", netlist, "--stim", stim, "--threads", "2",
-                 "--report"}),
-            1);
-  EXPECT_NE(err_.str().find("--threads 1"), std::string::npos);
+  for (const char* flag : {"--threads", "--partitions"}) {
+    EXPECT_EQ(run({"sim", "--netlist", netlist, "--stim", stim, flag, "2"}), 2) << flag;
+    EXPECT_NE(err_.str().find("usage error: sim has no --threads/--partitions"),
+              std::string::npos)
+        << err_.str();
+    EXPECT_NE(err_.str().find("usage: halotis"), std::string::npos) << flag;
+    EXPECT_EQ(out_.str(), "") << flag;
+  }
 }
 
 TEST_F(CliTest, SimWritesVcd) {
@@ -245,7 +232,7 @@ TEST_F(CliTest, MalformedFlagsExitTwoWithUsage) {
                "sim --replay needs --sdf");
   expect_usage({"sim", "--netlist", netlist, "--stim", stim,
                 "--sdf", "x.sdf", "--replay", "--threads", "2"},
-               "sim --replay requires the serial kernel");
+               "sim has no --threads/--partitions");
   expect_usage({"sim", "--netlist", netlist, "--stim", stim,
                 "--sdf", "x.sdf", "--replay", "--vcd",
                 (dir_ / "w.vcd").string()},
@@ -263,10 +250,14 @@ TEST_F(CliTest, MalformedFlagsExitTwoWithUsage) {
 TEST_F(CliTest, NonFiniteAndNonIntegerNumberFlagsExitTwo) {
   const std::string netlist = write("and2.bench", kBench);
   const std::string stim = write("and2.stim", kStim);
-  const auto sim = [&](std::vector<std::string> extra) {
-    std::vector<std::string> args{"sim", "--netlist", netlist, "--stim", stim};
+  const auto with = [&](const char* command, std::vector<std::string> extra) {
+    std::vector<std::string> args{command, "--netlist", netlist, "--stim", stim};
     args.insert(args.end(), extra.begin(), extra.end());
     return args;
+  };
+  const auto sim = [&](std::vector<std::string> extra) { return with("sim", extra); };
+  const auto variation = [&](std::vector<std::string> extra) {
+    return with("variation", extra);
   };
   const auto expect_usage = [&](const std::vector<std::string>& args,
                                 const std::string& needle) {
@@ -280,12 +271,11 @@ TEST_F(CliTest, NonFiniteAndNonIntegerNumberFlagsExitTwo) {
   }
   for (const char* bad : {"nan", "-5", "1e30", "1.5", "abc"}) {
     expect_usage(sim({"--budget-events", bad}), "--budget-events expects an unsigned integer");
-    expect_usage(sim({"--threads", bad}), "--threads expects an unsigned integer");
-    expect_usage(sim({"--partitions", bad}), "--partitions expects an unsigned integer");
+    expect_usage(variation({"--threads", bad}), "--threads expects an unsigned integer");
     expect_usage({"lint", netlist, "--fanout-limit", bad},
                  "--fanout-limit expects an unsigned integer");
   }
-  expect_usage(sim({"--threads", "4294967296"}), "--threads is out of range");
+  expect_usage(variation({"--threads", "4294967296"}), "--threads is out of range");
   expect_usage(sim({"--deadline-s", "-1"}), "--deadline-s must be >= 0");
   expect_usage(sim({"--budget-mem-mb", "-1"}), "--budget-mem-mb must be >= 0");
   expect_usage(sim({"--budget-mem-mb", "1e300"}), "--budget-mem-mb must be >= 0");

@@ -633,6 +633,18 @@ TEST_F(ServeTest, DaemonRestrictsItsCommandSurface) {
   EXPECT_EQ(lint.code, 2);
   EXPECT_NE(lint.err.find("--connect routes sim, sta, fault and variation"),
             std::string::npos);
+  // sim takes no thread or partition flags: the daemon answers with the
+  // local usage error, byte for byte.
+  const std::string stim = write("a.stim", kStimA);
+  for (const char* flag : {"--threads", "--partitions"}) {
+    const std::vector<std::string> args{"sim", "--netlist", netlist, "--stim", stim, flag,
+                                        "2"};
+    const Capture local = run_args(args);
+    EXPECT_EQ(local.code, 2) << flag;
+    EXPECT_NE(local.err.find("sim has no --threads/--partitions"), std::string::npos)
+        << local.err;
+    EXPECT_EQ(run_daemon(args), local) << flag;
+  }
   // A hand-built frame for a non-routable command is refused daemon-side.
   serve::RequestFrame request;
   request.args = {"repro", "--list"};

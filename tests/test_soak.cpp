@@ -148,8 +148,8 @@ TEST_F(SoakTest, RandomizedFailPointSchedules) {
 
   // ---- randomized schedules -------------------------------------------------
   static constexpr const char* kSites[] = {
-      "io.open",     "io.write",    "io.write.short",       "io.close",
-      "io.rename",   "worker.task", "alloc.simulator.arena", "partition.window",
+      "io.open",   "io.write",    "io.write.short",       "io.close",
+      "io.rename", "worker.task", "alloc.simulator.arena",
   };
   constexpr int kSchedules = 220;
   SplitMix64 rng(0xC0FFEE5EEDULL);
@@ -175,9 +175,6 @@ TEST_F(SoakTest, RandomizedFailPointSchedules) {
     } else if (flavour < 10) {
       cmd = Cmd::kSim;
       args = {"sim", "--netlist", netlist, "--stim", stim, "--vcd", vcd};
-      if (rng.next_below(3) == 0) {  // partitioned path
-        args.insert(args.end(), {"--threads", "2"});
-      }
     } else {
       cmd = Cmd::kFault;
       args = {"fault", "--netlist", netlist, "--stim", stim};
@@ -232,7 +229,7 @@ TEST_F(SoakTest, RandomizedFailPointSchedules) {
   }
   // The schedule mix must actually exercise both regimes.
   EXPECT_GT(completed, 20) << "soak never completed a run";
-  EXPECT_GT(failed, 50) << "soak never injected an effective failure";
+  EXPECT_GT(failed, 40) << "soak never injected an effective failure";
 }
 
 }  // namespace

@@ -11,8 +11,6 @@
 //     multiple failures into WorkerPoolError;
 //   * the campaign retries a transient worker failure once and turns a
 //     persistent one into per-fault kVerdictError verdicts;
-//   * an injected partition-window violation takes the serial-fallback
-//     path and reproduces the serial result exactly;
 //   * the CLI maps the RunError taxonomy onto the documented exit codes.
 #include <gtest/gtest.h>
 
@@ -34,7 +32,6 @@
 #include "src/base/worker_pool.hpp"
 #include "src/circuits/generators.hpp"
 #include "src/circuits/stimuli.hpp"
-#include "src/core/partition.hpp"
 #include "src/core/simulator.hpp"
 #include "src/fault/campaign.hpp"
 #include "src/tools/cli.hpp"
@@ -84,7 +81,6 @@ class FailPointTest : public ::testing::Test {
 
 using SupervisionTest = FailPointTest;
 using CampaignFailureTest = FailPointTest;
-using PartitionFailureTest = FailPointTest;
 
 // ---- fail-point registry ----------------------------------------------------
 
@@ -508,70 +504,6 @@ TEST_F(CampaignFailureTest, CancelledCampaignRethrowsTheOriginalRunError) {
   } catch (const RunError& e) {
     // Never a WorkerPoolError wrapper: the taxonomy survives the pool.
     EXPECT_EQ(e.kind(), RunErrorKind::kCancelled);
-  }
-}
-
-// ---- partition failure path -------------------------------------------------
-
-TEST_F(PartitionFailureTest, InjectedWindowViolationFallsBackToSerialResult) {
-  const Library lib = Library::default_u6();
-  const DdmDelayModel ddm;
-  LayeredCircuit lc = make_layered_circuit(lib, 16, 8, 11);
-  const Stimulus stim = staggered_random_stimulus(lc.inputs, 12, 5);
-  const TimingGraph tg = TimingGraph::build(lc.netlist, ddm.timing_policy());
-
-  Simulator serial(lc.netlist, ddm);
-  serial.apply_stimulus(stim);
-  (void)serial.run();
-
-  FailPoints::instance().arm("partition.window", 2);
-  PartitionedConfig config;
-  config.partitions = 4;
-  config.threads = 2;
-  PartitionedSimulator part(lc.netlist, ddm, tg, config);
-  part.apply_stimulus(stim);
-  (void)part.run();
-
-  EXPECT_TRUE(part.window_stats().fell_back_serial);
-  EXPECT_GE(part.window_stats().violations, 1u);
-  // The fallback reproduces the serial kernel bit for bit.
-  EXPECT_EQ(part.stats().events_processed, serial.stats().events_processed);
-  for (const SignalId po : lc.outputs) {
-    const auto ha = serial.history(po);
-    const auto hb = part.history(po);
-    ASSERT_EQ(ha.size(), hb.size());
-    for (std::size_t i = 0; i < ha.size(); ++i) {
-      EXPECT_EQ(ha[i].t_start, hb[i].t_start);
-      EXPECT_EQ(ha[i].tau, hb[i].tau);
-      EXPECT_EQ(ha[i].edge, hb[i].edge);
-    }
-  }
-}
-
-TEST_F(PartitionFailureTest, PartitionBudgetTripsAtAWindowBarrier) {
-  const Library lib = Library::default_u6();
-  const DdmDelayModel ddm;
-  LayeredCircuit lc = make_layered_circuit(lib, 16, 8, 11);
-  const Stimulus stim = staggered_random_stimulus(lc.inputs, 12, 5);
-  const TimingGraph tg = TimingGraph::build(lc.netlist, ddm.timing_policy());
-
-  RunBudget budget;
-  budget.max_events = 8;  // far below the workload's event count
-  RunSupervisor supervisor(budget);
-  supervisor.arm();
-  PartitionedConfig config;
-  config.partitions = 4;
-  config.threads = 2;
-  PartitionedSimulator part(lc.netlist, ddm, tg, config);
-  part.supervise(&supervisor);
-  part.apply_stimulus(stim);
-  try {
-    (void)part.run();
-    FAIL() << "expected a budget trip at a window barrier";
-  } catch (const RunError& e) {
-    EXPECT_EQ(e.kind(), RunErrorKind::kBudgetExceeded);
-    EXPECT_NE(std::string(e.what()).find("partition barrier"), std::string::npos)
-        << e.what();
   }
 }
 
