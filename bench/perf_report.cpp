@@ -10,7 +10,8 @@
 // filtering decisions or float arithmetic changes it, so two kernels that
 // report the same hash on all workloads produced bit-identical waveforms.
 // First of all it records the cold path -- parse, TimingGraph::build and
-// Simulator construction, per deck (docs/BENCHMARKS.md).
+// Simulator construction, per deck -- and, in full mode, the warm event
+// loop alone on the 100k-gate layered design (docs/BENCHMARKS.md).
 //
 // Usage: perf_report [--quick] [--label NAME] [--out FILE] [--append]
 //   --quick    shorter sequences / fewer repetitions (CI smoke tier)
@@ -199,6 +200,90 @@ std::string cold_path_json(const std::vector<ColdPathDeck>& decks) {
     json += tail;
   }
   return json + "   ],\n";
+}
+
+// ---- warm kernel-loop workload ----------------------------------------------
+
+/// The event loop alone, warm: one Simulator held on the 500 x 200 layered
+/// design under DDM, re-armed with reset() + apply_stimulus() and timed
+/// over run() only, for three staggered stimuli.  Full mode only.
+struct KernelLoopSeed {
+  std::uint64_t seed = 0;
+  std::uint64_t events = 0;
+  std::uint64_t peak_scheduled_events = 0;
+  std::uint64_t history_hash = 0;
+};
+struct KernelLoopResult {
+  std::string model;
+  std::size_t gates = 0;
+  std::size_t graph_arcs = 0;
+  std::size_t distinct_arcs = 0;  ///< arcs the kernel evaluates (interned)
+  int rounds = 0;
+  std::array<double, 3> ns_per_event{};  ///< q1, median, q3 over every run
+  std::vector<KernelLoopSeed> seeds;
+};
+
+KernelLoopResult run_kernel_loop(const Library& lib, int rounds) {
+  const DdmDelayModel ddm;
+  const LayeredCircuit circuit = make_layered_circuit(lib, 500, 200, 0xC01DULL);
+  const TimingGraph graph = TimingGraph::build(circuit.netlist, ddm.timing_policy());
+  Simulator sim(circuit.netlist, ddm, graph);
+  KernelLoopResult result;
+  result.model = std::string(ddm.name());
+  result.gates = circuit.netlist.num_gates();
+  result.graph_arcs = graph.num_arcs();
+  result.distinct_arcs = sim.distinct_arcs();
+  result.rounds = rounds;
+  std::vector<double> ns_per_event;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const Stimulus stim = staggered_random_stimulus(circuit.inputs, 4, seed);
+    KernelLoopSeed row;
+    row.seed = seed;
+    for (int round = 0; round < rounds; ++round) {
+      sim.reset();
+      sim.apply_stimulus(stim);
+      const auto start = std::chrono::steady_clock::now();
+      (void)sim.run();
+      const double wall_s = seconds_since(start);
+      const std::uint64_t events = sim.stats().events_processed;
+      ns_per_event.push_back(1e9 * wall_s / static_cast<double>(events));
+      if (round == 0) {
+        row.events = events;
+        row.peak_scheduled_events = sim.peak_scheduled_events();
+        row.history_hash = replay::hash_sim_history(sim);
+      }
+    }
+    result.seeds.push_back(row);
+  }
+  result.ns_per_event = quartiles(ns_per_event);
+  return result;
+}
+
+std::string kernel_loop_json(const KernelLoopResult& k) {
+  char head[512];
+  std::snprintf(head, sizeof head,
+                "   \"kernel_loop\": {\"workload\": \"layered100k\", \"model\": \"%s\","
+                " \"gates\": %zu, \"graph_arcs\": %zu, \"distinct_arcs\": %zu,"
+                " \"rounds\": %d,\n"
+                "    \"ns_per_event\": {\"q1\": %.1f, \"median\": %.1f, \"q3\": %.1f},\n"
+                "    \"seeds\": [\n",
+                k.model.c_str(), k.gates, k.graph_arcs, k.distinct_arcs, k.rounds,
+                k.ns_per_event[0], k.ns_per_event[1], k.ns_per_event[2]);
+  std::string json = head;
+  for (std::size_t i = 0; i < k.seeds.size(); ++i) {
+    const KernelLoopSeed& row = k.seeds[i];
+    char line[256];
+    std::snprintf(line, sizeof line,
+                  "     {\"seed\": %llu, \"events\": %llu, \"peak_scheduled_events\": %llu,"
+                  " \"history_hash\": \"%016llx\"}%s\n",
+                  static_cast<unsigned long long>(row.seed),
+                  static_cast<unsigned long long>(row.events),
+                  static_cast<unsigned long long>(row.peak_scheduled_events),
+                  static_cast<unsigned long long>(row.history_hash),
+                  i + 1 == k.seeds.size() ? "" : ",");
+    json += line;
+  }
+  return json + "    ]},\n";
 }
 
 // ---- fault-campaign workload ------------------------------------------------
@@ -911,6 +996,10 @@ int main(int argc, char** argv) {
   // the per-request cold cost of a one-shot invocation.
   const DaemonThroughputResult daemon_tp = run_daemon_throughput(lib, quick);
 
+  // Warm kernel loop on the 100k-gate design: full mode only, so quick mode
+  // prints and records nothing new.
+  const KernelLoopResult kernel_loop = quick ? KernelLoopResult{} : run_kernel_loop(lib, 7);
+
   // Human-readable summary.
   std::printf("== perf_report (%s) ==\n\n", quick ? "quick" : "full");
   std::printf("%-18s %-12s %8s %12s %14s %12s\n", "workload", "model", "gates",
@@ -983,6 +1072,22 @@ int main(int argc, char** argv) {
         d.name.c_str(), d.format.c_str(), d.gates, d.bytes, d.parse_ms[1], d.parse_ms[0],
         d.parse_ms[2], d.build_ms[1], d.construct_ms[1], d.parse_ms[1] / d.build_ms[1],
         d.peak_rss_growth_mb);
+  }
+
+  if (!quick) {
+    std::printf(
+        "\nkernel_loop: layered100k %s, %zu of %zu arcs distinct, %d rounds x %zu seeds:"
+        " %.1f ns/event [%.1f, %.1f]\n",
+        kernel_loop.model.c_str(), kernel_loop.distinct_arcs, kernel_loop.graph_arcs,
+        kernel_loop.rounds, kernel_loop.seeds.size(), kernel_loop.ns_per_event[1],
+        kernel_loop.ns_per_event[0], kernel_loop.ns_per_event[2]);
+    for (const KernelLoopSeed& row : kernel_loop.seeds) {
+      std::printf("  seed %llu: %llu events, peak %llu scheduled, hash %016llx\n",
+                  static_cast<unsigned long long>(row.seed),
+                  static_cast<unsigned long long>(row.events),
+                  static_cast<unsigned long long>(row.peak_scheduled_events),
+                  static_cast<unsigned long long>(row.history_hash));
+    }
   }
 
   // JSON entry.
@@ -1092,6 +1197,9 @@ int main(int argc, char** argv) {
         daemon_tp.responses_identical ? "true" : "false",
         static_cast<unsigned long long>(daemon_tp.history_hash));
     entry += dt;
+    // After every earlier history_hash, so their order in a full-mode
+    // record is unchanged.
+    if (!quick) entry += kernel_loop_json(kernel_loop);
     char sv[384];
     std::snprintf(
         sv, sizeof sv,

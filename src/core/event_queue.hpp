@@ -8,18 +8,24 @@
 // min-heap over an event arena with position tracking, giving O(log n)
 // push / pop / erase and stable FIFO ordering of simultaneous events.
 //
-// Hot-path layout: the heap stores its sort keys (time, id) inline, so
-// sift operations compare contiguous 16-byte slots instead of chasing the
-// event arena (the seed kernel's dominant cost -- 43 % of run time was
-// sift_down cache misses).  The id doubles as the FIFO tie-break: ids are
+// Hot-path layout: each 16-byte heap slot holds its sort key inline -- the
+// event time as an order-preserving 64-bit integer plus the event id -- so
+// sift operations compare contiguous slots instead of chasing the event
+// arena (the seed kernel's dominant cost -- 43 % of run time was sift_down
+// cache misses), and a comparison is integer flag arithmetic with no
+// data-dependent branch.  The id doubles as the FIFO tie-break: ids are
 // assigned in creation order, so (time, id) ordering is identical to the
 // paper's (time, seq) ordering.
 //
 // The heap is 4-ary: a shallower tree than a binary heap, and the four
-// children of a node share one cache line.  Pop order is a deterministic
-// total order on (time, id).
+// children of a node share one cache line.  pop() is bottom-up: the hole
+// left at the root walks down to a leaf along the smaller children and the
+// heap's last slot, which almost always belongs near the bottom, sifts up
+// from there.  Pop order is a deterministic total order on (time, id).
 #pragma once
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -37,6 +43,7 @@ struct Event {
   TimeNs time = 0.0;
   TransitionId transition;   ///< the transition that produced the event
   PinRef target;             ///< receiving gate input
+  std::uint32_t input = 0;   ///< the owner's flat index of `target` (fills padding)
 };
 
 enum class EventState : std::uint8_t { kPending, kFired, kCancelled };
@@ -44,13 +51,16 @@ enum class EventState : std::uint8_t { kPending, kFired, kCancelled };
 class EventQueue {
  public:
   /// Creates and enqueues an event.  Returns its id.
-  EventId push(TimeNs time, TransitionId transition, PinRef target);
+  EventId push(TimeNs time, TransitionId transition, PinRef target,
+               std::uint32_t input = 0);
 
   /// Creates an event in the arena *without* scheduling it (pending, not in
   /// the heap).  The simulator's per-input pending lists are time-ordered,
   /// so only each list's head competes in the heap; the rest of the list
   /// never pays heap maintenance (enqueue()d when promoted to head).
-  EventId create(TimeNs time, TransitionId transition, PinRef target);
+  /// `time` must not be NaN (it has no place in the order).
+  EventId create(TimeNs time, TransitionId transition, PinRef target,
+                 std::uint32_t input = 0);
 
   /// Schedules a created (or previously dequeue()d) pending event into the
   /// heap.  Requires the event is pending and not already scheduled.
@@ -61,21 +71,28 @@ class EventQueue {
   /// and may be enqueue()d again later.
   void dequeue(EventId id);
 
-  /// Pre-sizes the event arena and heap for `expected_events` pushes.
-  void reserve(std::size_t expected_events);
+  /// Pre-sizes the event arena for `expected_events` creations.  The heap
+  /// is not reserved: it holds only scheduled events (one per active input
+  /// in the simulator), grows to its high-water mark once and keeps that
+  /// capacity across clear().
+  void reserve(std::size_t expected_events) { nodes_.reserve(expected_events); }
 
-  /// Drops every event and resets the counters while keeping the arena and
-  /// heap capacity -- the Simulator::reset() re-arm path recycles the queue
-  /// instead of reallocating it.
+  /// Drops every event and resets the counters (the heap high-water mark
+  /// included) while keeping the arena and heap capacity -- the
+  /// Simulator::reset() re-arm path recycles the queue instead of
+  /// reallocating it.
   void clear() {
     nodes_.clear();
     heap_.clear();
     cancelled_ = 0;
     fired_ = 0;
+    peak_size_ = 0;
   }
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  /// Most events ever scheduled at once since construction or clear().
+  [[nodiscard]] std::size_t peak_size() const { return peak_size_; }
 
   /// Earliest event id without removing it.  Requires !empty().
   [[nodiscard]] EventId peek() const;
@@ -125,7 +142,7 @@ class EventQueue {
   [[nodiscard]] std::uint64_t cancelled_count() const { return cancelled_; }
   [[nodiscard]] std::uint64_t fired_count() const { return fired_; }
 
-  /// Approximate byte footprint of the event arena and heap.
+  /// Approximate byte footprint of the event arena and heap (capacity).
   [[nodiscard]] std::uint64_t arena_bytes() const {
     return nodes_.capacity() * sizeof(Node) + heap_.capacity() * sizeof(HeapSlot);
   }
@@ -135,7 +152,7 @@ class EventQueue {
 
   /// Heap node: the sort key, stored inline so comparisons stay in-cache.
   struct HeapSlot {
-    TimeNs time;
+    std::uint64_t key;  ///< time_key(event time)
     std::uint32_t id;
   };
   /// One event record: POD event + owner links + heap bookkeeping.
@@ -145,11 +162,27 @@ class EventQueue {
     std::uint32_t heap_pos = 0xFFFFFFFFu;
     EventState state = EventState::kPending;
   };
+  static_assert(sizeof(HeapSlot) == 16, "heap slot: 64-bit key + id");
+  static_assert(sizeof(Node) == 40, "event record: Event.input must fit its padding");
 
-  [[nodiscard]] static bool before(const HeapSlot& a, const HeapSlot& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.id < b.id;  // creation order: identical to seq ordering
+  /// Order-preserving integer image of a non-NaN time: unsigned comparison
+  /// of keys is the double comparison.  `+ 0.0` folds -0.0 onto +0.0 (they
+  /// compare equal as doubles); a negative time's bits are all inverted,
+  /// any other time gets its sign bit set.
+  [[nodiscard]] static std::uint64_t time_key(TimeNs time) {
+    const auto bits = std::bit_cast<std::uint64_t>(time + 0.0);
+    const std::uint64_t flip = (std::uint64_t{0} - (bits >> 63)) | (std::uint64_t{1} << 63);
+    return bits ^ flip;
   }
+  /// (key, id) lexicographic order -- id is creation order, identical to
+  /// seq ordering -- as one compare with the id order as a carry, so it
+  /// compiles to flag arithmetic with no branch.  The largest non-NaN key
+  /// (+infinity's) is far below 2^64 - 1, so the carry never wraps.
+  [[nodiscard]] static bool before(const HeapSlot& a, const HeapSlot& b) {
+    return a.key < b.key + static_cast<std::uint64_t>(a.id < b.id);
+  }
+  /// Index of the earliest of the children [first, min(first + kArity, n)).
+  [[nodiscard]] std::size_t min_child(std::size_t first, std::size_t n) const;
   void sift_up(std::size_t index);
   void sift_down(std::size_t index);
   /// Removes the heap entry at `pos` (event already known pending).
@@ -163,6 +196,7 @@ class EventQueue {
   std::vector<HeapSlot> heap_;   // 4-ary min-heap of scheduled pending events
   std::uint64_t cancelled_ = 0;
   std::uint64_t fired_ = 0;
+  std::size_t peak_size_ = 0;    // heap high-water mark
 };
 
 // ---- implementation ---------------------------------------------------------
@@ -174,18 +208,22 @@ namespace detail {
 constexpr std::uint32_t kNoHeapPos = 0xFFFFFFFFu;
 }
 
-inline EventId EventQueue::push(TimeNs time, TransitionId transition, PinRef target) {
-  const EventId id = create(time, transition, target);
+inline EventId EventQueue::push(TimeNs time, TransitionId transition, PinRef target,
+                                std::uint32_t input) {
+  const EventId id = create(time, transition, target, input);
   enqueue(id);
   return id;
 }
 
-inline EventId EventQueue::create(TimeNs time, TransitionId transition, PinRef target) {
+inline EventId EventQueue::create(TimeNs time, TransitionId transition, PinRef target,
+                                  std::uint32_t input) {
+  debug_ensure(!std::isnan(time), "EventQueue::create(): event time is NaN");
   const auto raw = static_cast<EventId::underlying_type>(nodes_.size());
   Node node;
   node.ev.time = time;
   node.ev.transition = transition;
   node.ev.target = target;
+  node.ev.input = input;
   nodes_.push_back(node);
   return EventId{raw};
 }
@@ -195,8 +233,8 @@ inline void EventQueue::enqueue(EventId id) {
   Node& node = nodes_[raw];
   debug_ensure(node.state == EventState::kPending && node.heap_pos == detail::kNoHeapPos,
                "EventQueue::enqueue(): event not pending or already scheduled");
-  heap_.push_back(HeapSlot{node.ev.time, raw});
-  node.heap_pos = static_cast<std::uint32_t>(heap_.size() - 1);
+  heap_.push_back(HeapSlot{time_key(node.ev.time), raw});
+  if (heap_.size() > peak_size_) peak_size_ = heap_.size();
   sift_up(heap_.size() - 1);
 }
 
@@ -211,11 +249,6 @@ inline void EventQueue::dequeue(EventId id) {
   remove_at(pos);
 }
 
-inline void EventQueue::reserve(std::size_t expected_events) {
-  nodes_.reserve(expected_events);
-  heap_.reserve(expected_events);
-}
-
 inline EventId EventQueue::peek() const {
   require(!heap_.empty(), "EventQueue::peek(): queue is empty");
   return EventId{heap_.front().id};
@@ -227,9 +260,19 @@ inline EventId EventQueue::pop() {
   const HeapSlot last = heap_.back();
   heap_.pop_back();
   nodes_[raw].heap_pos = detail::kNoHeapPos;
-  if (!heap_.empty()) {
-    place(0, last);
-    sift_down(0);
+  const std::size_t n = heap_.size();
+  if (n != 0) {
+    // Bottom-up: move the smaller child into the hole level by level until
+    // the hole is a leaf (no comparison against `last` on the way down),
+    // then sift `last` up from there.
+    std::size_t hole = 0;
+    for (std::size_t first = 1; first < n; first = kArity * hole + 1) {
+      const std::size_t child = min_child(first, n);
+      place(hole, heap_[child]);
+      hole = child;
+    }
+    heap_[hole] = last;
+    sift_up(hole);
   }
   nodes_[raw].state = EventState::kFired;
   ++fired_;
@@ -246,7 +289,7 @@ inline EventId EventQueue::pop_replacing(EventId next) {
   Node& node = nodes_[nraw];
   debug_ensure(node.state == EventState::kPending && node.heap_pos == detail::kNoHeapPos,
                "EventQueue::pop_replacing(): replacement not pending or already scheduled");
-  place(0, HeapSlot{node.ev.time, nraw});
+  place(0, HeapSlot{time_key(node.ev.time), nraw});
   sift_down(0);
   return EventId{raw};
 }
@@ -300,28 +343,27 @@ inline void EventQueue::sift_up(std::size_t index) {
   place(index, moving);
 }
 
+inline std::size_t EventQueue::min_child(std::size_t first, std::size_t n) const {
+  if (first + kArity <= n) {
+    // Full node: pairwise min tree -- the first two comparisons are
+    // independent, halving the dependency chain of the sequential scan,
+    // and each picks its index arithmetically.
+    const std::size_t a = first + (before(heap_[first + 1], heap_[first]) ? 1 : 0);
+    const std::size_t b = first + 2 + (before(heap_[first + 3], heap_[first + 2]) ? 1 : 0);
+    return before(heap_[b], heap_[a]) ? b : a;
+  }
+  std::size_t smallest = first;
+  for (std::size_t child = first + 1; child < n; ++child) {
+    if (before(heap_[child], heap_[smallest])) smallest = child;
+  }
+  return smallest;
+}
+
 inline void EventQueue::sift_down(std::size_t index) {
   const std::size_t n = heap_.size();
   const HeapSlot moving = heap_[index];
-  while (true) {
-    const std::size_t first_child = kArity * index + 1;
-    if (first_child >= n) break;
-    std::size_t smallest;
-    if (first_child + kArity <= n) {
-      // Full node: pairwise min tree -- the first two comparisons are
-      // independent, halving the dependency chain of the sequential scan.
-      const std::size_t a =
-          before(heap_[first_child + 1], heap_[first_child]) ? first_child + 1 : first_child;
-      const std::size_t b = before(heap_[first_child + 3], heap_[first_child + 2])
-                                ? first_child + 3
-                                : first_child + 2;
-      smallest = before(heap_[b], heap_[a]) ? b : a;
-    } else {
-      smallest = first_child;
-      for (std::size_t child = first_child + 1; child < n; ++child) {
-        if (before(heap_[child], heap_[smallest])) smallest = child;
-      }
-    }
+  for (std::size_t first = kArity * index + 1; first < n; first = kArity * index + 1) {
+    const std::size_t smallest = min_child(first, n);
     if (!before(heap_[smallest], moving)) break;
     place(index, heap_[smallest]);
     index = smallest;

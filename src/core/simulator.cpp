@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <new>
 #include <span>
+#include <string_view>
 
 #include "src/base/check.hpp"
 #include "src/base/failpoint.hpp"
+#include "src/base/name_index.hpp"
 #include "src/replay/trace.hpp"
 
 namespace halotis {
@@ -56,6 +58,20 @@ void Simulator::build_static_tables() {
   initial_values_.assign(num_signals, false);
   gates_.assign(num_gates, GateRec{});
 
+  // Arc-block interning: each gate evaluates the arcs of the first gate
+  // whose arc block is bitwise identical to its own (TimingArc has no
+  // indeterminate padding bytes), found by content through a NameIndex.
+  const auto arc_block = [this](std::uint32_t g) {
+    const GateId gid{g};
+    return std::string_view(reinterpret_cast<const char*>(arcs_ + timing_->arc_base(gid)),
+                            2 * netlist_->gate(gid).inputs.size() * sizeof(TimingArc));
+  };
+  NameIndex blocks;
+  distinct_arcs_ = 0;
+  // A gate's boolean function depends on its cell only: one truth table per
+  // cell, compiled on first use.
+  std::vector<std::int32_t> cell_truth(netlist_->library().size(), -1);
+
   std::size_t total_pins = 0;
   for (std::size_t g = 0; g < num_gates; ++g) {
     const GateId gid{static_cast<GateId::underlying_type>(g)};
@@ -63,23 +79,28 @@ void Simulator::build_static_tables() {
     GateRec& gi = gates_[g];
     gi.output = gate.output;
     gi.input_base = static_cast<std::uint32_t>(total_pins);
-    gi.arc_base = timing_->arc_base(gid);
+    const std::uint32_t twin = blocks.insert(arc_block(gid.value()), gid.value(), arc_block);
+    if (twin == gid.value()) distinct_arcs_ += 2 * gate.inputs.size();
+    gi.arc_base = timing_->arc_base(GateId{twin});
     gi.num_inputs = static_cast<std::uint8_t>(gate.inputs.size());
     total_pins += gate.inputs.size();
 
     // Compile the gate's boolean function to a truth table indexed by the
     // packed input word (bit p = perceived value of pin p).
-    require(gate.inputs.size() <= 4, "Simulator: fan-in too large for truth table");
-    bool ins[4] = {};
-    std::uint16_t truth = 0;
-    for (std::uint32_t word = 0; word < (1u << gate.inputs.size()); ++word) {
-      for (std::size_t p = 0; p < gate.inputs.size(); ++p) ins[p] = ((word >> p) & 1u) != 0;
-      if (eval_cell(netlist_->cell_of(gid).kind,
-                    std::span<const bool>(ins, gate.inputs.size()))) {
-        truth |= static_cast<std::uint16_t>(1u << word);
+    std::int32_t& truth = cell_truth[gate.cell.value()];
+    if (truth < 0) {
+      require(gate.inputs.size() <= 4, "Simulator: fan-in too large for truth table");
+      bool ins[4] = {};
+      truth = 0;
+      for (std::uint32_t word = 0; word < (1u << gate.inputs.size()); ++word) {
+        for (std::size_t p = 0; p < gate.inputs.size(); ++p) ins[p] = ((word >> p) & 1u) != 0;
+        if (eval_cell(netlist_->cell_of(gid).kind,
+                      std::span<const bool>(ins, gate.inputs.size()))) {
+          truth |= static_cast<std::int32_t>(1u << word);
+        }
       }
     }
-    gi.truth = truth;
+    gi.truth = static_cast<std::uint16_t>(truth);
   }
   inputs_.assign(total_pins, InputState{});
 
@@ -134,6 +155,7 @@ void Simulator::reset() {
     gate.word = 0;
     gate.output_value = false;
     gate.last_out = TransitionId{};
+    gate.last_out50 = 0.0;
   }
   inputs_.assign(inputs_.size(), InputState{});
   now_ = 0.0;
@@ -299,7 +321,7 @@ void Simulator::spawn_events(TransitionId tr_id) {
       }
     }
     if (ej < now_) ej = now_;  // causality clamp for extreme slope ratios
-    const EventId id = push_event(ej, tr_id, target);
+    const EventId id = push_event(ej, tr_id, target, fo.input);
     if (recorder_ != nullptr) recorder_->on_spawn(id, tr_id, frac, prev_tail, fo.input);
     ++stats_.events_created;
     const bool was_empty = in.head == kNil;
@@ -398,7 +420,7 @@ RunResult Simulator::run_impl(TimeNs horizon) {
       result.end_time = now_;
       return result;
     }
-    InputState& in = inputs_[input_index(ev.target)];
+    InputState& in = inputs_[ev.input];
     debug_ensure(in.head == eid.value(),
                  "Simulator: fired event is not the input's earliest pending event");
     list_remove(in, eid);
@@ -432,8 +454,7 @@ RunResult Simulator::run_impl(TimeNs horizon) {
     maybe_reclaim(ev.transition);
 
     if (recorder_ != nullptr) {
-      recorder_->on_fire(eid, static_cast<std::uint32_t>(input_index(ev.target)),
-                         ev.target.gate.value());
+      recorder_->on_fire(eid, ev.input, ev.target.gate.value());
     }
     handle_event(ev);
   }
@@ -478,14 +499,17 @@ void Simulator::schedule_output(GateId gate_id, int pin, const Event& ev, bool n
 
   const TransitionId prev_id = gate.last_out;
   const bool has_prev = prev_id.valid();
-  const TimeNs prev50 = has_prev ? transitions_[prev_id.value()].tr.t50() : 0.0;
+  const TimeNs prev50 = has_prev ? gate.last_out50 : 0.0;
 
-  // Devirtualized delay computation: index the elaborated TimingArc of
-  // (gate, pin, out-edge) -- the load is already folded in -- and evaluate
-  // it inline.  This is the whole delay model on the hot path.
-  const std::uint32_t arc_index =
-      gate.arc_base + 2u * static_cast<std::uint32_t>(pin) + (new_output ? 0u : 1u);
-  const ArcDelay delay = eval_arc(arcs_[arc_index], tau_in, ev.time, has_prev, prev50);
+  // Devirtualized delay computation: index the (interned) elaborated
+  // TimingArc of (gate, pin, out-edge) -- the load is already folded in --
+  // and evaluate it inline.  This is the whole delay model on the hot path.
+  const std::uint32_t arc_offset =
+      2u * static_cast<std::uint32_t>(pin) + (new_output ? 0u : 1u);
+  const ArcDelay delay =
+      eval_arc(arcs_[gate.arc_base + arc_offset], tau_in, ev.time, has_prev, prev50);
+  // The trace names the graph's own arc, not the interned twin.
+  const auto graph_arc = [&] { return timing_->arc_base(gate_id) + arc_offset; };
   TimeNs t_out50 = in50 + delay.tp;
 
   bool collapse = false;
@@ -513,7 +537,7 @@ void Simulator::schedule_output(GateId gate_id, int pin, const Event& ev, bool n
     if (can_annihilate(prev_id)) {
       if (recorder_ != nullptr) {
         // The gate-eval op precedes the annihilation's cancel/resurrect ops.
-        recorder_->on_gate_transition(replay::kNone, arc_index, ev.transition,
+        recorder_->on_gate_transition(replay::kNone, graph_arc(), ev.transition,
                                       prev_id.value(),
                                       rflags | replay::kOpAnnihilated);
       }
@@ -533,10 +557,11 @@ void Simulator::schedule_output(GateId gate_id, int pin, const Event& ev, bool n
   const TransitionId id = create_transition(gate.output, out_edge,
                                             t_out50 - 0.5 * tau_out, tau_out, prev_id);
   if (recorder_ != nullptr) {
-    recorder_->on_gate_transition(id.value(), arc_index, ev.transition,
+    recorder_->on_gate_transition(id.value(), graph_arc(), ev.transition,
                                   has_prev ? prev_id.value() : replay::kNone, rflags);
   }
   gate.last_out = id;
+  gate.last_out50 = transitions_[id.value()].tr.t50();
   gate.output_value = new_output;
   spawn_events(id);
 }
@@ -560,15 +585,12 @@ void Simulator::annihilate(GateId gate_id, TransitionId tr_id) {
     // event (heads-only heap discipline).
     const auto cancel_if_pending = [this](EventId ev_id) {
       if (queue_.state_unchecked(ev_id) != EventState::kPending) return;
-      const Event ev = queue_.event_unchecked(ev_id);
-      InputState& in = inputs_[input_index(ev.target)];
+      const std::uint32_t input = queue_.event_unchecked(ev_id).input;
+      InputState& in = inputs_[input];
       const bool was_head = in.head == ev_id.value();
       list_remove(in, ev_id);
       cancel_pending_event(ev_id);
-      if (recorder_ != nullptr) {
-        recorder_->on_cancel(ev_id, static_cast<std::uint32_t>(input_index(ev.target)),
-                             was_head);
-      }
+      if (recorder_ != nullptr) recorder_->on_cancel(ev_id, input, was_head);
       if (was_head && in.head != kNil) {
         queue_.enqueue(EventId{in.head});
       }
@@ -601,7 +623,9 @@ void Simulator::annihilate(GateId gate_id, TransitionId tr_id) {
   ensure(!history.empty() && history.back() == tr_id,
          "Simulator::annihilate(): not the most recent transition on the line");
   history.pop_back();
-  gates_[gate_id.value()].last_out = rec.tr.prev;
+  GateRec& gate = gates_[gate_id.value()];
+  gate.last_out = rec.tr.prev;
+  gate.last_out50 = rec.tr.prev.valid() ? transitions_[rec.tr.prev.value()].tr.t50() : 0.0;
   ++stats_.transitions_annihilated;
   ++stats_.annihilations;
 }
@@ -683,19 +707,19 @@ void Simulator::consume_pair_chain(std::uint32_t head, bool resurrect) {
     const TransitionId partner = node.pair.partner_cause;
     if (resurrect && !transitions_[partner.value()].tr.cancelled) {
       const TimeNs when = std::max(node.pair.partner_time, now_);
-      const EventId id = push_event(when, partner, node.pair.target);
+      const auto input = static_cast<std::uint32_t>(input_index(node.pair.target));
+      const EventId id = push_event(when, partner, node.pair.target, input);
       ++stats_.events_created;
       ++stats_.events_resurrected;
       // Keep the per-input pending list time-ordered: O(k) insert from
       // the tail instead of the seed kernel's full re-sort.  A resurrection
       // that lands at the front displaces the old head's heap slot.
-      InputState& in = inputs_[input_index(node.pair.target)];
+      InputState& in = inputs_[input];
       const std::uint32_t old_head = in.head;
       list_insert_sorted(in, id);
       if (recorder_ != nullptr) {
         const EventQueue::EventLinks& links = queue_.links(id);
-        recorder_->on_resurrect(id, node.pair.partner_event, links.prev, links.next,
-                                static_cast<std::uint32_t>(input_index(node.pair.target)));
+        recorder_->on_resurrect(id, node.pair.partner_event, links.prev, links.next, input);
       }
       if (in.head != old_head) {
         if (old_head != kNil) queue_.dequeue(EventId{old_head});
@@ -751,11 +775,12 @@ void Simulator::maybe_reclaim(TransitionId id) {
 
 // ---- pending lists ----------------------------------------------------------
 
-EventId Simulator::push_event(TimeNs time, TransitionId transition, PinRef target) {
+EventId Simulator::push_event(TimeNs time, TransitionId transition, PinRef target,
+                              std::uint32_t input) {
   // Arena-only creation: heap scheduling is the caller's decision (only
   // pending-list heads live in the heap).  The pending-list links live in
   // the event's own queue record (EventQueue::links), initialized unlinked.
-  return queue_.create(time, transition, target);
+  return queue_.create(time, transition, target, input);
 }
 
 void Simulator::list_push_back(InputState& in, EventId id) {

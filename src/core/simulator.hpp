@@ -15,14 +15,21 @@
 // minimum-width pulse and lets the receiving inputs filter it (the paper's
 // philosophy: filtering belongs to the inputs).
 //
-// Hot-path layout (PR 2, PR 5): the per-event cost is allocation-free,
-// devirtualized and mostly sequential reads.
-//   * All per-arc timing comes from the elaborated TimingGraph (PR 5): gate
+// Hot-path layout: the per-event cost is allocation-free, devirtualized and
+// mostly sequential reads.
+//   * All per-arc timing comes from the elaborated TimingGraph: gate
 //     evaluation computes DDM/CDM delays by indexing a dense TimingArc
 //     table (load already folded, eval_arc() inlined) instead of
 //     dispatching through the virtual `DelayModel::compute`; the DelayModel
 //     survives only as the policy that elaborated the table.
-//   * Gate functions are compiled to per-instance truth tables (PR 5): a
+//   * Arc blocks are interned: a gate whose arcs are bitwise identical to
+//     an earlier gate's (same cell, same load, same policy) evaluates that
+//     gate's arcs, so the loop touches only the distinct arcs (1 372 of
+//     366 592 on perf_report's 500 x 200 layered design) instead of a
+//     per-instance table far larger than the cache.  The remap is taken from the graph at
+//     construction and at rebind(): a graph must not be mutated while a
+//     simulator is bound to it.
+//   * Gate functions are compiled to per-instance truth tables: a
 //     packed input word is maintained incrementally (one XOR per event) and
 //     the output is one shift -- no per-event input-array walk, no
 //     `eval_cell` call.
@@ -42,9 +49,11 @@
 //   * Per-input pending events form intrusive doubly-linked lists threaded
 //     through the event records themselves: O(1) pop-front in run(), O(1)
 //     unlink on cancellation, O(k) ordered insert on resurrection.  Only
-//     each list's head is scheduled in the d-ary heap (PR 5): the lists are
+//     each list's head is scheduled in the d-ary heap: the lists are
 //     time-ordered, so the heap arbitrates one event per active input and
-//     mid-list cancellations never pay heap maintenance.
+//     mid-list cancellations never pay heap maintenance.  Each event carries
+//     its input's flat index, so firing or cancelling it indexes the pending
+//     list directly.
 #pragma once
 
 #include <array>
@@ -218,6 +227,13 @@ class Simulator {
   [[nodiscard]] std::uint64_t transition_arena_bytes() const;
   /// Approximate byte footprint of the event arena and heap.
   [[nodiscard]] std::uint64_t event_arena_bytes() const { return queue_.arena_bytes(); }
+  /// Arcs the kernel evaluates: the graph's arcs less the blocks interned
+  /// onto an identical earlier gate's (see build_static_tables()).
+  [[nodiscard]] std::size_t distinct_arcs() const { return distinct_arcs_; }
+  /// Most events scheduled in the heap at once during this run (the heap
+  /// high-water mark): at most one per gate input, since only each input's
+  /// earliest pending event is scheduled.  Reset by reset() and rebind().
+  [[nodiscard]] std::uint64_t peak_scheduled_events() const { return queue_.peak_size(); }
 
  private:
   // ---- static tables (built once in the constructor) ----------------------
@@ -235,14 +251,18 @@ class Simulator {
   };
 
   /// One per-gate record holding both the static tables (flattened-pin
-  /// range, TimingArc range, the boolean function compiled to a truth table
-  /// indexed by the packed input word; fan-in <= 4 by CellKind) and the
-  /// dynamic state (packed perceived-input word, scheduled output value,
-  /// last surviving output transition) -- 24 bytes, so an event touches one
-  /// cache line of gate state instead of three parallel arrays.
+  /// range, interned TimingArc block, the boolean function compiled to a
+  /// truth table indexed by the packed input word; fan-in <= 4 by CellKind)
+  /// and the dynamic state (packed perceived-input word, scheduled output
+  /// value, last surviving output transition and its midswing instant) --
+  /// 32 bytes, so an event touches one cache line of gate state instead of
+  /// three parallel arrays and never loads the previous output transition.
   struct GateRec {
+    TimeNs last_out50 = 0.0;       ///< dynamic: last_out's t50(), when valid
     std::uint32_t input_base = 0;  ///< first flattened input index
-    std::uint32_t arc_base = 0;    ///< first TimingArc of this gate
+    /// First arc of the first gate whose arc block is bitwise identical to
+    /// this gate's (the graph's own arc_base when none precedes it).
+    std::uint32_t arc_base = 0;
     SignalId output;
     TransitionId last_out;         ///< dynamic: last surviving output transition
     std::uint16_t truth = 0;       ///< bit w = output for input word w
@@ -250,6 +270,7 @@ class Simulator {
     std::uint8_t word = 0;         ///< dynamic: packed perceived-input word
     bool output_value = false;     ///< dynamic: scheduled output value
   };
+  static_assert(sizeof(GateRec) == 32, "GateRec: half a cache line");
 
   // ---- dynamic state -------------------------------------------------------
 
@@ -345,8 +366,9 @@ class Simulator {
   void maybe_reclaim(TransitionId id);
 
   // -- pending lists ----------------------------------------------------------
-  /// Wraps queue_.push and grows the intrusive link arrays.
-  EventId push_event(TimeNs time, TransitionId transition, PinRef target);
+  /// Creates an unscheduled event for flat input `input` (== input_index(target)).
+  EventId push_event(TimeNs time, TransitionId transition, PinRef target,
+                     std::uint32_t input);
   void list_push_back(InputState& in, EventId id);
   void list_remove(InputState& in, EventId id);
   /// Ordered insert by (time, seq), scanning from the tail (resurrection).
@@ -364,6 +386,7 @@ class Simulator {
   const TimingGraph* timing_ = nullptr;
   const TimingArc* arcs_ = nullptr;  ///< timing_->arcs().data(), cached
   std::vector<GateRec> gates_;  ///< static + dynamic per-gate record
+  std::size_t distinct_arcs_ = 0;            // arcs in non-interned blocks
   std::vector<FanoutEntry> fanout_;          // flattened over signals
   std::vector<std::uint32_t> fanout_base_;   // signal -> first index; size+1
   std::vector<GateId> topo_order_;           // cached: steady-state sweep order

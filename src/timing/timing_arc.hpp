@@ -20,7 +20,9 @@
 // multiplication costs nothing in accuracy).
 #pragma once
 
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 #include "src/base/check.hpp"
@@ -72,8 +74,13 @@ struct TimingArc {
   double window = 0.0;    ///< ns: fixed classical inertial window (kArcWindowFixed)
   double factor = 1.0;    ///< per-instance variation derating, applied last
   std::uint8_t flags = 0;
+  /// Explicit zero padding: every byte of an arc is determinate, so arcs
+  /// compare as bytes (the simulator interns bitwise identical arc blocks).
+  std::array<std::uint8_t, 7> pad{};
 };
 static_assert(sizeof(TimingArc) == 64, "TimingArc should fill one cache line");
+static_assert(offsetof(TimingArc, pad) + sizeof(TimingArc::pad) == sizeof(TimingArc),
+              "TimingArc must have no implicit padding");
 
 /// Outputs of one arc evaluation (mirrors DelayResult).
 struct ArcDelay {

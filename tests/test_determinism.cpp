@@ -13,7 +13,9 @@
 
 #include "src/base/rng.hpp"
 #include "src/circuits/generators.hpp"
+#include "src/circuits/stimuli.hpp"
 #include "src/core/simulator.hpp"
+#include "src/timing/timing_graph.hpp"
 
 namespace halotis {
 namespace {
@@ -160,6 +162,55 @@ TEST_F(DeterminismTest, IndependentOfHeapLayout) {
 
   expect_stats_identical(first.stats(), second.stats());
   expect_histories_identical(first, second);
+}
+
+/// The heap high-water mark: only each gate input's earliest pending event
+/// is scheduled, so the peak is bounded by the gate-input count, and it is
+/// a per-run figure -- equal across a fresh simulator, a reset() and a
+/// rebind() away and back.
+TEST_F(DeterminismTest, PeakScheduledEventsIsAPerRunBoundedFigure) {
+  const DdmDelayModel ddm;
+  MultiplierCircuit mult = make_multiplier(lib_, 8);
+  std::vector<SignalId> inputs = mult.a;
+  inputs.insert(inputs.end(), mult.b.begin(), mult.b.end());
+  Stimulus stim = staggered_random_stimulus(inputs, 8, 2468);
+  stim.set_initial(mult.tie0, false);
+  MultiplierCircuit other = make_multiplier(lib_, 4);
+  const Stimulus other_stim = multiplier_words(other, random_word_stream(8, 12, 5));
+  const TimingGraph graph = TimingGraph::build(mult.netlist, ddm.timing_policy());
+  const TimingGraph other_graph = TimingGraph::build(other.netlist, ddm.timing_policy());
+
+  std::uint64_t gate_inputs = 0;
+  for (std::uint32_t g = 0; g < mult.netlist.num_gates(); ++g) {
+    gate_inputs += mult.netlist.gate(GateId{g}).inputs.size();
+  }
+  Simulator sim(mult.netlist, ddm, graph);
+  EXPECT_EQ(sim.peak_scheduled_events(), 0u);
+  sim.apply_stimulus(stim);
+  (void)sim.run();
+  const std::uint64_t fresh = sim.peak_scheduled_events();
+  EXPECT_GT(fresh, 1u);
+  EXPECT_LE(fresh, gate_inputs);
+
+  sim.reset();
+  EXPECT_EQ(sim.peak_scheduled_events(), 0u);
+  sim.apply_stimulus(stim);
+  (void)sim.run();
+  EXPECT_EQ(sim.peak_scheduled_events(), fresh) << "reset() run";
+
+  sim.rebind(other.netlist, ddm, other_graph);
+  sim.apply_stimulus(other_stim);
+  (void)sim.run();
+  Simulator other_fresh(other.netlist, ddm, other_graph);
+  other_fresh.apply_stimulus(other_stim);
+  (void)other_fresh.run();
+  EXPECT_EQ(sim.peak_scheduled_events(), other_fresh.peak_scheduled_events())
+      << "rebind() onto another design";
+
+  sim.rebind(mult.netlist, ddm, graph);
+  sim.apply_stimulus(stim);
+  (void)sim.run();
+  EXPECT_EQ(sim.peak_scheduled_events(), fresh) << "rebind() back";
 }
 
 }  // namespace

@@ -1,9 +1,15 @@
-// Tests for the cancellable indexed event queue, including a randomized
-// differential test against a multiset oracle.
+// Tests for the cancellable indexed event queue, including randomized
+// differential tests against a multiset oracle: one over push / pop /
+// cancel, one over the heads-only API the simulator drives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <iterator>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/base/rng.hpp"
@@ -125,6 +131,122 @@ TEST(EventQueue, RandomizedMatchesMultisetOracle4Ary) {
     EXPECT_EQ(q.pop().value(), std::get<1>(expected));
   }
   EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, SignedZerosTieAndTheIdBreaksTheTie) {
+  EventQueue q;
+  const EventId pos_zero = q.push(0.0, TransitionId{0}, pin(0));
+  const EventId neg_zero = q.push(-0.0, TransitionId{1}, pin(1));
+  const EventId negative = q.push(-2.5, TransitionId{2}, pin(2));
+  const EventId tiny = q.push(std::nextafter(0.0, 1.0), TransitionId{3}, pin(3));
+  const EventId never = q.push(kNeverNs, TransitionId{4}, pin(4));
+  const EventId very_negative = q.push(-kNeverNs, TransitionId{5}, pin(5));
+  EXPECT_EQ(q.pop(), very_negative);
+  EXPECT_EQ(q.pop(), negative);
+  EXPECT_EQ(q.pop(), pos_zero);  // -0.0 == +0.0: creation order decides
+  EXPECT_EQ(q.pop(), neg_zero);
+  EXPECT_EQ(q.pop(), tiny);
+  EXPECT_EQ(q.pop(), never);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, CreateRejectsNanTimeInDebugBuilds) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "debug_ensure is compiled out of release builds";
+#else
+  EventQueue q;
+  EXPECT_THROW((void)q.create(std::nan(""), TransitionId{0}, pin(0)), ContractViolation);
+#endif
+}
+
+/// The heads-only discipline the simulator drives: each input keeps a
+/// (time, id)-ordered pending list and only its head is scheduled.  A new
+/// head displaces the old one (dequeue + enqueue, as a resurrection does),
+/// a fired head hands its slot to its successor (pop_replacing), and a
+/// cancelled head is replaced by its successor.  Times come from a small
+/// set full of ties and sign/ordering edge cases; every pop must match a
+/// multiset oracle of the scheduled heads in (time, id) order, with -0.0
+/// and +0.0 equal.
+TEST(EventQueue, HeadsOnlyApiMatchesMultisetOracleOnTies) {
+  const std::array<double, 6> times = {0.0,  -0.0, -2.5, 1.0, std::nextafter(1.0, 2.0),
+                                       kNeverNs};
+  constexpr std::size_t kInputs = 6;
+  SplitMix64 rng(0x7135);
+  EventQueue q;
+  // std::set orders the pair through double's <=>: -0.0 and +0.0 are
+  // equivalent and the id breaks the tie, exactly the queue's contract.
+  using Key = std::pair<double, std::uint32_t>;
+  std::set<Key> oracle;
+  std::array<std::vector<EventId>, kInputs> lists;
+  const auto key_of = [&q](EventId id) { return Key{q.event(id).time, id.value()}; };
+  const auto schedule_head = [&](std::size_t in) {
+    if (lists[in].empty()) return;
+    q.enqueue(lists[in].front());
+    oracle.insert(key_of(lists[in].front()));
+  };
+  const auto pop_earliest = [&]() {
+    const Key expected = *oracle.begin();
+    const std::size_t in = q.event(EventId{expected.second}).input;
+    std::vector<EventId>& list = lists[in];
+    ASSERT_EQ(list.front().value(), expected.second) << "oracle head is not a list head";
+    oracle.erase(oracle.begin());
+    EventId got;
+    if (list.size() > 1) {
+      got = q.pop_replacing(list[1]);
+      oracle.insert(key_of(list[1]));
+    } else {
+      got = q.pop();
+    }
+    ASSERT_EQ(got.value(), expected.second);
+    EXPECT_EQ(q.state(got), EventState::kFired);
+    list.erase(list.begin());
+  };
+
+  std::size_t high_water = 0;
+  std::uint64_t pops = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const double action = rng.next_double();
+    const auto in = static_cast<std::size_t>(rng.next_below(kInputs));
+    std::vector<EventId>& list = lists[in];
+    if (action < 0.45) {
+      const double t = times[rng.next_below(times.size())];
+      const EventId id =
+          q.create(t, TransitionId{0}, pin(0, static_cast<int>(in)),
+                   static_cast<std::uint32_t>(in));
+      const Key key = key_of(id);
+      const auto at = std::upper_bound(list.begin(), list.end(), key,
+                                       [&](const Key& k, EventId e) { return k < key_of(e); });
+      if (at == list.begin() && !list.empty()) {
+        q.dequeue(list.front());
+        oracle.erase(key_of(list.front()));
+      }
+      const bool new_head = at == list.begin();
+      list.insert(at, id);
+      if (new_head) schedule_head(in);
+    } else if (action < 0.75) {
+      if (oracle.empty()) continue;
+      pop_earliest();
+      ++pops;
+    } else if (!list.empty()) {
+      const auto pick = static_cast<std::ptrdiff_t>(rng.next_below(list.size()));
+      const EventId victim = list[static_cast<std::size_t>(pick)];
+      if (pick == 0) oracle.erase(key_of(victim));
+      q.cancel(victim);
+      EXPECT_EQ(q.state(victim), EventState::kCancelled);
+      list.erase(list.begin() + pick);
+      if (pick == 0) schedule_head(in);
+    }
+    ASSERT_EQ(q.size(), oracle.size()) << "step " << step;
+    high_water = std::max(high_water, oracle.size());
+  }
+  while (!oracle.empty()) {
+    pop_earliest();
+    ++pops;
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_GT(pops, 5000u);
+  EXPECT_EQ(q.peak_size(), high_water);
+  EXPECT_LE(q.peak_size(), kInputs);
 }
 
 TEST(EventQueue, CountersConsistent) {

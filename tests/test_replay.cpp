@@ -26,6 +26,7 @@
 #include "src/core/simulator.hpp"
 #include "src/replay/history_hash.hpp"
 #include "src/replay/resim.hpp"
+#include "src/replay/trace.hpp"
 #include "src/replay/variation.hpp"
 
 namespace halotis {
@@ -183,6 +184,124 @@ TEST_F(ReplayOracleTest, IdentityReplayMatchesRecordingBitForBit) {
       session.evaluate(engine.base_graph(), mult.s, /*want_hash=*/true);
   EXPECT_EQ(again.history_hash, sample.history_hash);
   EXPECT_EQ(again.critical_t50, sample.critical_t50);
+}
+
+// ---- interned arc blocks ----------------------------------------------------
+
+/// Every gate-evaluation op of `trace` must name the graph's own arc of
+/// (fired gate, fired pin, output edge) -- never the interned twin the
+/// kernel evaluated.  The pin comes from the preceding kFire's flat input
+/// index; the edge from the surviving history where the transition is in
+/// it, otherwise the op must name one of the pin's two arcs.
+void expect_graph_arc_ids(const replay::Trace& trace, const Netlist& netlist,
+                          const TimingGraph& graph) {
+  std::vector<std::uint32_t> input_base(netlist.num_gates() + 1, 0);
+  for (std::uint32_t g = 0; g < netlist.num_gates(); ++g) {
+    input_base[g + 1] =
+        input_base[g] + static_cast<std::uint32_t>(netlist.gate(GateId{g}).inputs.size());
+  }
+  std::vector<int> rise(trace.num_transitions, -1);
+  for (const auto& line : trace.history) {
+    for (const replay::TraceHistoryEntry& entry : line) rise[entry.transition] = entry.rise;
+  }
+  std::uint32_t gate = replay::kNone;
+  int pin = 0;
+  std::size_t checked = 0;
+  for (const replay::TraceOp& op : trace.ops) {
+    if (op.kind == replay::OpKind::kFire) {
+      gate = op.c;
+      pin = static_cast<int>(op.b - input_base[gate]);
+      continue;
+    }
+    if (op.kind != replay::OpKind::kGateTr) continue;
+    ASSERT_NE(gate, replay::kNone) << "gate evaluation before any fire";
+    const GateId gid{gate};
+    if (op.a != replay::kNone && rise[op.a] >= 0) {
+      EXPECT_EQ(op.b, graph.arc_id(gid, pin, rise[op.a] != 0 ? Edge::kRise : Edge::kFall));
+    } else {
+      EXPECT_TRUE(op.b == graph.arc_id(gid, pin, Edge::kRise) ||
+                  op.b == graph.arc_id(gid, pin, Edge::kFall))
+          << "op arc " << op.b;
+    }
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+/// mult8 under DDM shares arc blocks widely; perturbing one used arc of one
+/// shared gate leaves the interned set with shared blocks plus one private
+/// block.  Full simulation, replay, recorded arc ids and a pooled
+/// simulator's rebind() must all see the private block exactly where it is.
+TEST_F(ReplayOracleTest, InternedArcsUnderPartialSharing) {
+  MultiplierCircuit mult = make_multiplier(lib_, 8);
+  std::vector<SignalId> inputs = mult.a;
+  inputs.insert(inputs.end(), mult.b.begin(), mult.b.end());
+  Stimulus stim = staggered_random_stimulus(inputs, 6, 1357);
+  stim.set_initial(mult.tie0, false);
+
+  ResimEngine engine(mult.netlist, ddm_, stim, SimConfig{});
+  engine.record();
+  ASSERT_TRUE(engine.trace().replayable);
+  const TimingGraph& nominal = engine.base_graph();
+  const std::size_t nominal_distinct = Simulator(mult.netlist, ddm_, nominal).distinct_arcs();
+  ASSERT_LT(nominal_distinct * 4, nominal.num_arcs()) << "mult8 should share arc blocks";
+
+  // The first evaluated arc of a gate whose block is shared: scaling it
+  // makes that gate's block private (one more block of 2 * fan-in arcs).
+  TimingGraph perturbed = nominal;
+  std::uint32_t fired_gate = replay::kNone;
+  std::size_t perturbed_distinct = 0;
+  for (const replay::TraceOp& op : engine.trace().ops) {
+    if (op.kind == replay::OpKind::kFire) fired_gate = op.c;
+    if (op.kind != replay::OpKind::kGateTr || op.a == replay::kNone) continue;
+    perturbed = nominal;
+    perturbed.scale_arc_factor(op.b, 1.0 + 1e-6);
+    const std::size_t fan_in = mult.netlist.gate(GateId{fired_gate}).inputs.size();
+    if (Simulator(mult.netlist, ddm_, perturbed).distinct_arcs() ==
+        nominal_distinct + 2 * fan_in) {
+      perturbed_distinct = nominal_distinct + 2 * fan_in;
+      break;
+    }
+  }
+  ASSERT_NE(perturbed_distinct, 0u) << "no evaluated arc belongs to a shared block";
+
+  const std::uint64_t nominal_hash = oracle_hash(mult.netlist, ddm_, nominal, stim);
+  const std::uint64_t perturbed_hash = oracle_hash(mult.netlist, ddm_, perturbed, stim);
+  ASSERT_NE(perturbed_hash, nominal_hash) << "the private arc must be evaluated";
+
+  // Full simulation and replay agree on the partially shared graph.
+  ResimSession session(engine);
+  EXPECT_EQ(session.evaluate(perturbed, mult.s, /*want_hash=*/true).history_hash,
+            perturbed_hash);
+
+  // Recorded traces carry graph arc ids, on both graphs.
+  expect_graph_arc_ids(engine.trace(), mult.netlist, nominal);
+  {
+    replay::TraceRecorder recorder;
+    Simulator sim(mult.netlist, ddm_, perturbed);
+    sim.record_into(&recorder);
+    sim.apply_stimulus(stim);
+    sim.finish_recording(sim.run());
+    expect_graph_arc_ids(recorder.trace(), mult.netlist, perturbed);
+  }
+
+  // One pooled simulator: the remap is rebuilt on every graph change, and a
+  // same-graph rebind keeps it.
+  const auto run_hash = [&stim](Simulator& sim) {
+    sim.apply_stimulus(stim);
+    (void)sim.run();
+    return replay::hash_sim_history(sim);
+  };
+  Simulator pooled(mult.netlist, ddm_, nominal);
+  EXPECT_EQ(run_hash(pooled), nominal_hash);
+  pooled.rebind(mult.netlist, ddm_, perturbed);
+  EXPECT_EQ(pooled.distinct_arcs(), perturbed_distinct);
+  EXPECT_EQ(run_hash(pooled), perturbed_hash);
+  pooled.rebind(mult.netlist, ddm_, nominal);
+  EXPECT_EQ(pooled.distinct_arcs(), nominal_distinct);
+  EXPECT_EQ(run_hash(pooled), nominal_hash);
+  pooled.rebind(mult.netlist, ddm_, nominal);
+  EXPECT_EQ(run_hash(pooled), nominal_hash);
 }
 
 // ---- lane-batched path ------------------------------------------------------
