@@ -65,13 +65,14 @@ int main() {
     std::vector<double> activities;
     int cdm_wins = 0;
     for (int s = 0; s < kSamples; ++s) {
-      const VariationDelayModel varied_ddm(ddm, sigma, 1000u + static_cast<unsigned>(s));
-      const Sample sample = run_sample(mult, varied_ddm, words);
+      const std::uint64_t seed = 1000u + static_cast<unsigned>(s);
+      const Sample sample =
+          run_sample(mult, DelayModel(with_variation(ddm.timing_policy(), sigma, seed)), words);
       settles.push_back(sample.settle);
       activities.push_back(static_cast<double>(sample.activity));
 
-      const VariationDelayModel varied_cdm(cdm, sigma, 1000u + static_cast<unsigned>(s));
-      const Sample cdm_sample = run_sample(mult, varied_cdm, words);
+      const Sample cdm_sample = run_sample(
+          mult, DelayModel(with_variation(cdm.timing_policy(), sigma, seed)), words);
       if (cdm_sample.activity > sample.activity) ++cdm_wins;
     }
     const double sd = stddev(settles);

@@ -13,7 +13,7 @@
 namespace halotis {
 
 Simulator::Simulator(const Netlist& netlist, const DelayModel& model, SimConfig config)
-    : netlist_(&netlist), model_(&model), config_(config) {
+    : netlist_(&netlist), model_(model), config_(config) {
   owned_timing_ =
       std::make_unique<TimingGraph>(TimingGraph::build(netlist, model.timing_policy()));
   timing_ = owned_timing_.get();
@@ -22,7 +22,7 @@ Simulator::Simulator(const Netlist& netlist, const DelayModel& model, SimConfig 
 
 Simulator::Simulator(const Netlist& netlist, const DelayModel& model,
                      const TimingGraph& timing, SimConfig config)
-    : netlist_(&netlist), model_(&model), config_(config), timing_(&timing) {
+    : netlist_(&netlist), model_(model), config_(config), timing_(&timing) {
   require(&timing.netlist() == &netlist,
           "Simulator: TimingGraph was elaborated over a different netlist");
   build_static_tables();
@@ -35,7 +35,7 @@ void Simulator::rebind(const Netlist& netlist, const DelayModel& model,
   require(config.min_pulse_width > 0.0, "SimConfig::min_pulse_width must be positive");
   const bool same_tables = netlist_ == &netlist && timing_ == &timing;
   netlist_ = &netlist;
-  model_ = &model;
+  model_ = model;
   config_ = config;
   supervisor_ = nullptr;
   recorder_ = nullptr;
@@ -273,8 +273,8 @@ void Simulator::spawn_events(TransitionId tr_id) {
   const std::uint32_t sig = tr.signal.value();
   const std::uint32_t begin = fanout_base_[sig];
   // A transition on the stuck-at site is gagged: receivers perceive the
-  // injected constant, so the line's ramps generate no events (the
-  // apply_fault() rewiring, without the netlist copy).
+  // injected constant, so the line's ramps generate no events (rewiring the
+  // receivers to a constant net, without the netlist copy).
   const std::uint32_t end =
       tr.signal == fault_signal_ ? begin : fanout_base_[sig + 1];
   const bool rising = tr.edge == Edge::kRise;

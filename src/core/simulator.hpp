@@ -19,9 +19,8 @@
 // mostly sequential reads.
 //   * All per-arc timing comes from the elaborated TimingGraph: gate
 //     evaluation computes DDM/CDM delays by indexing a dense TimingArc
-//     table (load already folded, eval_arc() inlined) instead of
-//     dispatching through the virtual `DelayModel::compute`; the DelayModel
-//     survives only as the policy that elaborated the table.
+//     table (load already folded, eval_arc() inlined); the DelayModel is
+//     the policy that elaborated the table.
 //   * Arc blocks are interned: a gate whose arcs are bitwise identical to
 //     an earlier gate's (same cell, same load, same policy) evaluates that
 //     gate's arcs, so the loop touches only the distinct arcs (1 372 of
@@ -36,8 +35,8 @@
 //   * A flattened fanout table built at construction stores, per
 //     (signal, fanout pin): the receiving pin, its flattened input index
 //     and the precomputed threshold crossing fractions VT/VDD -- so
-//     spawn_events() walks one contiguous array with no virtual
-//     `event_threshold` calls and no cell lookups.
+//     spawn_events() walks one contiguous array with no threshold or cell
+//     lookups.
 //   * Transition bookkeeping (spawned events, suppressed pairs) lives in
 //     pooled, reclaimable `TrackRec` slots with inline small-buffer storage
 //     spilling to shared pools, allocated lazily on first use; a record is
@@ -99,15 +98,15 @@ struct RunResult {
 
 class Simulator {
  public:
-  /// `netlist` and `model` must outlive the simulator.  Elaborates the
-  /// netlist's TimingGraph under the model's policy internally.
+  /// `netlist` must outlive the simulator; `model` is copied.  Elaborates
+  /// the netlist's TimingGraph under the model's policy internally.
   Simulator(const Netlist& netlist, const DelayModel& model, SimConfig config = {});
 
   /// Runs on an externally elaborated TimingGraph -- the shared-database
   /// path used by the fault campaign (one elaboration for every worker) and
   /// by SDF back-annotation (`halotis sim --sdf`).  `timing` must be built
   /// over this same `netlist` and must outlive the simulator; `model` is
-  /// retained for reporting only.
+  /// copied for reporting only.
   Simulator(const Netlist& netlist, const DelayModel& model, const TimingGraph& timing,
             SimConfig config = {});
   /// A temporary graph would dangle: bind it to a variable first.
@@ -131,8 +130,8 @@ class Simulator {
   /// every receiver of `signal` perceives the constant `value` for the whole
   /// run (steady-state initialization included) and transitions on `signal`
   /// generate no events -- exactly the observable behaviour of rewiring the
-  /// line's receivers to a constant net (apply_fault()), without copying the
-  /// netlist or rebuilding the static tables.  The signal's own history
+  /// line's receivers to a constant net, without copying the netlist or
+  /// rebuilding the static tables.  The signal's own history
   /// still records its driver, which feeds nothing; a faulted primary
   /// *output* must be observed as the constant by the caller.  Cleared by
   /// reset().
@@ -190,7 +189,7 @@ class Simulator {
   [[nodiscard]] TimeNs now() const { return now_; }
   [[nodiscard]] const SimStats& stats() const { return stats_; }
   [[nodiscard]] const Netlist& netlist() const { return *netlist_; }
-  [[nodiscard]] const DelayModel& model() const { return *model_; }
+  [[nodiscard]] const DelayModel& model() const { return model_; }
   /// The elaborated timing database the kernel evaluates.
   [[nodiscard]] const TimingGraph& timing() const { return *timing_; }
 
@@ -240,8 +239,8 @@ class Simulator {
 
   /// One receiving pin of a signal, with everything spawn_events() needs
   /// resolved: the flattened input index and the precomputed crossing
-  /// fractions (VT/VDD for rising ramps, 1 - VT/VDD for falling ones; the
-  /// model's virtual `event_threshold` is consulted once, here).
+  /// fractions (VT/VDD for rising ramps, 1 - VT/VDD for falling ones; read
+  /// once from TimingGraph::threshold_fraction).
   struct FanoutEntry {
     GateId gate;               ///< receiving gate
     std::uint16_t pin = 0;     ///< receiving input pin of `gate`
@@ -378,7 +377,7 @@ class Simulator {
   void build_static_tables();
 
   const Netlist* netlist_;
-  const DelayModel* model_;
+  DelayModel model_;
   SimConfig config_;
 
   // static tables

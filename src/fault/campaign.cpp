@@ -46,10 +46,10 @@ bool simulate_fault(Simulator& sim, const CampaignPlan& plan, std::size_t index,
   sim.inject_stuck_at(fault.signal, fault.stuck_value);
   sim.apply_stimulus(*plan.stimulus);
 
-  // A faulted primary output is observed as the stuck constant itself
-  // (apply_fault() replaces it in the PO list); if the constant already
-  // disagrees with any good sample, the fault is detected before
-  // simulating anything.
+  // A faulted primary output is observed as the stuck constant itself (a
+  // rewired netlist would list the constant net as that output); if the
+  // constant already disagrees with any good sample, the fault is detected
+  // before simulating anything.
   const std::uint32_t fault_po = plan.po_index[fault.signal.value()];
 
   const auto diverges_at = [&](std::size_t k) {

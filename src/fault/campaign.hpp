@@ -1,9 +1,9 @@
 // Parallel stuck-at fault-campaign engine.
 //
-// The legacy run_fault_simulation() rebuilds a full netlist copy and a
-// fresh Simulator per fault and replays the complete stimulus even when the
-// fault is observable at the first sample.  The campaign engine removes all
-// three costs:
+// A straightforward serial fault simulator (the reference kept under
+// tests/) rebuilds a rewired netlist copy and a fresh Simulator per fault
+// and replays the complete stimulus even when the fault is observable at the
+// first sample.  The campaign engine removes all three costs:
 //
 //   * each worker owns ONE reusable Simulator on the *good* netlist
 //     (static tables built once); per fault it reset()s the dynamic state
@@ -18,8 +18,7 @@
 // Determinism: every fault's verdict depends only on its own single-fault
 // run, and verdicts are aggregated in fault-index order after the sweep, so
 // the detected set, the coverage and every derived number are bit-identical
-// for any thread count (and identical to the legacy serial engine's
-// verdicts).
+// for any thread count (and identical to the serial reference's verdicts).
 //
 // Early-exit exactness: a sample is evaluated only after the run has
 // advanced to the *next* sample instant (one-segment lag) or finished, so
@@ -43,7 +42,7 @@
 namespace halotis {
 
 struct CampaignOptions {
-  FaultSimOptions sampling;  ///< sample alignment shared with the legacy engine
+  FaultSimOptions sampling;  ///< sample alignment (fault_sample_times)
   int threads = 0;           ///< worker count; 0 = one per hardware thread
   bool early_exit = true;    ///< stop a faulty run at the first divergence
   /// Optional run supervision (must outlive the call); see
@@ -89,7 +88,7 @@ struct CampaignResult {
 /// Simulator (static tables built once, dynamic state recycled per run).
 /// ATPG constructs one engine and evaluates every candidate vector through
 /// it; one-shot callers can use the run_fault_campaign() convenience
-/// wrapper.  `netlist` and `model` must outlive the engine.  Not
+/// wrapper.  `netlist` must outlive the engine; `model` is copied.  Not
 /// thread-safe: one run() at a time.
 class CampaignEngine {
  public:
@@ -118,10 +117,9 @@ class CampaignEngine {
   [[nodiscard]] const RunSupervisor* supervisor() const { return supervisor_; }
 
   /// Simulates every fault in `faults` (or all 2N enumerated faults when
-  /// empty) against `stimulus`.  Verdict semantics match
-  /// run_fault_simulation(): a fault is detected iff some primary output
-  /// differs from the good machine at some aligned sample instant, with a
-  /// faulted primary output observed as the stuck constant itself.
+  /// empty) against `stimulus`.  A fault is detected iff some primary
+  /// output differs from the good machine at some aligned sample instant,
+  /// with a faulted primary output observed as the stuck constant itself.
   [[nodiscard]] CampaignResult run(const Stimulus& stimulus,
                                    std::vector<Fault> faults = {},
                                    const FaultSimOptions& sampling = {},

@@ -20,42 +20,6 @@ std::vector<Fault> enumerate_faults(const Netlist& netlist) {
   return faults;
 }
 
-FaultyMachine apply_fault(const Netlist& netlist, const Fault& fault) {
-  require(fault.signal.valid() && fault.signal.value() < netlist.num_signals(),
-          "apply_fault(): invalid fault site");
-  FaultyMachine machine(netlist.library());
-  Netlist& out = machine.netlist;
-
-  // Recreate signals in id order so SignalIds line up 1:1 with the good
-  // machine; append the constant fault net last.
-  for (std::size_t s = 0; s < netlist.num_signals(); ++s) {
-    const SignalId sid{static_cast<SignalId::underlying_type>(s)};
-    const Signal& sig = netlist.signal(sid);
-    const SignalId copy =
-        sig.is_primary_input ? out.add_primary_input(sig.name) : out.add_signal(sig.name);
-    ensure(copy.value() == sid.value(), "apply_fault(): signal id mismatch");
-    if (sig.wire_cap > 0.0) out.set_wire_cap(copy, sig.wire_cap);
-  }
-  machine.fault_net = out.add_primary_input("__fault");
-
-  const auto redirect = [&](SignalId in) {
-    return in == fault.signal ? machine.fault_net : in;
-  };
-  for (std::size_t g = 0; g < netlist.num_gates(); ++g) {
-    const GateId gid{static_cast<GateId::underlying_type>(g)};
-    const Gate& gate = netlist.gate(gid);
-    std::vector<SignalId> ins;
-    ins.reserve(gate.inputs.size());
-    for (const SignalId in : gate.inputs) ins.push_back(redirect(in));
-    (void)out.add_gate(gate.name, gate.cell, ins, gate.output);
-  }
-  for (const SignalId po : netlist.primary_outputs()) {
-    // A faulted PO is observed as the constant itself.
-    out.mark_primary_output(po == fault.signal ? machine.fault_net : po);
-  }
-  return machine;
-}
-
 std::vector<TimeNs> fault_sample_times(const Stimulus& stimulus,
                                        const FaultSimOptions& options) {
   require(options.sample_period > 0.0, "fault_sample_times(): period must be positive");
@@ -90,56 +54,6 @@ std::vector<TimeNs> fault_sample_times(const Stimulus& stimulus,
     times.push_back(settled_until - options.sample_epsilon);
   }
   return times;
-}
-
-FaultSimResult run_fault_simulation(const Netlist& netlist, const Stimulus& stimulus,
-                                    const DelayModel& model, std::vector<Fault> faults,
-                                    FaultSimOptions options) {
-  require(options.sample_period > 0.0, "run_fault_simulation(): period must be positive");
-  if (faults.empty()) faults = enumerate_faults(netlist);
-  const std::vector<TimeNs> times = fault_sample_times(stimulus, options);
-
-  // Good machine reference samples.
-  Simulator good(netlist, model);
-  good.apply_stimulus(stimulus);
-  (void)good.run();
-  std::vector<std::vector<bool>> good_samples;
-  for (const SignalId po : netlist.primary_outputs()) {
-    std::vector<bool> row;
-    for (const TimeNs t : times) row.push_back(good.value_at(po, t));
-    good_samples.push_back(std::move(row));
-  }
-
-  FaultSimResult result;
-  result.total = faults.size();
-  for (const Fault& fault : faults) {
-    FaultyMachine machine = apply_fault(netlist, fault);
-
-    // Same stimulus, plus the fault constant.
-    Stimulus faulty_stim = stimulus;
-    faulty_stim.set_initial(machine.fault_net, fault.stuck_value);
-
-    Simulator sim(machine.netlist, model);
-    sim.apply_stimulus(faulty_stim);
-    (void)sim.run();
-
-    bool detected = false;
-    const auto pos = machine.netlist.primary_outputs();
-    for (std::size_t o = 0; o < pos.size() && !detected; ++o) {
-      for (std::size_t k = 0; k < times.size(); ++k) {
-        if (sim.value_at(pos[o], times[k]) != good_samples[o][k]) {
-          detected = true;
-          break;
-        }
-      }
-    }
-    if (detected) {
-      ++result.detected;
-    } else {
-      result.undetected.push_back(fault);
-    }
-  }
-  return result;
 }
 
 std::string fault_name(const Netlist& netlist, const Fault& fault) {

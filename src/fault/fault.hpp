@@ -33,19 +33,6 @@ struct Fault {
 /// defects).
 [[nodiscard]] std::vector<Fault> enumerate_faults(const Netlist& netlist);
 
-/// Builds the faulty machine: a copy of `netlist` where every receiver of
-/// the faulted line is rewired to a constant net, and the faulted line
-/// itself (if a primary output) is replaced by the constant.  The returned
-/// netlist has one extra primary input named "__fault" that the fault
-/// simulator ties to the stuck value.
-struct FaultyMachine {
-  Netlist netlist;
-  SignalId fault_net;
-
-  explicit FaultyMachine(const Library& lib) : netlist(lib) {}
-};
-[[nodiscard]] FaultyMachine apply_fault(const Netlist& netlist, const Fault& fault);
-
 struct FaultSimOptions {
   /// Hold time granted to the LAST vector: the final sample is taken at
   /// last_application + period - epsilon.  (Earlier samples align to the
@@ -63,29 +50,10 @@ struct FaultSimOptions {
 /// the stimulus's vector application times: the settled response of each
 /// applied vector is observed just before the next vector lands (epsilon
 /// early), the last one after `sample_period` of hold.  An initial-state
-/// observation precedes the first vector.  Shared by the legacy serial
-/// engine and the parallel campaign so verdicts agree.
+/// observation precedes the first vector.  Shared by the campaign engine
+/// and the serial reference simulator under tests/ so verdicts agree.
 [[nodiscard]] std::vector<TimeNs> fault_sample_times(const Stimulus& stimulus,
                                                      const FaultSimOptions& options);
-
-struct FaultSimResult {
-  std::size_t total = 0;
-  std::size_t detected = 0;
-  std::vector<Fault> undetected;
-
-  [[nodiscard]] double coverage() const {
-    return total > 0 ? static_cast<double>(detected) / static_cast<double>(total) : 0.0;
-  }
-};
-
-/// Serial fault simulation of every fault in `faults` (or all, if empty)
-/// under `model`.  The same `stimulus` drives good and faulty machines;
-/// detection compares sampled primary-output values.
-[[nodiscard]] FaultSimResult run_fault_simulation(const Netlist& netlist,
-                                                  const Stimulus& stimulus,
-                                                  const DelayModel& model,
-                                                  std::vector<Fault> faults = {},
-                                                  FaultSimOptions options = {});
 
 /// Human-readable fault name, e.g. "n3/SA0".
 [[nodiscard]] std::string fault_name(const Netlist& netlist, const Fault& fault);
@@ -138,8 +106,8 @@ struct AtpgResult {
 /// stimulus {last accepted word, candidate} against the surviving fault set
 /// only -- equivalent to replaying the whole accepted prefix, because
 /// detection compares settled samples and the survivors already survived
-/// every prefix vector.  Replaying the returned `words` with
-/// run_fault_simulation() reproduces `detected` exactly.
+/// every prefix vector.  Running the returned `words` as one stimulus
+/// through a CampaignEngine reproduces `detected` exactly.
 [[nodiscard]] AtpgResult generate_tests(const Netlist& netlist, const DelayModel& model,
                                         AtpgOptions options = {});
 

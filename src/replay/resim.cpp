@@ -14,7 +14,7 @@ namespace halotis::replay {
 ResimEngine::ResimEngine(const Netlist& netlist, const DelayModel& model,
                          const Stimulus& stimulus, SimConfig config)
     : netlist_(&netlist),
-      model_(&model),
+      model_(model),
       stimulus_(&stimulus),
       config_(config),
       base_graph_(TimingGraph::build(netlist, model.timing_policy())) {}
@@ -26,7 +26,7 @@ TimingGraph& ResimEngine::base_graph_mutable() {
 
 void ResimEngine::record(const RunSupervisor* supervisor) {
   require(!recorded_, "ResimEngine::record(): already recorded");
-  Simulator sim(*netlist_, *model_, base_graph_, config_);
+  Simulator sim(*netlist_, model_, base_graph_, config_);
   sim.record_into(&recorder_);
   sim.supervise(supervisor);
   sim.apply_stimulus(*stimulus_);

@@ -29,8 +29,8 @@ namespace halotis::replay {
 
 class ResimEngine {
  public:
-  /// `netlist`, `model` and `stimulus` must outlive the engine.  The base
-  /// graph is elaborated internally under the model's policy.
+  /// `netlist` and `stimulus` must outlive the engine; `model` is copied.
+  /// The base graph is elaborated internally under the model's policy.
   ResimEngine(const Netlist& netlist, const DelayModel& model, const Stimulus& stimulus,
               SimConfig config = {});
 
@@ -47,7 +47,7 @@ class ResimEngine {
   /// an elaboration close to the graphs it will re-time.
   [[nodiscard]] TimingGraph& base_graph_mutable();
   [[nodiscard]] const Netlist& netlist() const { return *netlist_; }
-  [[nodiscard]] const DelayModel& model() const { return *model_; }
+  [[nodiscard]] const DelayModel& model() const { return model_; }
   [[nodiscard]] const Stimulus& stimulus() const { return *stimulus_; }
   [[nodiscard]] const SimConfig& config() const { return config_; }
   /// Stats of the recorded base run (event counts drive bench reporting).
@@ -56,7 +56,7 @@ class ResimEngine {
 
  private:
   const Netlist* netlist_;
-  const DelayModel* model_;
+  DelayModel model_;
   const Stimulus* stimulus_;
   SimConfig config_;
   TimingGraph base_graph_;

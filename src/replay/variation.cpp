@@ -25,9 +25,10 @@ namespace {
 }
 
 /// Applies sample `seed`'s per-gate derating corner to a copy of `base` --
-/// bit-identical arcs to elaborating under VariationDelayModel(model,
-/// sigma, seed), because elaboration stores the factor verbatim and the
-/// base factors are the model's own (scaling multiplies).
+/// bit-identical arcs to elaborating the model's policy with
+/// variation_sigma = sigma and variation_seed = seed, because elaboration
+/// stores the factor verbatim and the base factors are the model's own
+/// (scaling multiplies).
 [[nodiscard]] TimingGraph perturbed_graph(const TimingGraph& base, double sigma,
                                           std::uint64_t seed) {
   TimingGraph graph = base;

@@ -1,7 +1,7 @@
 // Monte-Carlo variation analysis over the replay engine.
 //
 // Each sample s draws one per-gate lognormal derating corner (the same
-// variation_factor stream VariationDelayModel uses, seeded per sample)
+// variation_factor stream a variation policy elaborates, seeded per sample)
 // applied to a copy of the base elaboration, and evaluates the critical
 // (latest) observed t50 plus the canonical waveform hash.  With
 // use_replay set, samples go through a ResimSession (trace replay with

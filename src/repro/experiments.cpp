@@ -240,8 +240,7 @@ ExperimentResult run_mult8_glitch_activity(const ExperimentContext& ctx) {
   std::string top_csv;
   std::string vcd;
   for (const bool is_cdm : {false, true}) {
-    const DelayModel& model =
-        is_cdm ? static_cast<const DelayModel&>(cdm) : static_cast<const DelayModel&>(ddm);
+    const DelayModel model = is_cdm ? DelayModel(cdm) : DelayModel(ddm);
     Simulator sim(mult.netlist, model);
     sim.apply_stimulus(multiplier_stimulus(mult, words));
     (void)sim.run();

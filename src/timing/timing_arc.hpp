@@ -12,12 +12,10 @@
 // and the model policy (degradation on/off, classical inertial window,
 // per-instance variation derating) encoded in flags, so one non-virtual
 // eval_arc() serves the event kernel, STA, the SDF exporter and every other
-// consumer.  The folding is arranged so eval_arc() reproduces the
-// DelayModel::compute() reference implementations *bit for bit*: each
-// partial sum keeps the exact association order of the original macro-model
-// expressions, and the derating factor multiplies last, exactly where
-// VariationDelayModel applied it (x * 1.0 is exact, so unconditional
-// multiplication costs nothing in accuracy).
+// consumer.  Each partial sum keeps the exact association order of the
+// macro-model expressions (EdgeTiming::tp0, deg_tau, deg_t0), and the
+// derating factor multiplies last, after the full model computation (x * 1.0
+// is exact, so unconditional multiplication costs nothing in accuracy).
 #pragma once
 
 #include <array>
@@ -33,7 +31,7 @@
 namespace halotis {
 
 /// Graph-wide model policy: everything TimingGraph::build() needs to know
-/// about the delay model, flattened out of the virtual interface.
+/// about the delay model (a DelayModel is this value plus a name).
 struct TimingPolicy {
   /// Apply the paper's degradation (eq. 1-3) to arcs.  Off = conventional.
   bool degradation = false;
@@ -82,15 +80,15 @@ static_assert(sizeof(TimingArc) == 64, "TimingArc should fill one cache line");
 static_assert(offsetof(TimingArc, pad) + sizeof(TimingArc::pad) == sizeof(TimingArc),
               "TimingArc must have no implicit padding");
 
-/// Outputs of one arc evaluation (mirrors DelayResult).
+/// Outputs of one arc evaluation.
 struct ArcDelay {
   TimeNs tp = 0.0;
   TimeNs tau_out = 0.0;
   bool filtered = false;         ///< DDM T <= T0 pulse annihilation
   TimeNs inertial_window = 0.0;  ///< CDM classical window; 0 disables
 
-  /// Applies the per-instance derating exactly where VariationDelayModel
-  /// did: after the full model computation, to every time-valued output.
+  /// Applies the per-instance derating after the full model computation,
+  /// to every time-valued output.
   void factor_scale(double k) {
     tp *= k;
     tau_out *= k;
@@ -102,7 +100,7 @@ struct ArcDelay {
 /// linear extrapolation); a non-positive tau means "instant recovery", so
 /// elaboration clamps to a tiny positive constant -- the exponential then
 /// evaluates to ~1 (no degradation) past T0 and the T <= T0 collapse still
-/// applies.  Value shared with the DelayModel reference implementation.
+/// applies.
 inline constexpr TimeNs kMinDegradationTau = 1e-6;  // 1 femtosecond, in ns
 
 /// Folds one (cell, pin, out-edge) against the static load `cl` under
@@ -176,7 +174,8 @@ inline constexpr TimeNs kMinDegradationTau = 1e-6;  // 1 femtosecond, in ns
 
 /// Deterministic per-(seed, gate) lognormal derating factor
 /// exp(sigma * z), z ~ N(0,1): two splitmix64 draws -> Box-Muller.  The
-/// TimingGraph builder and VariationDelayModel share this one definition.
+/// TimingGraph builder and the replay variation engine share this one
+/// definition.
 [[nodiscard]] inline double variation_factor(std::uint64_t seed, double sigma,
                                              GateId gate) {
   const auto mix = [](std::uint64_t x) {
@@ -191,6 +190,15 @@ inline constexpr TimeNs kMinDegradationTau = 1e-6;  // 1 femtosecond, in ns
   const double u2 = static_cast<double>(h2 >> 11) * (1.0 / 9007199254740992.0);
   const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
   return std::exp(sigma * z);
+}
+
+/// `policy` with per-instance lognormal derating (sigma, seed): the one way
+/// to express a varied corner of either delay model.
+[[nodiscard]] inline TimingPolicy with_variation(TimingPolicy policy, double sigma,
+                                                 std::uint64_t seed) {
+  policy.variation_sigma = sigma;
+  policy.variation_seed = seed;
+  return policy;
 }
 
 }  // namespace halotis

@@ -8,7 +8,7 @@
 // consumer -- the event kernel, STA, the SDF writer/reader, the variation
 // flow -- reads these same arcs, so the layers can never silently disagree
 // about an instance's delay, and the kernel hot path evaluates delays
-// through a flat table lookup instead of a virtual DelayModel dispatch.
+// through a flat table lookup instead of a per-request delay computation.
 //
 // Arc layout: arcs of gate g occupy the contiguous range
 // [arc_base(g), arc_base(g) + 2 * num_inputs), ordered pin-major with the

@@ -65,7 +65,7 @@ struct Options {
   }
   [[nodiscard]] std::string require_flag(const std::string& name) const {
     const auto value = get(name);
-    require(value.has_value(), [&] { return "missing required flag --" + name; });
+    if (!value.has_value()) throw UsageError("missing required flag --" + name);
     return *value;
   }
   /// A real-valued flag: a finite number (parse_finite) or a usage error.
@@ -138,7 +138,7 @@ Options parse_args(const std::vector<std::string>& args) {
   options.command = args[0];
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    require(starts_with(arg, "--"), [&] { return "expected --flag, got '" + arg + "'"; });
+    if (!starts_with(arg, "--")) throw UsageError("expected --flag, got '" + arg + "'");
     const std::string name = arg.substr(2);
     // Boolean flags (no value) vs valued flags.
     if (i + 1 < args.size() && !starts_with(args[i + 1], "--")) {
@@ -244,18 +244,12 @@ Netlist load_netlist(const Options& options, const Library& lib) {
   return serve::parse_netlist_text(read_file(path), detect_format(options, path), lib);
 }
 
-std::unique_ptr<DelayModel> make_model(const Options& options) {
+DelayModel make_model(const Options& options) {
   const std::string name = options.get("model").value_or("ddm");
-  if (name == "ddm") return std::make_unique<DdmDelayModel>();
-  if (name == "cdm") return std::make_unique<CdmDelayModel>();
-  if (name == "cdm-classical") {
-    return std::make_unique<CdmDelayModel>(CdmDelayModel::InertialWindow::kGateDelay);
-  }
-  if (name == "transport") {
-    return std::make_unique<CdmDelayModel>(CdmDelayModel::InertialWindow::kNone);
-  }
-  require(false, [&] { return "unknown model '" + name + "' (ddm|cdm|cdm-classical|transport)"; });
-  return nullptr;  // unreachable
+  if (name == "ddm") return DdmDelayModel{};
+  if (name == "cdm" || name == "transport") return CdmDelayModel{};
+  if (name == "cdm-classical") return CdmDelayModel{CdmDelayModel::InertialWindow::kGateDelay};
+  throw UsageError("unknown model '" + name + "' (ddm|cdm|cdm-classical|transport)");
 }
 
 Stimulus load_stimulus(const ServiceEnv& env, const Options& options,
@@ -397,7 +391,7 @@ int cmd_sim(const Options& options, std::ostream& out, const ServiceEnv& env) {
         "sim has no --threads/--partitions: one run is one serial event loop "
         "(fault, variation and serve take --threads)");
   }
-  const std::unique_ptr<DelayModel> model = make_model(options);
+  const DelayModel model = make_model(options);
   const bool replay = options.get("replay").has_value();
   // One elaborated timing database for the run; --sdf back-annotates it
   // (the third-party-netlist scenario: IOPATH delays replace the library's
@@ -405,11 +399,11 @@ int cmd_sim(const Options& options, std::ostream& out, const ServiceEnv& env) {
   // --replay the flag instead lists corner files, so the elaboration skips
   // it (sim_replay_corners annotates its own graphs per corner).
   const std::shared_ptr<const serve::Elaboration> elab =
-      service_elaboration(env, options, model->timing_policy(), /*want_sdf=*/!replay);
+      service_elaboration(env, options, model.timing_policy(), /*want_sdf=*/!replay);
   const Netlist& netlist = elab->netlist;
   const Stimulus stimulus = load_stimulus(env, options, netlist);
   if (replay) {
-    return sim_replay_corners(env, options, netlist, *model, stimulus, out);
+    return sim_replay_corners(env, options, netlist, model, stimulus, out);
   }
   if (const auto sdf_path = options.get("sdf")) {
     serve::print_sdf_facts(out, elab->sdf, *sdf_path);
@@ -426,9 +420,9 @@ int cmd_sim(const Options& options, std::ostream& out, const ServiceEnv& env) {
   std::unique_ptr<Simulator> owned_sim;
   Simulator* simp = nullptr;
   if (env.daemon() && env.io->lease != nullptr) {
-    simp = &env.io->lease->acquire(elab, *model, config);
+    simp = &env.io->lease->acquire(elab, model, config);
   } else {
-    owned_sim = std::make_unique<Simulator>(netlist, *model, timing, config);
+    owned_sim = std::make_unique<Simulator>(netlist, model, timing, config);
     simp = owned_sim.get();
   }
   Simulator& sim = *simp;
@@ -437,7 +431,7 @@ int cmd_sim(const Options& options, std::ostream& out, const ServiceEnv& env) {
   const RunResult result = sim.run();
 
   const SimStats& stats = sim.stats();
-  out << "model: " << model->name() << "\n";
+  out << "model: " << model.name() << "\n";
   out << "finished at t = " << format_double(result.end_time, 6) << " ns ("
       << (result.reason == StopReason::kQueueExhausted    ? "queue exhausted"
           : result.reason == StopReason::kHorizonReached  ? "horizon reached"
@@ -488,12 +482,12 @@ int cmd_sim(const Options& options, std::ostream& out, const ServiceEnv& env) {
 /// a recorded trace instead of re-simulating; the CSV/report artifacts
 /// are byte-identical with or without it, at any thread count.
 int cmd_variation(const Options& options, std::ostream& out, const ServiceEnv& env) {
-  const std::unique_ptr<DelayModel> model = make_model(options);
+  const DelayModel model = make_model(options);
   // Variation builds per-sample graphs itself, so only the parsed netlist
   // is consumed here -- it still flows through the shared elaboration so a
   // daemon serves it from (and primes) the same cache entry sim/sta use.
   const std::shared_ptr<const serve::Elaboration> elab =
-      service_elaboration(env, options, model->timing_policy(), /*want_sdf=*/false);
+      service_elaboration(env, options, model.timing_policy(), /*want_sdf=*/false);
   const Netlist& netlist = elab->netlist;
   const Stimulus stimulus = load_stimulus(env, options, netlist);
 
@@ -510,7 +504,7 @@ int cmd_variation(const Options& options, std::ostream& out, const ServiceEnv& e
 
   const RunSupervisor supervisor = make_supervisor(options, env);
   const replay::VariationResult result = replay::run_variation(
-      netlist, *model, stimulus, netlist.primary_outputs(), config, &supervisor);
+      netlist, model, stimulus, netlist.primary_outputs(), config, &supervisor);
 
   out << replay::format_variation_report(result, config);
   if (result.replay_used) {
@@ -586,6 +580,12 @@ int cmd_sta(const Options& options, std::ostream& out, const ServiceEnv& env) {
 
 int cmd_lint(const Options& options, std::ostream& out) {
   const Library& lib = default_library();
+  const std::string format = options.get("format").value_or("text");
+  if (format != "text" && format != "json") throw UsageError("--format must be text|json");
+  const std::string fail_on = options.get("fail-on").value_or("error");
+  if (fail_on != "error" && fail_on != "warn" && fail_on != "warning" && fail_on != "none") {
+    throw UsageError("--fail-on must be error|warn|none");
+  }
   // `--format` selects the *output* format here, so the netlist dialect
   // comes from `--netlist-format` or the file extension.
   const std::string netlist_path = options.require_flag("netlist");
@@ -593,7 +593,7 @@ int cmd_lint(const Options& options, std::ostream& out) {
       options.get("netlist-format").value_or(extension_format(netlist_path));
   const Netlist netlist =
       serve::parse_netlist_text(read_file(netlist_path), netlist_format, lib);
-  const std::unique_ptr<DelayModel> model = make_model(options);
+  const DelayModel model = make_model(options);
   const RunSupervisor supervisor = make_supervisor(options);
 
   // SDF annotation progress and per-pin warnings go to the console only in
@@ -601,7 +601,7 @@ int cmd_lint(const Options& options, std::ostream& out) {
   // (the same information is in the TIM-SDF-MISSING findings).
   std::ostringstream timing_log;
   const TimingGraph timing =
-      load_timing(options, netlist, model->timing_policy(), timing_log);
+      load_timing(options, netlist, model.timing_policy(), timing_log);
 
   lint::LintOptions lint_options;
   lint_options.input_slew = options.number("slew", 0.5);
@@ -617,8 +617,6 @@ int cmd_lint(const Options& options, std::ostream& out) {
     write_file_atomic(*baseline_path, lint::format_baseline(report));
   }
 
-  const std::string format = options.get("format").value_or("text");
-  require(format == "text" || format == "json", "--format must be text|json");
   const std::string rendered = format == "json" ? lint::format_json(report, netlist)
                                                 : lint::format_text(report);
   if (const auto out_path = options.get("out")) {
@@ -631,18 +629,21 @@ int cmd_lint(const Options& options, std::ostream& out) {
     out << rendered;
   }
 
-  const std::string fail_on = options.get("fail-on").value_or("error");
   if (fail_on == "none") return 0;
-  lint::Severity threshold = lint::Severity::kError;
-  if (fail_on == "warn" || fail_on == "warning") threshold = lint::Severity::kWarning;
-  else require(fail_on == "error", "--fail-on must be error|warn|none");
+  const lint::Severity threshold =
+      fail_on == "error" ? lint::Severity::kError : lint::Severity::kWarning;
   return lint::should_fail(report, threshold) ? 1 : 0;
 }
 
 int cmd_fault(const Options& options, std::ostream& out, const ServiceEnv& env) {
-  const std::unique_ptr<DelayModel> model = make_model(options);
+  if (options.get("serial")) {
+    throw UsageError(
+        "fault has no --serial: the campaign engine is the one fault simulator "
+        "(--threads 1 runs it on one thread)");
+  }
+  const DelayModel model = make_model(options);
   const std::shared_ptr<const serve::Elaboration> elab =
-      service_elaboration(env, options, model->timing_policy(), /*want_sdf=*/false);
+      service_elaboration(env, options, model.timing_policy(), /*want_sdf=*/false);
   const Netlist& netlist = elab->netlist;
   const int threads = usage_count(options, "threads", 0);
   const RunSupervisor supervisor = make_supervisor(options, env);
@@ -654,7 +655,7 @@ int cmd_fault(const Options& options, std::ostream& out, const ServiceEnv& env) 
     atpg.seed = usage_unsigned(options, "seed", 1);
     atpg.threads = threads;
     atpg.supervisor = &supervisor;
-    const AtpgResult result = generate_tests(netlist, *model, atpg);
+    const AtpgResult result = generate_tests(netlist, model, atpg);
     out << "ATPG: " << result.words.size() << " vectors, coverage " << result.detected
         << " / " << result.total_faults << " ("
         << format_double(100.0 * result.coverage(), 4) << "%)\n";
@@ -680,25 +681,6 @@ int cmd_fault(const Options& options, std::ostream& out, const ServiceEnv& env) 
   const Stimulus stimulus = load_stimulus(env, options, netlist);
   require(stimulus.last_edge_time() > 0.0, "fault simulation needs a --stim file");
 
-  if (options.get("serial")) {
-    // Legacy engine: per-fault netlist rewiring, full-stimulus replay.
-    FaultSimOptions fs_options;
-    fs_options.sample_period = options.number("period", 5.0);
-    const FaultSimResult result =
-        run_fault_simulation(netlist, stimulus, *model, {}, fs_options);
-    out << "stuck-at coverage: " << result.detected << " / " << result.total << " ("
-        << format_double(100.0 * result.coverage(), 4) << "%) under " << model->name()
-        << " [serial engine]\n";
-    if (!result.undetected.empty()) {
-      out << "undetected:";
-      for (const Fault& fault : result.undetected) {
-        out << ' ' << fault_name(netlist, fault);
-      }
-      out << "\n";
-    }
-    return 0;
-  }
-
   FaultSimOptions sampling;
   sampling.sample_period = options.number("period", 5.0);
   const bool early_exit = !options.get("no-early-exit");
@@ -706,13 +688,13 @@ int cmd_fault(const Options& options, std::ostream& out, const ServiceEnv& env) 
   // The engine runs on the shared elaboration's graph (the daemon's cached
   // one on a warm hit) instead of re-elaborating; verdicts are
   // bit-identical either way.
-  CampaignEngine engine(netlist, *model, elab->graph, threads);
+  CampaignEngine engine(netlist, model, elab->graph, threads);
   engine.supervise(&supervisor);
   const CampaignResult result = engine.run(stimulus, {}, sampling, early_exit);
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   out << "stuck-at coverage: " << result.detected << " / " << result.total << " ("
-      << format_double(100.0 * result.coverage(), 4) << "%) under " << model->name()
+      << format_double(100.0 * result.coverage(), 4) << "%) under " << model.name()
       << "\n";
   out << "campaign: " << result.threads_used << " thread"
       << (result.threads_used == 1 ? "" : "s") << ", "
@@ -841,7 +823,7 @@ int cmd_convert(const Options& options, std::ostream& out) {
   } else if (to == "sdf") {
     text = write_sdf(netlist, options.number("slew", 0.5));
   } else {
-    require(false, [&] { return "unknown target format '" + to + "'"; });
+    throw UsageError("unknown target format '" + to + "'");
   }
   if (const auto path = options.get("out")) {
     write_file_atomic(*path, text);
@@ -861,7 +843,7 @@ int cmd_serve(const Options& options, std::ostream& out) {
   serve_options.socket_path = options.require_flag("socket");
   serve_options.threads = usage_count(options, "threads", 0);
   serve_options.cache_bytes = usage_mebibytes(options, "cache-mb", 256.0);
-  require(serve_options.cache_bytes > 0, "--cache-mb must be > 0");
+  if (serve_options.cache_bytes == 0) throw UsageError("--cache-mb must be > 0");
   serve_options.idle_timeout_ms = usage_count(options, "idle-timeout-ms", 30000);
   serve_options.stop = cli_cancel_token();
   // SIGTERM drains exactly like Ctrl-C: systemd stop / CI teardown get a
@@ -976,7 +958,7 @@ commands:
            exit 1 when findings at/above --fail-on survive the baseline
   fault    parallel stuck-at fault campaign / test generation
            --netlist F --stim F [--model M] [--period NS]
-           [--threads N] [--serial] [--no-early-exit]
+           [--threads N] [--no-early-exit]
            --netlist F --atpg [--candidates N] [--seed N] [--threads N]
   repro    paper-reproduction experiment engine (docs/REPRODUCTION.md)
            [--list] [--only ID[,ID...]] [--quick] [--out DIR]

@@ -10,10 +10,11 @@
 //     verdicts exactly;
 //   * campaign results (detected set, coverage, verdict vector, event
 //     totals) are identical for 1 vs N threads and with early exit on/off,
-//     and match the legacy serial engine fault for fault.
+//     and match the serial reference simulator fault for fault.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "src/core/simulator.hpp"
 #include "src/fault/campaign.hpp"
 #include "src/fault/fault.hpp"
+#include "tests/serial_fault_oracle.hpp"
 
 namespace halotis {
 namespace {
@@ -90,6 +92,15 @@ class CampaignTest : public ::testing::Test {
  protected:
   Library lib_ = Library::default_u6();
   DdmDelayModel ddm_;
+
+  /// A multiplier campaign input: `words` random words of 2*bits bits.
+  struct MultiplierInput {
+    int bits;
+    std::size_t words;
+    std::uint64_t seed;
+  };
+  /// The 4x4 campaign bench/perf_report times in quick mode (its word seed).
+  static constexpr MultiplierInput kPerfReportQuick{4, 6, 0x5851F42D4C957F2DULL};
 
   static Stimulus multiplier_words(const MultiplierCircuit& mult,
                                    const std::vector<std::uint64_t>& words) {
@@ -194,43 +205,51 @@ TEST_F(CampaignTest, InjectedFaultMatchesNetlistRewritingVerdicts) {
 }
 
 TEST_F(CampaignTest, CampaignMatchesLegacyOnMultiplier) {
-  MultiplierCircuit mult = make_multiplier(lib_, 3);
-  const Stimulus stim = multiplier_words(mult, random_word_stream(6, 8, 42));
+  for (const MultiplierInput input : {MultiplierInput{3, 8, 42}, kPerfReportQuick}) {
+    SCOPED_TRACE(input.bits);
+    MultiplierCircuit mult = make_multiplier(lib_, input.bits);
+    const Stimulus stim =
+        multiplier_words(mult, random_word_stream(2 * input.bits, input.words, input.seed));
 
-  const FaultSimResult legacy = run_fault_simulation(mult.netlist, stim, ddm_);
-  CampaignOptions options;
-  options.threads = 2;
-  const CampaignResult campaign = run_fault_campaign(mult.netlist, stim, ddm_, {}, options);
-  EXPECT_EQ(campaign.detected, legacy.detected);
-  EXPECT_EQ(campaign.undetected.size(), legacy.undetected.size());
-  for (std::size_t i = 0; i < legacy.undetected.size(); ++i) {
-    EXPECT_EQ(campaign.undetected[i], legacy.undetected[i]) << "fault " << i;
+    const FaultSimResult legacy = run_fault_simulation(mult.netlist, stim, ddm_);
+    CampaignOptions options;
+    options.threads = 2;
+    const CampaignResult campaign = run_fault_campaign(mult.netlist, stim, ddm_, {}, options);
+    EXPECT_EQ(campaign.detected, legacy.detected);
+    EXPECT_EQ(campaign.undetected.size(), legacy.undetected.size());
+    for (std::size_t i = 0; i < legacy.undetected.size(); ++i) {
+      EXPECT_EQ(campaign.undetected[i], legacy.undetected[i]) << "fault " << i;
+    }
   }
 }
 
 TEST_F(CampaignTest, ThreadCountInvariant) {
-  MultiplierCircuit mult = make_multiplier(lib_, 3);
-  const Stimulus stim = multiplier_words(mult, random_word_stream(6, 10, 5));
+  for (const MultiplierInput input : {MultiplierInput{3, 10, 5}, kPerfReportQuick}) {
+    SCOPED_TRACE(input.bits);
+    MultiplierCircuit mult = make_multiplier(lib_, input.bits);
+    const Stimulus stim =
+        multiplier_words(mult, random_word_stream(2 * input.bits, input.words, input.seed));
 
-  CampaignOptions serial;
-  serial.threads = 1;
-  const CampaignResult one = run_fault_campaign(mult.netlist, stim, ddm_, {}, serial);
-  EXPECT_EQ(one.threads_used, 1);
+    CampaignOptions serial;
+    serial.threads = 1;
+    const CampaignResult one = run_fault_campaign(mult.netlist, stim, ddm_, {}, serial);
+    EXPECT_EQ(one.threads_used, 1);
 
-  for (const int threads : {2, 4, 7}) {
-    CampaignOptions options;
-    options.threads = threads;
-    const CampaignResult many = run_fault_campaign(mult.netlist, stim, ddm_, {}, options);
-    EXPECT_EQ(many.threads_used, threads);
-    EXPECT_EQ(many.total, one.total);
-    EXPECT_EQ(many.detected, one.detected);
-    ASSERT_EQ(many.verdicts, one.verdicts) << threads << " threads";
-    ASSERT_EQ(many.undetected.size(), one.undetected.size());
-    for (std::size_t i = 0; i < one.undetected.size(); ++i) {
-      EXPECT_EQ(many.undetected[i], one.undetected[i]);
+    for (const int threads : {2, 4, 7}) {
+      CampaignOptions options;
+      options.threads = threads;
+      const CampaignResult many = run_fault_campaign(mult.netlist, stim, ddm_, {}, options);
+      EXPECT_EQ(many.threads_used, threads);
+      EXPECT_EQ(many.total, one.total);
+      EXPECT_EQ(many.detected, one.detected);
+      ASSERT_EQ(many.verdicts, one.verdicts) << threads << " threads";
+      ASSERT_EQ(many.undetected.size(), one.undetected.size());
+      for (std::size_t i = 0; i < one.undetected.size(); ++i) {
+        EXPECT_EQ(many.undetected[i], one.undetected[i]);
+      }
+      // Per-fault work is deterministic, so the event total is too.
+      EXPECT_EQ(many.events_processed, one.events_processed);
     }
-    // Per-fault work is deterministic, so the event total is too.
-    EXPECT_EQ(many.events_processed, one.events_processed);
   }
 }
 

@@ -74,23 +74,21 @@ TEST_F(DeterminismTest, RepeatedRunsIdenticalAcrossDelayModels) {
   const DdmDelayModel ddm;
   const CdmDelayModel cdm;
   const CdmDelayModel cdm_strict(CdmDelayModel::InertialWindow::kGateDelay);
-  const VariationDelayModel varied(ddm, 0.08, 1234);
+  const DelayModel varied(with_variation(ddm.timing_policy(), 0.08, 1234));
   const auto words = random_word_stream(8, 24, 99);
 
-  for (const DelayModel* model :
-       {static_cast<const DelayModel*>(&ddm), static_cast<const DelayModel*>(&cdm),
-        static_cast<const DelayModel*>(&cdm_strict),
-        static_cast<const DelayModel*>(&varied)}) {
+  const DelayModel models[] = {ddm, cdm, cdm_strict, varied};
+  for (const DelayModel& model : models) {
     MultiplierCircuit mult = make_multiplier(lib_, 4);
-    Simulator first(mult.netlist, *model);
+    Simulator first(mult.netlist, model);
     first.apply_stimulus(multiplier_words(mult, words));
     const RunResult r1 = first.run();
 
-    Simulator second(mult.netlist, *model);
+    Simulator second(mult.netlist, model);
     second.apply_stimulus(multiplier_words(mult, words));
     const RunResult r2 = second.run();
 
-    SCOPED_TRACE(std::string(model->name()));
+    SCOPED_TRACE(std::string(model.name()));
     EXPECT_EQ(r1.reason, r2.reason);
     EXPECT_EQ(r1.end_time, r2.end_time);
     expect_stats_identical(first.stats(), second.stats());

@@ -1,10 +1,12 @@
-// Tests for the stuck-at fault simulator.
+// Tests for the stuck-at fault model, the serial reference simulator
+// (tests/serial_fault_oracle.hpp) and ATPG.
 #include <gtest/gtest.h>
 
 #include <array>
 
 #include "src/circuits/generators.hpp"
 #include "src/fault/fault.hpp"
+#include "tests/serial_fault_oracle.hpp"
 
 namespace halotis {
 namespace {

@@ -6,8 +6,8 @@
 //     never a hang, a crash or a silent partial decode;
 //   * a daemon-routed request (`--connect`) is byte-identical to the same
 //     command run locally -- on a cache miss, on a cache hit, at 1/2/4
-//     worker threads, and under interleaved concurrent clients mixing
-//     designs;
+//     worker threads (hand-written and generated designs), and under
+//     interleaved concurrent clients mixing designs;
 //   * the keyed elaboration cache hits on byte-equal inputs, evicts LRU
 //     entries under its byte budget, and eviction never invalidates an
 //     in-flight shared elaboration;
@@ -27,6 +27,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -39,8 +40,12 @@
 #include <vector>
 
 #include "src/base/failpoint.hpp"
+#include "src/base/rng.hpp"
 #include "src/base/supervision.hpp"
+#include "src/circuits/generators.hpp"
+#include "src/circuits/stimuli.hpp"
 #include "src/netlist/library.hpp"
+#include "src/parsers/bench_format.hpp"
 #include "src/serve/client.hpp"
 #include "src/serve/elab_cache.hpp"
 #include "src/serve/elaboration.hpp"
@@ -86,6 +91,28 @@ edge b 4.0 1
 edge c 9.0 0
 edge b 14.0 0
 )";
+
+/// A generated design as the files a client ships: a SplitMix64-seeded
+/// layered netlist written with write_bench, and a staggered random
+/// stimulus over its inputs in the stimulus file format.
+std::pair<std::string, std::string> generated_design(std::uint64_t seed) {
+  static const Library lib = Library::default_u6();
+  SplitMix64 rng(seed);
+  const LayeredCircuit circuit = make_layered_circuit(lib, 6, 5, rng.next());
+  const Stimulus stim = staggered_random_stimulus(circuit.inputs, 6, rng.next());
+  std::string text = "slew 0.5\n";
+  for (const SignalId in : circuit.inputs) {
+    const std::string& name = circuit.netlist.signal(in).name;
+    text += "init " + name + (stim.initial_value(in) ? " 1\n" : " 0\n");
+    for (const StimulusEdge& edge : stim.edges(in)) {
+      char line[128];
+      std::snprintf(line, sizeof line, "edge %s %.17g %d\n", name.c_str(), edge.time,
+                    edge.value ? 1 : 0);
+      text += line;
+    }
+  }
+  return {write_bench(circuit.netlist), text};
+}
 
 struct Capture {
   int code = -1;
@@ -422,16 +449,26 @@ TEST_F(ServeTest, ArtifactsArriveByteIdenticalAndAtomic) {
 }
 
 TEST_F(ServeTest, ByteIdenticalAtEveryThreadCount) {
-  const std::string netlist_a = write("a.bench", kBenchA);
-  const std::string stim_a = write("a.stim", kStimA);
-  const std::vector<std::string> args{"sim", "--netlist", netlist_a, "--stim", stim_a,
-                                      "--hash"};
-  const Capture local = run_args(args);
-  ASSERT_EQ(local.code, 0);
+  const auto [generated_bench, generated_stim] = generated_design(0xC2055A7E);
+  const std::vector<std::vector<std::string>> requests{
+      {"sim", "--netlist", write("a.bench", kBenchA), "--stim", write("a.stim", kStimA),
+       "--hash"},
+      {"sim", "--netlist", write("g.bench", generated_bench), "--stim",
+       write("g.stim", generated_stim), "--hash"},
+  };
+  std::vector<Capture> locals;
+  for (const auto& args : requests) {
+    locals.push_back(run_args(args));
+    ASSERT_EQ(locals.back().code, 0) << locals.back().err;
+  }
   for (const int threads : {1, 2, 4}) {
     start_daemon(threads);
-    EXPECT_EQ(run_daemon(args), local) << threads << " daemon threads (miss)";
-    EXPECT_EQ(run_daemon(args), local) << threads << " daemon threads (hit)";
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(run_daemon(requests[i]), locals[i])
+          << requests[i][2] << ": " << threads << " daemon threads (miss)";
+      EXPECT_EQ(run_daemon(requests[i]), locals[i])
+          << requests[i][2] << ": " << threads << " daemon threads (hit)";
+    }
     stop_daemon();
   }
 }
@@ -644,6 +681,18 @@ TEST_F(ServeTest, DaemonRestrictsItsCommandSurface) {
     EXPECT_NE(local.err.find("sim has no --threads/--partitions"), std::string::npos)
         << local.err;
     EXPECT_EQ(run_daemon(args), local) << flag;
+  }
+  // Unusable flag values are usage errors on both sides of the seam too.
+  const std::vector<std::vector<std::string>> unusable{
+      {"sim", "--netlist", netlist, "--stim", stim, "--model", "bogus"},
+      {"sim", "--stim", stim},
+      {"fault", "--netlist", netlist, "--stim", stim, "--serial"},
+  };
+  for (const auto& args : unusable) {
+    const Capture local = run_args(args);
+    EXPECT_EQ(local.code, 2) << local.err;
+    EXPECT_NE(local.err.find("usage error: "), std::string::npos) << local.err;
+    EXPECT_EQ(run_daemon(args), local) << local.err;
   }
   // A hand-built frame for a non-routable command is refused daemon-side.
   serve::RequestFrame request;

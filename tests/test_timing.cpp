@@ -1,7 +1,7 @@
 // Tests for the elaborated TimingGraph: arc elaboration against the macro
-// models, bit-exact agreement between eval_arc() and the DelayModel
-// reference implementations, the shared-graph simulator and STA paths, and
-// SDF back-annotation.
+// models, bit-exact agreement between the graph's arcs and a per-call
+// elaborate_arc(), the shared-graph simulator and STA paths, and SDF
+// back-annotation.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -68,47 +68,44 @@ TEST_F(TimingGraphTest, CdmPolicyUsesMidswingThresholdsAndNoDegradation) {
   EXPECT_EQ(graph.threshold_fraction(GateId{0}, 0), 0.5);
 }
 
-/// The agreement theorem: eval_arc over the elaborated arc must reproduce
-/// the virtual reference implementation bit for bit, for every model
-/// flavour, over a grid of operating points.
+/// The agreement theorem: every arc of the graph must evaluate bit for bit
+/// like the same arc elaborated on its own (the gate's cell, load and
+/// variation factor), for every model flavour, over a grid of operating
+/// points.
 TEST_F(TimingGraphTest, ArcEvalBitIdenticalToModelCompute) {
   C17Circuit c17 = make_c17(lib_);
   const DdmDelayModel ddm;
   const CdmDelayModel cdm;
   const CdmDelayModel cdm_classical(CdmDelayModel::InertialWindow::kGateDelay);
   const CdmDelayModel cdm_fixed(CdmDelayModel::InertialWindow::kFixed, 0.35);
-  const VariationDelayModel varied(ddm, 0.08, 42);
+  const DelayModel varied(with_variation(ddm.timing_policy(), 0.08, 42));
 
-  for (const DelayModel* model :
-       {static_cast<const DelayModel*>(&ddm), static_cast<const DelayModel*>(&cdm),
-        static_cast<const DelayModel*>(&cdm_classical),
-        static_cast<const DelayModel*>(&cdm_fixed),
-        static_cast<const DelayModel*>(&varied)}) {
-    const TimingGraph graph = graph_for(c17.netlist, *model);
+  const DelayModel models[] = {ddm, cdm, cdm_classical, cdm_fixed, varied};
+  for (const DelayModel& model : models) {
+    const TimingPolicy& policy = model.timing_policy();
+    const TimingGraph graph = graph_for(c17.netlist, model);
     for (std::size_t g = 0; g < c17.netlist.num_gates(); ++g) {
       const GateId gid{static_cast<GateId::underlying_type>(g)};
       const Gate& gate = c17.netlist.gate(gid);
+      const double factor =
+          policy.has_variation()
+              ? variation_factor(policy.variation_seed, policy.variation_sigma, gid)
+              : 1.0;
       for (int pin = 0; pin < static_cast<int>(gate.inputs.size()); ++pin) {
         for (const Edge edge : {Edge::kRise, Edge::kFall}) {
           const TimingArc& arc = graph.arc(graph.arc_id(gid, pin, edge));
+          const TimingArc alone =
+              elaborate_arc(c17.netlist.cell_of(gid), pin, edge,
+                            c17.netlist.load_of(gate.output), lib_.vdd(), policy, factor);
           for (const TimeNs tau_in : {0.2, 0.5, 1.3}) {
             for (const std::optional<TimeNs> prev :
                  {std::optional<TimeNs>{}, std::optional<TimeNs>{9.95},
                   std::optional<TimeNs>{8.0}}) {
-              DelayRequest request;
-              request.cell = &c17.netlist.cell_of(gid);
-              request.gate = gid;
-              request.pin = pin;
-              request.out_edge = edge;
-              request.cl = c17.netlist.load_of(gate.output);
-              request.tau_in = tau_in;
-              request.t_in50 = 10.0;
-              request.t_event = 10.0;
-              request.t_prev_out50 = prev;
-              request.vdd = lib_.vdd();
-              const DelayResult expected = model->compute(request);
-              const ArcDelay got = eval_arc(arc, tau_in, request.t_event,
-                                            prev.has_value(), prev.value_or(0.0));
+              const TimeNs t_event = 10.0;
+              const ArcDelay expected = eval_arc(alone, tau_in, t_event, prev.has_value(),
+                                                 prev.value_or(0.0));
+              const ArcDelay got = eval_arc(arc, tau_in, t_event, prev.has_value(),
+                                            prev.value_or(0.0));
               EXPECT_EQ(got.tp, expected.tp);
               EXPECT_EQ(got.tau_out, expected.tau_out);
               EXPECT_EQ(got.filtered, expected.filtered);
@@ -123,16 +120,13 @@ TEST_F(TimingGraphTest, ArcEvalBitIdenticalToModelCompute) {
 
 TEST_F(TimingGraphTest, VariationPolicyFoldsPerInstanceFactors) {
   C17Circuit c17 = make_c17(lib_);
-  const DdmDelayModel ddm;
-  const VariationDelayModel varied(ddm, 0.1, 7);
-  const TimingGraph graph = graph_for(c17.netlist, varied);
+  const TimingGraph graph =
+      TimingGraph::build(c17.netlist, with_variation(DdmDelayModel{}.timing_policy(), 0.1, 7));
   for (std::size_t g = 0; g < c17.netlist.num_gates(); ++g) {
     const GateId gid{static_cast<GateId::underlying_type>(g)};
-    EXPECT_EQ(graph.arc(graph.arc_id(gid, 0, Edge::kRise)).factor, varied.factor(gid));
+    EXPECT_EQ(graph.arc(graph.arc_id(gid, 0, Edge::kRise)).factor,
+              variation_factor(7, 0.1, gid));
   }
-  // Stacking variation on variation is rejected.
-  const VariationDelayModel stacked(varied, 0.1, 8);
-  EXPECT_THROW((void)stacked.timing_policy(), ContractViolation);
 }
 
 TEST_F(TimingGraphTest, ThresholdOutsideSwingRejected) {
@@ -177,27 +171,27 @@ TEST_F(TimingGraphTest, SharedGraphSimulationBitIdenticalToInternalBuild) {
   }
 }
 
-TEST_F(TimingGraphTest, VariationGraphSimulationMatchesWrapperModel) {
+TEST_F(TimingGraphTest, VariationGraphSimulationMatchesSelfElaboration) {
   ChainCircuit chain = make_chain(lib_, 6);
   const DdmDelayModel ddm;
-  const VariationDelayModel varied(ddm, 0.12, 1234);
+  const DelayModel varied(with_variation(ddm.timing_policy(), 0.12, 1234));
 
   Stimulus stim(0.5);
   stim.add_edge(chain.nodes[0], 2.0, true, 0.5);
   stim.add_edge(chain.nodes[0], 7.0, false, 0.5);
 
-  // The wrapper computes nominal then scales; the graph folds the same
-  // factor into the arc.  Same histories, bit for bit.
-  Simulator wrapper(chain.netlist, varied);
-  wrapper.apply_stimulus(stim);
-  (void)wrapper.run();
+  // The self-elaborating simulator and an external graph fold the same
+  // factors into the arcs.  Same histories, bit for bit.
+  Simulator self_built(chain.netlist, varied);
+  self_built.apply_stimulus(stim);
+  (void)self_built.run();
   const TimingGraph graph = graph_for(chain.netlist, varied);
   Simulator graph_sim(chain.netlist, varied, graph);
   graph_sim.apply_stimulus(stim);
   (void)graph_sim.run();
 
   const SignalId out = chain.nodes.back();
-  const auto a = wrapper.history(out);
+  const auto a = self_built.history(out);
   const auto b = graph_sim.history(out);
   ASSERT_EQ(a.size(), b.size());
   ASSERT_FALSE(a.empty());

@@ -1,15 +1,18 @@
-// Tests for the per-instance variation delay model and the replay-backed
-// variation engine.
+// Tests for per-instance variation (the variation policy fields and
+// variation_factor) and the replay-backed variation engine.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/base/mathfit.hpp"
 #include "src/circuits/generators.hpp"
 #include "src/circuits/stimuli.hpp"
 #include "src/core/simulator.hpp"
 #include "src/replay/variation.hpp"
+#include "src/timing/timing_graph.hpp"
 
 namespace halotis {
 namespace {
@@ -21,25 +24,31 @@ class VariationTest : public ::testing::Test {
 };
 
 TEST_F(VariationTest, FactorsAreDeterministicPerSeedAndGate) {
-  const VariationDelayModel a(ddm_, 0.1, 42);
-  const VariationDelayModel b(ddm_, 0.1, 42);
-  const VariationDelayModel c(ddm_, 0.1, 43);
-  for (unsigned g = 0; g < 50; ++g) {
-    EXPECT_DOUBLE_EQ(a.factor(GateId{g}), b.factor(GateId{g}));
+  // Two graphs elaborated from the same variation policy fold the same
+  // factor into every arc; a different seed draws a different corner.
+  const ChainCircuit chain = make_chain(lib_, 50);
+  const TimingPolicy& ddm = ddm_.timing_policy();
+  const TimingGraph a = TimingGraph::build(chain.netlist, with_variation(ddm, 0.1, 42));
+  const TimingGraph b = TimingGraph::build(chain.netlist, with_variation(ddm, 0.1, 42));
+  const TimingGraph c = TimingGraph::build(chain.netlist, with_variation(ddm, 0.1, 43));
+  ASSERT_EQ(a.num_arcs(), b.num_arcs());
+  for (std::size_t i = 0; i < a.num_arcs(); ++i) {
+    EXPECT_DOUBLE_EQ(a.arcs()[i].factor, b.arcs()[i].factor) << "arc " << i;
   }
   int differing = 0;
   for (unsigned g = 0; g < 50; ++g) {
-    if (a.factor(GateId{g}) != c.factor(GateId{g})) ++differing;
+    const double factor = a.arc(a.arc_base(GateId{g})).factor;
+    EXPECT_EQ(factor, variation_factor(42, 0.1, GateId{g})) << "gate " << g;
+    if (factor != c.arc(c.arc_base(GateId{g})).factor) ++differing;
   }
   EXPECT_GT(differing, 45);  // different seed: different corner
 }
 
 TEST_F(VariationTest, FactorsAreRoughlyLognormal) {
   const double sigma = 0.2;
-  const VariationDelayModel model(ddm_, sigma, 7);
   std::vector<double> logs;
   for (unsigned g = 0; g < 4000; ++g) {
-    const double f = model.factor(GateId{g});
+    const double f = variation_factor(7, sigma, GateId{g});
     EXPECT_GT(f, 0.0);
     logs.push_back(std::log(f));
   }
@@ -48,7 +57,7 @@ TEST_F(VariationTest, FactorsAreRoughlyLognormal) {
 }
 
 TEST_F(VariationTest, ZeroSigmaIsIdentity) {
-  const VariationDelayModel model(ddm_, 0.0, 9);
+  const DelayModel model(with_variation(ddm_.timing_policy(), 0.0, 9));
   ChainCircuit chain = make_chain(lib_, 3);
   Stimulus stim(0.4);
   stim.add_edge(chain.nodes[0], 2.0, true);
@@ -80,7 +89,7 @@ TEST_F(VariationTest, VariationShiftsArrivalTimes) {
 
   int shifted = 0;
   for (unsigned seed = 0; seed < 10; ++seed) {
-    const VariationDelayModel model(ddm_, 0.15, seed);
+    const DelayModel model(with_variation(ddm_.timing_policy(), 0.15, seed));
     Simulator sim(chain.netlist, model);
     sim.apply_stimulus(stim);
     (void)sim.run();
@@ -94,10 +103,16 @@ TEST_F(VariationTest, VariationShiftsArrivalTimes) {
 }
 
 TEST_F(VariationTest, ThresholdsUntouched) {
-  const VariationDelayModel model(ddm_, 0.3, 5);
-  const Cell& lvt = lib_.cell(lib_.find("INV_LVT"));
-  EXPECT_DOUBLE_EQ(model.event_threshold(lvt, 0, 5.0),
-                   ddm_.event_threshold(lvt, 0, 5.0));
+  // Fig. 1's inverters span low, nominal and high thresholds.
+  const Fig1Circuit fig1 = make_fig1(lib_);
+  const TimingGraph nominal = TimingGraph::build(fig1.netlist, ddm_.timing_policy());
+  const TimingGraph derated =
+      TimingGraph::build(fig1.netlist, with_variation(ddm_.timing_policy(), 0.3, 5));
+  for (std::uint32_t g = 0; g < nominal.num_gates(); ++g) {
+    EXPECT_NE(derated.arc(derated.arc_base(GateId{g})).factor, 1.0);
+    EXPECT_DOUBLE_EQ(derated.threshold_fraction(GateId{g}, 0),
+                     nominal.threshold_fraction(GateId{g}, 0));
+  }
 }
 
 // ---- replay-backed variation engine ----------------------------------------
