@@ -34,7 +34,6 @@
 #include <cstring>
 #include <ctime>
 #include <filesystem>
-#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -510,15 +509,16 @@ LintThroughputResult run_lint_throughput(const Library& lib, bool quick,
 
 // ---- replay throughput workload ---------------------------------------------
 
-/// Record-once / re-time-many engine (PR 9) on the 8x8 multiplier under a
+/// Record-once / re-time-many engine on the 8x8 multiplier under a
 /// tie-free staggered stimulus: one recording run, then `samples` per-gate
 /// variation corners (sigma 1e-8, the corner-retiming regime where the
-/// discrete scheduling decisions survive) evaluated twice -- through a
-/// ResimSession in lane-batched groups of kReplayLanes (trace replay with
-/// full-sim fallback) and as independent full event simulations.  samples/sec and the speedup keep the replay
-/// engine on the perf trajectory; the two sample-0 hashes (replayed vs
-/// full) ride the CI quick-hash diff as a pair and must be identical --
-/// the bit-for-bit differential oracle on the perf path.
+/// discrete scheduling decisions survive) evaluated twice -- one at a time
+/// through ResimSession::evaluate (trace replay with full-sim fallback, the
+/// walk `variation --replay` runs) and as independent full event
+/// simulations.  samples/sec and the speedup keep the replay engine on the
+/// perf trajectory; the two sample-0 hashes (replayed vs full) ride the CI
+/// quick-hash diff as a pair and must be identical -- the bit-for-bit
+/// differential oracle on the perf path.
 struct ReplayThroughputResult {
   std::string name;
   std::size_t gates = 0;
@@ -577,14 +577,8 @@ ReplayThroughputResult run_replay_throughput(const Library& lib, bool quick) {
 
   replay::ResimSession session(engine);
   start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < corners.size(); i += replay::kReplayLanes) {
-    const std::size_t n = std::min(replay::kReplayLanes, corners.size() - i);
-    std::array<const TimingGraph*, replay::kReplayLanes> graphs{};
-    std::array<replay::ResimSample, replay::kReplayLanes> samples{};
-    for (std::size_t l = 0; l < n; ++l) graphs[l] = &corners[i + l];
-    session.evaluate_batch(std::span<const TimingGraph* const>(graphs.data(), n),
-                           mult.s, /*want_hash=*/false,
-                           std::span<replay::ResimSample>(samples.data(), n));
+  for (const TimingGraph& graph : corners) {
+    session.evaluate(graph, mult.s, /*want_hash=*/false);
   }
   result.replay_wall_s = seconds_since(start);
   result.fallbacks = session.fallbacks();

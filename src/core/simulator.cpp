@@ -385,19 +385,10 @@ void Simulator::finish_recording(const RunResult& result) {
           id.value(), static_cast<std::uint8_t>(rec.tr.edge == Edge::kRise ? 1 : 0)});
     }
   }
-  std::vector<std::uint8_t> initial(initial_values_.size());
-  for (std::size_t s = 0; s < initial.size(); ++s) initial[s] = initial_values_[s] ? 1 : 0;
-
-  replay::TraceStop stop = replay::TraceStop::kQueueExhausted;
-  if (result.reason == StopReason::kHorizonReached) {
-    stop = replay::TraceStop::kHorizonReached;
-  } else if (result.reason == StopReason::kEventLimit) {
-    stop = replay::TraceStop::kEventLimit;
-  }
-
-  recorder_->seal(std::move(history), std::move(initial), transitions_.size(),
-                  queue_.created_count(), timing_->arcs().size(), inputs_.size(),
-                  gates_.size(), config_.min_pulse_width, config_.t_end, stop);
+  recorder_->seal(std::move(history), transitions_.size(), queue_.created_count(),
+                  timing_->arcs().size(), inputs_.size(), gates_.size(),
+                  config_.min_pulse_width, config_.t_end,
+                  /*replayable=*/result.reason != StopReason::kEventLimit);
 }
 
 RunResult Simulator::run_impl(TimeNs horizon) {

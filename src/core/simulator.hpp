@@ -169,7 +169,8 @@ class Simulator {
   /// (src/replay/).  Recording another cycle needs a fresh record_into().
   void record_into(replay::TraceRecorder* recorder);
   /// Seals the attached recorder's trace: enumerates residual pending
-  /// events, snapshots the surviving history and the stop condition.
+  /// events, snapshots the surviving history and whether the stop condition
+  /// leaves it replayable.
   /// `result` must be the RunResult of the recorded run() (not run_until():
   /// the trace horizon is the config horizon).
   void finish_recording(const RunResult& result);

@@ -261,282 +261,6 @@ ReplayOutcome TraceReplayer::replay(std::span<const TimingArc> arcs,
   return {true, ops.size()};
 }
 
-void TraceReplayer::replay_batch(std::span<const std::span<const TimingArc>> lanes,
-                                 std::span<ReplayOutcome> outcomes,
-                                 const RunSupervisor* supervisor) {
-  constexpr std::size_t K = kReplayLanes;
-  require(lanes.size() == K && outcomes.size() == K,
-          "TraceReplayer::replay_batch(): expects exactly kReplayLanes lanes");
-  const TimingArc* arcs[K];
-  for (std::size_t l = 0; l < K; ++l) {
-    require(lanes[l].size() == trace_->num_arcs,
-            "TraceReplayer::replay_batch(): arc table size differs from the "
-            "recording graph");
-    arcs[l] = lanes[l].data();
-  }
-  lane_ok_.fill(false);
-  if (trb_.empty()) {
-    trb_.resize(trace_->num_transitions * K);
-    evb_.resize(trace_->num_events * K);
-    list_sh_.resize(trace_->num_inputs);
-    gate_sh_.resize(trace_->num_gates);
-    list_tb_.resize(trace_->num_inputs * K);
-    gate_tb_.resize(trace_->num_gates * K);
-    // Stimulus slots are never overwritten by gate ops, so one broadcast
-    // outlives every batch walk (as in the scalar constructor).
-    for (const StimInit& s : trace_->stim) {
-      for (std::size_t l = 0; l < K; ++l) {
-        trb_[s.transition * K + l] = Ramp{s.t_start, s.tau};
-      }
-    }
-  }
-  std::fill(list_sh_.begin(), list_sh_.end(), TouchShared{});
-  std::fill(gate_sh_.begin(), gate_sh_.end(), TouchShared{});
-  // Touch times need no clearing: seq == kNone accepts any first touch.
-
-  const TimeNs mpw = trace_->min_pulse_width;
-  const TimeNs horizon = trace_->horizon;
-
-  TimeNs now[K] = {};
-  bool ok[K];
-  std::fill(ok, ok + K, true);
-  std::size_t active = K;
-  std::uint32_t s_cur = kPreRun;
-  std::uint32_t e_cur = kNone;
-  std::uint32_t n_fires = 0;
-
-  // Everything below mirrors replay() exactly, per lane; see the scalar
-  // walk for the reasoning behind each check.
-
-  // Failed lanes are not branched around: they keep executing on garbage
-  // state (all indices come from the shared op stream, so every access
-  // stays in bounds and FP garbage is inert), which keeps the hot loops
-  // free of per-lane masking.  fail() is idempotent so only the first
-  // violated op is recorded.
-  std::size_t op_i = 0;
-  const auto fail = [&](std::size_t l) {
-    if (ok[l]) {
-      ok[l] = false;
-      outcomes[l] = ReplayOutcome{false, op_i};
-      --active;
-    }
-  };
-
-  const auto certified_after = [&](std::uint32_t x, std::uint32_t y,
-                                   std::size_t l) -> bool {
-    while (true) {
-      const BirthMeta& bx = birth_[x];
-      const BirthMeta& by = birth_[y];
-      if (bx.seq == by.seq) return bx.idx > by.idx;
-      if (bx.seq == kPreRun) return false;
-      if (by.seq == kPreRun) return true;
-      const TimeNs btx = evb_[bx.born_of * K + l];
-      const TimeNs bty = evb_[by.born_of * K + l];
-      if (btx != bty) return btx > bty;
-      x = bx.born_of;
-      y = by.born_of;
-    }
-  };
-
-  const auto touch = [&](TouchShared& sh, TimeNs* t) {
-    const bool ok_shared = sh.seq == s_cur || sh.seq == kNone || sh.seq == kPreRun;
-    const std::uint32_t prev_ev = sh.ev;
-    if (ok_shared) {
-      for (std::size_t l = 0; l < K; ++l) t[l] = now[l];
-    } else {
-      for (std::size_t l = 0; l < K; ++l) {
-        if (!(t[l] < now[l] ||
-              (t[l] == now[l] && certified_after(e_cur, prev_ev, l)))) {
-          fail(l);
-        }
-        t[l] = now[l];
-      }
-    }
-    sh = TouchShared{s_cur, e_cur};
-  };
-
-  const auto head_still_pending = [&](std::uint32_t a, std::size_t l) -> bool {
-    if (s_cur == kPreRun) return true;
-    const TimeNs t = evb_[a * K + l];
-    return t > now[l] || (t == now[l] && certified_after(a, e_cur, l));
-  };
-
-  const std::vector<TraceOp>& ops = trace_->ops;
-  for (; op_i < ops.size() && active != 0; ++op_i) {
-    if ((op_i & 0xFFFFu) == 0u && supervisor != nullptr) {
-      supervisor->check_coarse("replay");
-    }
-    const TraceOp& op = ops[op_i];
-    switch (op.kind) {
-      case OpKind::kSpawn: {
-        TimeNs ej[K];
-        for (std::size_t l = 0; l < K; ++l) {
-          const Ramp& cause = trb_[op.b * K + l];
-          ej[l] = cause.t_start + cause.tau * op.x;
-        }
-        if (op.c != kNone) {
-          for (std::size_t l = 0; l < K; ++l) {
-            if (!(ej[l] > evb_[op.c * K + l])) fail(l);
-          }
-        }
-        touch(list_sh_[op.d], &list_tb_[op.d * K]);
-        for (std::size_t l = 0; l < K; ++l) {
-          evb_[op.a * K + l] = ej[l] < now[l] ? now[l] : ej[l];
-        }
-        break;
-      }
-
-      case OpKind::kPairCancel: {
-        for (std::size_t l = 0; l < K; ++l) {
-          const Ramp& cause = trb_[op.b * K + l];
-          const TimeNs ej = cause.t_start + cause.tau * op.x;
-          if (!(ej <= evb_[op.a * K + l])) {
-            fail(l);
-          }
-        }
-        touch(list_sh_[op.c], &list_tb_[op.c * K]);
-        if ((op.flags & kOpWasHead) != 0) {
-          for (std::size_t l = 0; l < K; ++l) {
-            if (!head_still_pending(op.a, l)) fail(l);
-          }
-        }
-        break;
-      }
-
-      case OpKind::kFire: {
-        for (std::size_t l = 0; l < K; ++l) {
-          now[l] = evb_[op.a * K + l];
-          if (now[l] > horizon) fail(l);
-        }
-        ++n_fires;
-        s_cur = n_fires;
-        e_cur = op.a;
-        touch(list_sh_[op.b], &list_tb_[op.b * K]);
-        touch(gate_sh_[op.c], &gate_tb_[op.c * K]);
-        break;
-      }
-
-      case OpKind::kGateTr: {
-        const bool has_prev = (op.flags & kOpHasPrev) != 0;
-        for (std::size_t l = 0; l < K; ++l) {
-          const Ramp& cause = trb_[op.c * K + l];
-          const TimeNs tau_in = cause.tau;
-          const TimeNs in50 = cause.t_start + 0.5 * cause.tau;
-          const TimeNs prev50 =
-              has_prev
-                  ? trb_[op.d * K + l].t_start + 0.5 * trb_[op.d * K + l].tau
-                  : 0.0;
-          const ArcDelay delay =
-              eval_arc(arcs[l][op.b], tau_in, now[l], has_prev, prev50);
-          TimeNs t_out50 = in50 + delay.tp;
-          if (delay.filtered != ((op.flags & kOpFiltered) != 0)) {
-            fail(l);
-            continue;
-          }
-          bool collapse = delay.filtered;
-          if (has_prev) {
-            if (!collapse) {
-              const bool ord = t_out50 <= prev50 + mpw;
-              if (ord != ((op.flags & kOpOrdCollapse) != 0)) {
-                fail(l);
-                continue;
-              }
-              collapse = ord;
-            }
-            if (!collapse) {
-              const bool inertial = delay.inertial_window > 0.0 &&
-                                    (t_out50 - prev50) < delay.inertial_window;
-              if (inertial != ((op.flags & kOpInertial) != 0)) {
-                fail(l);
-                continue;
-              }
-            }
-          }
-          if ((op.flags & kOpAnnihilated) != 0) continue;
-          if ((op.flags & kOpClamped) != 0) t_out50 = prev50 + mpw;
-          const TimeNs tau_out = std::max(delay.tau_out, mpw);
-          trb_[op.a * K + l] = Ramp{t_out50 - 0.5 * tau_out, tau_out};
-        }
-        break;
-      }
-
-      case OpKind::kCancel: {
-        touch(list_sh_[op.b], &list_tb_[op.b * K]);
-        if ((op.flags & kOpWasHead) != 0) {
-          for (std::size_t l = 0; l < K; ++l) {
-            if (!head_still_pending(op.a, l)) fail(l);
-          }
-        }
-        break;
-      }
-
-      case OpKind::kResurrect: {
-        const auto input = static_cast<std::uint32_t>(op.x);
-        for (std::size_t l = 0; l < K; ++l) {
-          evb_[op.a * K + l] = std::max(evb_[op.b * K + l], now[l]);
-        }
-        touch(list_sh_[input], &list_tb_[input * K]);
-        for (std::size_t l = 0; l < K; ++l) {
-          const TimeNs when = evb_[op.a * K + l];
-          if (op.c != kNone && !(evb_[op.c * K + l] <= when)) {
-            fail(l);
-            continue;
-          }
-          if (op.d != kNone && !(evb_[op.d * K + l] > when)) {
-            fail(l);
-          }
-        }
-        break;
-      }
-
-      case OpKind::kResidual:
-        for (std::size_t l = 0; l < K; ++l) {
-          if (!(evb_[op.a * K + l] > horizon)) fail(l);
-        }
-        break;
-    }
-  }
-
-  for (std::size_t l = 0; l < K; ++l) {
-    if (ok[l]) {
-      lane_ok_[l] = true;
-      outcomes[l] = ReplayOutcome{true, ops.size()};
-    }
-  }
-}
-
-std::uint64_t TraceReplayer::batch_history_hash(std::size_t lane) const {
-  require(lane < kReplayLanes && lane_ok_[lane],
-          "TraceReplayer::batch_history_hash(): lane has no successful replay");
-  std::uint64_t hash = kFnvOffset;
-  for (std::size_t s = 0; s < trace_->history.size(); ++s) {
-    const SignalId id{static_cast<SignalId::underlying_type>(s)};
-    hash = hash_signal_header(hash, id);
-    for (const TraceHistoryEntry& e : trace_->history[s]) {
-      const Edge edge = e.rise != 0 ? Edge::kRise : Edge::kFall;
-      const Ramp& r = trb_[e.transition * kReplayLanes + lane];
-      hash = hash_transition(hash, edge, r.t_start, r.tau);
-    }
-  }
-  return hash;
-}
-
-TimeNs TraceReplayer::batch_latest_t50(std::size_t lane,
-                                       std::span<const SignalId> signals) const {
-  require(lane < kReplayLanes && lane_ok_[lane],
-          "TraceReplayer::batch_latest_t50(): lane has no successful replay");
-  TimeNs latest = 0.0;
-  for (const SignalId s : signals) {
-    require(s.value() < trace_->history.size(),
-            "TraceReplayer::batch_latest_t50(): signal out of range");
-    const std::vector<TraceHistoryEntry>& entries = trace_->history[s.value()];
-    if (entries.empty()) continue;
-    const Ramp& r = trb_[entries.back().transition * kReplayLanes + lane];
-    latest = std::max(latest, r.t_start + 0.5 * r.tau);
-  }
-  return latest;
-}
-
 std::uint64_t TraceReplayer::history_hash() const {
   require(have_times_, "TraceReplayer::history_hash(): no successful replay");
   std::uint64_t hash = kFnvOffset;
@@ -552,24 +276,6 @@ std::uint64_t TraceReplayer::history_hash() const {
   return hash;
 }
 
-std::vector<Transition> TraceReplayer::signal_history(SignalId signal) const {
-  require(have_times_, "TraceReplayer::signal_history(): no successful replay");
-  require(signal.value() < trace_->history.size(),
-          "TraceReplayer::signal_history(): signal out of range");
-  std::vector<Transition> out;
-  const std::vector<TraceHistoryEntry>& entries = trace_->history[signal.value()];
-  out.reserve(entries.size());
-  for (const TraceHistoryEntry& e : entries) {
-    Transition tr;
-    tr.signal = signal;
-    tr.edge = e.rise != 0 ? Edge::kRise : Edge::kFall;
-    tr.t_start = tr_[e.transition].t_start;
-    tr.tau = tr_[e.transition].tau;
-    out.push_back(tr);
-  }
-  return out;
-}
-
 TimeNs TraceReplayer::latest_t50(std::span<const SignalId> signals) const {
   require(have_times_, "TraceReplayer::latest_t50(): no successful replay");
   TimeNs latest = 0.0;
@@ -583,17 +289,6 @@ TimeNs TraceReplayer::latest_t50(std::span<const SignalId> signals) const {
     latest = std::max(latest, t50);
   }
   return latest;
-}
-
-bool TraceReplayer::final_value(SignalId signal) const {
-  require(signal.value() < trace_->history.size(),
-          "TraceReplayer::final_value(): signal out of range");
-  const std::vector<TraceHistoryEntry>& entries = trace_->history[signal.value()];
-  if (entries.empty()) {
-    return signal.value() < trace_->initial_values.size() &&
-           trace_->initial_values[signal.value()] != 0;
-  }
-  return entries.back().rise != 0;
 }
 
 }  // namespace halotis::replay

@@ -33,14 +33,12 @@
 // so a session evaluates thousands of samples with zero allocation.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "src/base/supervision.hpp"
 #include "src/base/units.hpp"
-#include "src/core/transition.hpp"
 #include "src/replay/trace.hpp"
 #include "src/timing/timing_arc.hpp"
 
@@ -51,12 +49,6 @@ struct ReplayOutcome {
   /// First violated op (index into Trace::ops); ops.size() when ok.
   std::size_t failed_op = 0;
 };
-
-/// Lanes evaluated together by replay_batch().  The lane-interleaved state
-/// (two cache lines of Ramps per transition at 8 lanes) plus the shared op
-/// decode and the independent per-lane data chains are what make batching
-/// pay; 8 lanes measured fastest per sample on mult8 (≈1.5x over 4).
-inline constexpr std::size_t kReplayLanes = 8;
 
 class TraceReplayer {
  public:
@@ -70,19 +62,6 @@ class TraceReplayer {
   ReplayOutcome replay(std::span<const TimingArc> arcs,
                        const RunSupervisor* supervisor = nullptr);
 
-  /// Walks the trace once while re-timing kReplayLanes independent arc
-  /// tables (each trace.num_arcs entries, outcomes.size() == lanes.size()).
-  /// The op decode and every delay-independent check run once per op; the
-  /// per-lane time recurrences are independent chains, so the walk overlaps
-  /// their latency -- and one cache line of lane-interleaved state serves
-  /// all lanes.  A lane that violates a check is masked off (its outcome
-  /// reports the op) while the rest continue; per-lane results are read
-  /// with the batch_*() accessors.  Keep in lock-step with replay(): same
-  /// expressions, same checks, per lane.
-  void replay_batch(std::span<const std::span<const TimingArc>> lanes,
-                    std::span<ReplayOutcome> outcomes,
-                    const RunSupervisor* supervisor = nullptr);
-
   // ---- results (valid only after replay() returned ok) ----------------------
 
   /// The canonical waveform hash (history_hash.hpp) over the recomputed
@@ -90,22 +69,8 @@ class TraceReplayer {
   /// with the same arcs.
   [[nodiscard]] std::uint64_t history_hash() const;
 
-  /// Recomputed surviving transitions of one signal, history order.
-  [[nodiscard]] std::vector<Transition> signal_history(SignalId signal) const;
-
   /// Latest surviving t50 over `signals` (0.0 when none transitioned).
   [[nodiscard]] TimeNs latest_t50(std::span<const SignalId> signals) const;
-
-  /// Final scheduled value of `signal` (initial value when untoggled).
-  [[nodiscard]] bool final_value(SignalId signal) const;
-
-  // ---- per-lane results (valid only for lanes whose outcome was ok) ----------
-
-  [[nodiscard]] std::uint64_t batch_history_hash(std::size_t lane) const;
-  [[nodiscard]] TimeNs batch_latest_t50(std::size_t lane,
-                                        std::span<const SignalId> signals) const;
-
-  [[nodiscard]] const Trace& trace() const { return *trace_; }
 
  private:
   /// Recomputed ramp of one transition (one cache line per access: the walk
@@ -131,13 +96,6 @@ class TraceReplayer {
     std::uint32_t seq = kNone;  ///< executing fire ordinal; kNone = untouched
     std::uint32_t ev = kNone;   ///< executing fire's event
   };
-  /// The lane-independent half of a serialization clock: the op stream is
-  /// shared, so the last toucher's fire ordinal / event are identical in
-  /// every lane -- only the touch *time* is per-lane.
-  struct TouchShared {
-    std::uint32_t seq = kNone;
-    std::uint32_t ev = kNone;
-  };
 
   const Trace* trace_;
   std::vector<Ramp> tr_;          ///< recomputed ramps, per transition
@@ -146,15 +104,6 @@ class TraceReplayer {
   std::vector<Touch> last_list_;  ///< per-input serialization clocks
   std::vector<Touch> last_gate_;  ///< per-gate serialization clocks
   bool have_times_ = false;
-
-  // ---- lane-batched state (allocated on first replay_batch) -----------------
-  std::vector<Ramp> trb_;              ///< ramps, [transition * kReplayLanes + lane]
-  std::vector<TimeNs> evb_;            ///< event times, lane-interleaved
-  std::vector<TouchShared> list_sh_;   ///< shared clock half, per input
-  std::vector<TouchShared> gate_sh_;   ///< shared clock half, per gate
-  std::vector<TimeNs> list_tb_;        ///< per-lane touch times, interleaved
-  std::vector<TimeNs> gate_tb_;        ///< per-lane touch times, interleaved
-  std::array<bool, kReplayLanes> lane_ok_{};
 };
 
 }  // namespace halotis::replay

@@ -50,9 +50,6 @@ class ResimEngine {
   [[nodiscard]] const DelayModel& model() const { return model_; }
   [[nodiscard]] const Stimulus& stimulus() const { return *stimulus_; }
   [[nodiscard]] const SimConfig& config() const { return config_; }
-  /// Stats of the recorded base run (event counts drive bench reporting).
-  [[nodiscard]] const SimStats& base_stats() const { return base_stats_; }
-  [[nodiscard]] const RunResult& base_result() const { return base_result_; }
 
  private:
   const Netlist* netlist_;
@@ -61,8 +58,6 @@ class ResimEngine {
   SimConfig config_;
   TimingGraph base_graph_;
   TraceRecorder recorder_;
-  SimStats base_stats_;
-  RunResult base_result_;
   bool recorded_ = false;
 };
 
@@ -73,8 +68,18 @@ struct ResimSample {
   bool fallback = false;           ///< full event simulation ran instead of replay
 };
 
+/// One from-scratch full event simulation of `graph` (elaborated over the
+/// engine's netlist) under the engine's model, stimulus and config --
+/// bit-exact by definition.  Runs the session's fallback, a variation
+/// analysis's nominal run, and every sample of one without replay.
+/// `observed` and `want_hash` as for ResimSession::evaluate(); `fallback`
+/// stays false.
+[[nodiscard]] ResimSample full_sample(const ResimEngine& engine, const TimingGraph& graph,
+                                      std::span<const SignalId> observed, bool want_hash,
+                                      const RunSupervisor* supervisor = nullptr);
+
 /// Per-worker evaluation state: a TraceReplayer with reusable buffers plus
-/// the fallback full-simulation path.  Not thread-safe; one per worker.
+/// the full_sample() fallback.  Not thread-safe; one per worker.
 class ResimSession {
  public:
   /// `engine` must be recorded and outlive the session.
@@ -87,17 +92,6 @@ class ResimSession {
   ResimSample evaluate(const TimingGraph& graph, std::span<const SignalId> observed,
                        bool want_hash, const RunSupervisor* supervisor = nullptr);
 
-  /// Evaluates up to kReplayLanes perturbed graphs through one lane-batched
-  /// trace walk (TraceReplayer::replay_batch): the op decode is shared and
-  /// the independent per-lane recurrences overlap, which is where the bulk
-  /// of the replay-vs-full speedup comes from.  Lanes that fail a check
-  /// fall back to full simulation individually.  Results are positionally
-  /// matched to `graphs` and bit-identical to evaluate() on each graph.
-  void evaluate_batch(std::span<const TimingGraph* const> graphs,
-                      std::span<const SignalId> observed, bool want_hash,
-                      std::span<ResimSample> out,
-                      const RunSupervisor* supervisor = nullptr);
-
   /// Samples evaluated / fallbacks taken since construction.
   [[nodiscard]] std::uint64_t evaluated() const { return evaluated_; }
   [[nodiscard]] std::uint64_t fallbacks() const { return fallbacks_; }
@@ -108,9 +102,5 @@ class ResimSession {
   std::uint64_t evaluated_ = 0;
   std::uint64_t fallbacks_ = 0;
 };
-
-/// Latest surviving t50 over `signals` of a finished full simulation
-/// (the fallback-path counterpart of TraceReplayer::latest_t50).
-[[nodiscard]] TimeNs latest_t50(const Simulator& sim, std::span<const SignalId> signals);
 
 }  // namespace halotis::replay

@@ -110,10 +110,6 @@ struct StimInit {
   TimeNs tau = 0.0;
 };
 
-/// Why the recording run stopped (mirrors StopReason without pulling the
-/// simulator header into every replay consumer).
-enum class TraceStop : std::uint8_t { kQueueExhausted, kHorizonReached, kEventLimit };
-
 /// One surviving history entry: the transition id (its recomputed time
 /// lives in the replayer's per-sample state) and its edge sense.
 struct TraceHistoryEntry {
@@ -131,9 +127,6 @@ struct Trace {
   /// run's final waveform membership (identical in any run that passes
   /// every check; only the times differ).
   std::vector<std::vector<TraceHistoryEntry>> history;
-  /// Initial value per signal (0/1) -- final values of untoggled signals.
-  std::vector<std::uint8_t> initial_values;
-  std::size_t num_signals = 0;
   std::size_t num_transitions = 0;
   std::size_t num_events = 0;
   std::size_t num_arcs = 0;
@@ -141,7 +134,6 @@ struct Trace {
   std::size_t num_gates = 0;   ///< gate count (serialization domains)
   TimeNs min_pulse_width = 0.001;
   TimeNs horizon = kNeverNs;
-  TraceStop stop = TraceStop::kQueueExhausted;
   /// Sealed by finish_recording() and re-timeable.  A run stopped by the
   /// event limit is not: the limit truncates the schedule at an ordinal,
   /// not a time, so a perturbed run could process a different prefix.
@@ -160,7 +152,6 @@ class TraceRecorder {
   /// The sealed trace.  Valid only after the simulator's
   /// finish_recording() ran (trace().replayable says so).
   [[nodiscard]] const Trace& trace() const { return trace_; }
-  [[nodiscard]] Trace take() { return std::move(trace_); }
 
   // ---- simulator hooks ------------------------------------------------------
 
@@ -243,15 +234,13 @@ class TraceRecorder {
   }
 
   /// Called by Simulator::finish_recording() with the final counts and the
-  /// surviving history; seals the trace.
+  /// surviving history; seals the trace.  `replayable` is false when the
+  /// event limit stopped the run.
   void seal(std::vector<std::vector<TraceHistoryEntry>> history,
-            std::vector<std::uint8_t> initial_values,
             std::size_t num_transitions, std::size_t num_events,
             std::size_t num_arcs, std::size_t num_inputs, std::size_t num_gates,
-            TimeNs min_pulse_width, TimeNs horizon, TraceStop stop) {
+            TimeNs min_pulse_width, TimeNs horizon, bool replayable) {
     trace_.history = std::move(history);
-    trace_.initial_values = std::move(initial_values);
-    trace_.num_signals = trace_.history.size();
     trace_.num_transitions = num_transitions;
     trace_.num_events = num_events;
     trace_.num_arcs = num_arcs;
@@ -259,8 +248,7 @@ class TraceRecorder {
     trace_.num_gates = num_gates;
     trace_.min_pulse_width = min_pulse_width;
     trace_.horizon = horizon;
-    trace_.stop = stop;
-    trace_.replayable = stop != TraceStop::kEventLimit;
+    trace_.replayable = replayable;
   }
 
  private:

@@ -10,7 +10,6 @@
 #include "src/base/rng.hpp"
 #include "src/base/strings.hpp"
 #include "src/base/worker_pool.hpp"
-#include "src/replay/history_hash.hpp"
 #include "src/replay/resim.hpp"
 #include "src/timing/timing_arc.hpp"
 
@@ -57,13 +56,9 @@ VariationResult run_variation(const Netlist& netlist, const DelayModel& model,
 
   // The nominal (unperturbed) run: one full simulation in either mode, so
   // the artifact value is mode-independent by construction.
-  {
-    Simulator sim(netlist, model, engine.base_graph(), config.sim);
-    sim.supervise(supervisor);
-    sim.apply_stimulus(stimulus);
-    (void)sim.run();
-    result.nominal_t50 = latest_t50(sim, observed);
-  }
+  result.nominal_t50 =
+      full_sample(engine, engine.base_graph(), observed, /*want_hash=*/false, supervisor)
+          .critical_t50;
 
   if (config.use_replay) engine.record(supervisor);
 
@@ -83,18 +78,11 @@ VariationResult run_variation(const Netlist& netlist, const DelayModel& model,
   result.rows.resize(config.samples);
   pool.for_each_index(config.samples, [&](int worker, std::size_t i) {
     const TimingGraph graph = perturbed_graph(engine.base_graph(), config.sigma, seeds[i]);
-    ResimSample sample;
-    if (config.use_replay) {
-      sample = sessions[static_cast<std::size_t>(worker)]->evaluate(
-          graph, observed, /*want_hash=*/true, supervisor);
-    } else {
-      Simulator sim(netlist, model, graph, config.sim);
-      sim.supervise(supervisor);
-      sim.apply_stimulus(stimulus);
-      (void)sim.run();
-      sample.history_hash = hash_sim_history(sim);
-      sample.critical_t50 = latest_t50(sim, observed);
-    }
+    ResimSession* session = sessions[static_cast<std::size_t>(worker)].get();
+    const ResimSample sample =
+        session != nullptr
+            ? session->evaluate(graph, observed, /*want_hash=*/true, supervisor)
+            : full_sample(engine, graph, observed, /*want_hash=*/true, supervisor);
     result.rows[i] =
         VariationSampleRow{seeds[i], sample.critical_t50, sample.history_hash};
   });

@@ -1,5 +1,6 @@
 #include "src/tools/cli.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
@@ -13,6 +14,8 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 #include "src/analog/analog_sim.hpp"
 #include "src/base/check.hpp"
@@ -349,6 +352,10 @@ int sim_replay_corners(const ServiceEnv& env, const Options& options,
   const RunSupervisor supervisor = make_supervisor(options, env);
 
   replay::ResimEngine engine(netlist, model, stimulus, config);
+  // Every corner is the library elaboration plus that corner's own SDF: a
+  // pin one corner leaves unannotated keeps its library delay, never the
+  // reference corner's.
+  const TimingGraph library = engine.base_graph();
   // Record at the first corner's elaboration: the trace's scheduling
   // decisions then hold exactly for that corner (bit-exact fast replay)
   // and usually for the neighbouring corners of the same annotation.
@@ -367,7 +374,7 @@ int sim_replay_corners(const ServiceEnv& env, const Options& options,
 
   replay::ResimSession session(engine);
   for (const std::string& path : corners) {
-    TimingGraph corner = engine.base_graph();
+    TimingGraph corner = library;
     const SdfFile sdf = read_sdf(read_input(env, path));
     const std::size_t applied = apply_sdf(corner, sdf);
     const replay::ResimSample sample = session.evaluate(
@@ -386,11 +393,6 @@ int sim_replay_corners(const ServiceEnv& env, const Options& options,
 }
 
 int cmd_sim(const Options& options, std::ostream& out, const ServiceEnv& env) {
-  if (options.get("threads") || options.get("partitions")) {
-    throw UsageError(
-        "sim has no --threads/--partitions: one run is one serial event loop "
-        "(fault, variation and serve take --threads)");
-  }
   const DelayModel model = make_model(options);
   const bool replay = options.get("replay").has_value();
   // One elaborated timing database for the run; --sdf back-annotates it
@@ -524,9 +526,9 @@ int cmd_variation(const Options& options, std::ostream& out, const ServiceEnv& e
   return 0;
 }
 
-int cmd_analog(const Options& options, std::ostream& out) {
+int cmd_analog(const Options& options, std::ostream& out, const ServiceEnv& env) {
   const Netlist netlist = load_netlist(options, default_library());
-  const Stimulus stimulus = load_stimulus({}, options, netlist);
+  const Stimulus stimulus = load_stimulus(env, options, netlist);
   const TimeNs t_end = options.number("t-end", stimulus.last_edge_time() + 10.0);
 
   AnalogSim sim(netlist);
@@ -578,7 +580,7 @@ int cmd_sta(const Options& options, std::ostream& out, const ServiceEnv& env) {
   return 0;
 }
 
-int cmd_lint(const Options& options, std::ostream& out) {
+int cmd_lint(const Options& options, std::ostream& out, const ServiceEnv& env) {
   const Library& lib = default_library();
   const std::string format = options.get("format").value_or("text");
   if (format != "text" && format != "json") throw UsageError("--format must be text|json");
@@ -594,7 +596,7 @@ int cmd_lint(const Options& options, std::ostream& out) {
   const Netlist netlist =
       serve::parse_netlist_text(read_file(netlist_path), netlist_format, lib);
   const DelayModel model = make_model(options);
-  const RunSupervisor supervisor = make_supervisor(options);
+  const RunSupervisor supervisor = make_supervisor(options, env);
 
   // SDF annotation progress and per-pin warnings go to the console only in
   // text mode: `--format json` on stdout must stay a pure JSON document
@@ -636,11 +638,6 @@ int cmd_lint(const Options& options, std::ostream& out) {
 }
 
 int cmd_fault(const Options& options, std::ostream& out, const ServiceEnv& env) {
-  if (options.get("serial")) {
-    throw UsageError(
-        "fault has no --serial: the campaign engine is the one fault simulator "
-        "(--threads 1 runs it on one thread)");
-  }
   const DelayModel model = make_model(options);
   const std::shared_ptr<const serve::Elaboration> elab =
       service_elaboration(env, options, model.timing_policy(), /*want_sdf=*/false);
@@ -721,7 +718,7 @@ int cmd_fault(const Options& options, std::ostream& out, const ServiceEnv& env) 
   return result.errors > 0 ? 1 : 0;
 }
 
-int cmd_repro(const Options& options, std::ostream& out) {
+int cmd_repro(const Options& options, std::ostream& out, const ServiceEnv& env) {
   const repro::ExperimentRegistry registry = repro::ExperimentRegistry::builtin();
 
   if (options.get("list")) {
@@ -748,7 +745,7 @@ int cmd_repro(const Options& options, std::ostream& out) {
   if (const auto golden = options.get("golden")) {
     run_options.golden_text = read_file(*golden);
   }
-  const RunSupervisor supervisor = make_supervisor(options);
+  const RunSupervisor supervisor = make_supervisor(options, env);
   run_options.supervisor = &supervisor;
 
   const auto start = std::chrono::steady_clock::now();
@@ -810,7 +807,7 @@ int cmd_repro(const Options& options, std::ostream& out) {
   return report.ok() ? 0 : 1;
 }
 
-int cmd_convert(const Options& options, std::ostream& out) {
+int cmd_convert(const Options& options, std::ostream& out, const ServiceEnv& /*env*/) {
   const Netlist netlist = load_netlist(options, default_library());
   const std::string to = options.require_flag("to");
   std::string text;
@@ -838,7 +835,7 @@ int cmd_convert(const Options& options, std::ostream& out) {
 /// socket, parks the worker pool in accept loops, and blocks until SIGINT
 /// or SIGTERM trips the process token -- then drains, unlinks the socket
 /// and reports what it served.
-int cmd_serve(const Options& options, std::ostream& out) {
+int cmd_serve(const Options& options, std::ostream& out, const ServiceEnv& /*env*/) {
   serve::ServeOptions serve_options;
   serve_options.socket_path = options.require_flag("socket");
   serve_options.threads = usage_count(options, "threads", 0);
@@ -875,18 +872,67 @@ int cmd_serve(const Options& options, std::ostream& out) {
   return 0;
 }
 
+/// One command: its handler and the flags it reads (its cmd_* and the
+/// helpers it calls: service_elaboration, load_stimulus, make_model, ...).
+/// Any other flag is a usage error naming it, so a typo (`--budget-event`)
+/// or another command's flag never runs silently ignored.  Every command
+/// also takes --failpoints.
+struct Command {
+  std::string_view name;
+  int (*run)(const Options&, std::ostream&, const ServiceEnv&);
+  bool routable;    ///< the daemon serves it: takes --connect
+  bool supervised;  ///< takes make_supervisor's --budget-events,
+                    ///< --budget-mem-mb and --deadline-s
+  std::vector<std::string_view> flags;
+};
+
+/// The command named `name`, or nullptr.
+const Command* find_command(std::string_view name) {
+  static const std::vector<Command> commands{
+      {"sim", cmd_sim, true, true,
+       {"netlist", "format", "stim", "model", "t-end", "sdf", "replay", "vcd", "report",
+        "waves", "hash"}},
+      {"variation", cmd_variation, true, true,
+       {"netlist", "format", "stim", "model", "sigma", "samples", "seed", "threads",
+        "replay", "t-end", "csv", "out"}},
+      {"analog", cmd_analog, false, false, {"netlist", "format", "stim", "t-end", "csv"}},
+      {"sta", cmd_sta, true, false, {"netlist", "format", "sdf", "slew", "per-arc"}},
+      {"lint", cmd_lint, false, true,
+       {"netlist", "netlist-format", "format", "model", "sdf", "slew", "fanout-limit",
+        "out", "baseline", "write-baseline", "fail-on"}},
+      {"fault", cmd_fault, true, true,
+       {"netlist", "format", "stim", "model", "period", "threads", "no-early-exit", "atpg",
+        "candidates", "seed"}},
+      {"repro", cmd_repro, false, true,
+       {"list", "only", "quick", "out", "threads", "golden"}},
+      {"convert", cmd_convert, false, false, {"netlist", "format", "to", "slew", "out"}},
+      {"serve", cmd_serve, false, false,
+       {"socket", "threads", "cache-mb", "idle-timeout-ms"}},
+  };
+  for (const Command& command : commands) {
+    if (command.name == name) return &command;
+  }
+  return nullptr;
+}
+
+/// Throws a UsageError for the first flag `command` does not take.
+void check_flags(const Command& command, const Options& options) {
+  static constexpr std::string_view kSupervision[] = {"budget-events", "budget-mem-mb",
+                                                      "deadline-s"};
+  for (const auto& [name, value] : options.flags) {
+    const bool taken = name == "failpoints" || (name == "connect" && command.routable) ||
+                       (command.supervised && std::ranges::count(kSupervision, name) > 0) ||
+                       std::ranges::count(command.flags, name) > 0;
+    if (!taken) throw UsageError(std::string(command.name) + " has no --" + name);
+  }
+}
+
 /// `--connect PATH` interception (local mode): ship the command's argv and
 /// input files to a resident daemon, write the returned artifacts
 /// atomically on this side, relay the captured console bytes -- a
 /// successful exchange is byte-identical to running the command locally.
 int run_connect(const Options& options, const std::vector<std::string>& args,
                 std::ostream& out, std::ostream& err) {
-  const bool routable = options.command == "sim" || options.command == "sta" ||
-                        options.command == "fault" || options.command == "variation";
-  if (!routable) {
-    throw UsageError("--connect routes sim, sta, fault and variation only (got '" +
-                     options.command + "')");
-  }
   const std::string socket_path = *options.get("connect");
   std::vector<std::pair<std::string, std::string>> files;
   const auto ship = [&files](const std::string& path) {
@@ -1020,17 +1066,20 @@ int run_cli_service(const std::vector<std::string>& args, std::ostream& out,
       expanded.insert(expanded.begin() + 1, "--netlist");
     }
     const Options options = parse_args(expanded);
+    const Command* command = find_command(options.command);
+    // The daemon serves the four commands whose inputs ship in the request
+    // frame and whose elaborations cache; everything else -- and anything
+    // process-global -- is a usage error back to the client.
+    if (env.daemon() && (command == nullptr || !command->routable)) {
+      throw UsageError("daemon serves sim, sta, fault and variation (got '" +
+                       options.command + "')");
+    }
+    if (command == nullptr) {
+      err << "unknown command '" << options.command << "'\n" << cli_usage();
+      return 2;
+    }
+    check_flags(*command, options);
     if (env.daemon()) {
-      // The daemon serves the four commands whose inputs ship in the
-      // request frame and whose elaborations cache; everything else -- and
-      // anything process-global -- is a usage error back to the client.
-      const bool routable = options.command == "sim" || options.command == "sta" ||
-                            options.command == "fault" ||
-                            options.command == "variation";
-      if (!routable) {
-        throw UsageError("daemon serves sim, sta, fault and variation (got '" +
-                         options.command + "')");
-      }
       if (options.get("connect")) {
         throw UsageError("--connect cannot be forwarded through a daemon");
       }
@@ -1049,17 +1098,7 @@ int run_cli_service(const std::vector<std::string>& args, std::ostream& out,
       }
       if (options.get("connect")) return run_connect(options, expanded, out, err);
     }
-    if (options.command == "sim") return cmd_sim(options, out, env);
-    if (options.command == "variation") return cmd_variation(options, out, env);
-    if (options.command == "analog") return cmd_analog(options, out);
-    if (options.command == "sta") return cmd_sta(options, out, env);
-    if (options.command == "lint") return cmd_lint(options, out);
-    if (options.command == "fault") return cmd_fault(options, out, env);
-    if (options.command == "repro") return cmd_repro(options, out);
-    if (options.command == "convert") return cmd_convert(options, out);
-    if (options.command == "serve") return cmd_serve(options, out);
-    err << "unknown command '" << options.command << "'\n" << cli_usage();
-    return 2;
+    return command->run(options, out, env);
   } catch (const UsageError& e) {
     err << "usage error: " << e.what() << "\n" << cli_usage();
     return 2;

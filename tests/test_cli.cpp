@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "src/tools/cli.hpp"
 
@@ -78,10 +80,10 @@ TEST_F(CliTest, SimProducesStatsAndFinalValues) {
 TEST_F(CliTest, SimRejectsThreadAndPartitionFlags) {
   const std::string netlist = write("and2.bench", kBench);
   const std::string stim = write("and2.stim", kStim);
-  for (const char* flag : {"--threads", "--partitions"}) {
-    EXPECT_EQ(run({"sim", "--netlist", netlist, "--stim", stim, flag, "2"}), 2) << flag;
-    EXPECT_NE(err_.str().find("usage error: sim has no --threads/--partitions"),
-              std::string::npos)
+  for (const std::string flag : {"threads", "partitions"}) {
+    EXPECT_EQ(run({"sim", "--netlist", netlist, "--stim", stim, "--" + flag, "2"}), 2)
+        << flag;
+    EXPECT_NE(err_.str().find("usage error: sim has no --" + flag), std::string::npos)
         << err_.str();
     EXPECT_NE(err_.str().find("usage: halotis"), std::string::npos) << flag;
     EXPECT_EQ(out_.str(), "") << flag;
@@ -227,7 +229,7 @@ TEST_F(CliTest, MalformedFlagsExitTwoWithUsage) {
                "sim --replay needs --sdf");
   expect_usage({"sim", "--netlist", netlist, "--stim", stim,
                 "--sdf", "x.sdf", "--replay", "--threads", "2"},
-               "sim has no --threads/--partitions");
+               "sim has no --threads");
   expect_usage({"sim", "--netlist", netlist, "--stim", stim,
                 "--sdf", "x.sdf", "--replay", "--vcd",
                 (dir_ / "w.vcd").string()},
@@ -247,6 +249,14 @@ TEST_F(CliTest, MalformedFlagsExitTwoWithUsage) {
                "--cache-mb must be > 0");
   expect_usage({"fault", "--netlist", netlist, "--stim", stim, "--serial"},
                "fault has no --serial");
+
+  // A flag the command does not read -- a typo, or another command's flag
+  // -- is named, never silently ignored.
+  expect_usage({"sim", "--netlist", netlist, "--stim", stim, "--budget-event", "1"},
+               "sim has no --budget-event");
+  expect_usage({"sim", "--netlist", netlist, "--stim", stim, "--hsah"},
+               "sim has no --hsah");
+  expect_usage({"sta", "--netlist", netlist, "--samples", "3"}, "sta has no --samples");
 
   // Hex seeds are NOT usage errors: 0x-prefixed values parse.
   EXPECT_EQ(run({"variation", "--netlist", netlist, "--stim", stim,
@@ -356,6 +366,44 @@ TEST_F(CliTest, SimWithThirdPartySdfFixture) {
   // STA over the same annotated database.
   ASSERT_EQ(run({"sta", "--netlist", netlist, "--sdf", fixture}), 0);
   EXPECT_NE(out_.str().find("critical delay"), std::string::npos);
+}
+
+/// `sim --sdf A,B --replay` re-times every corner from the library
+/// elaboration plus that corner's own SDF: a corner that leaves a pin
+/// unannotated keeps the library delay there, not the reference corner's.
+/// Each corner's hash equals a plain `sim --sdf X --hash`, in either order.
+TEST_F(CliTest, SimReplayCornersMatchTheirOwnSdf) {
+  const std::string netlist = write("and2.bench", kBench);
+  const std::string stim = write("and2.stim", kStim);
+  const std::string sdf_dir = std::string(HALOTIS_SOURCE_DIR) + "/tests/sdf/";
+  const std::string full = sdf_dir + "and2_thirdparty.sdf";
+  const std::string partial = sdf_dir + "and2_partial.sdf";  // no INV_X1 cell
+
+  const auto plain_hash = [&](const std::string& sdf) {
+    EXPECT_EQ(run({"sim", "--netlist", netlist, "--stim", stim, "--sdf", sdf, "--hash"}), 0);
+    const std::string text = out_.str();
+    const std::size_t at = text.find("history hash: ");
+    return at == std::string::npos ? std::string("missing") : text.substr(at + 14, 16);
+  };
+  const std::string full_hash = plain_hash(full);
+  const std::string partial_hash = plain_hash(partial);
+  ASSERT_NE(full_hash, partial_hash) << "the corners must differ";
+
+  for (const std::string& corners : {full + "," + partial, partial + "," + full}) {
+    ASSERT_EQ(run({"sim", "--netlist", netlist, "--stim", stim, "--sdf", corners,
+                   "--replay"}),
+              0)
+        << err_.str();
+    const std::string text = out_.str();
+    for (const auto& [sdf, hash] :
+         {std::pair{full, full_hash}, std::pair{partial, partial_hash}}) {
+      const std::size_t line = text.find("\ncorner " + sdf + ": ");
+      ASSERT_NE(line, std::string::npos) << text;
+      const std::string row = text.substr(line + 1, text.find('\n', line + 1) - line - 1);
+      EXPECT_NE(row.find("hash " + hash), std::string::npos)
+          << "order " << corners << ": " << row;
+    }
+  }
 }
 
 TEST_F(CliTest, StaPerArcDumpsTimingGraph) {

@@ -7,12 +7,9 @@
 // independent from-scratch full simulation of the same graph.  The suite
 // drives every repro circuit under both delay disciplines (DDM and the
 // transport-like CDM) across hundreds of seeded random delay samples, plus
-// randomized layered DAGs with per-arc perturbations up to +/-50%, and
-// checks both the scalar replay() path and the lane-batched replay_batch()
-// path against the oracle.
+// randomized layered DAGs with per-arc perturbations up to +/-50%.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -302,52 +299,6 @@ TEST_F(ReplayOracleTest, InternedArcsUnderPartialSharing) {
   EXPECT_EQ(run_hash(pooled), nominal_hash);
   pooled.rebind(mult.netlist, ddm_, nominal);
   EXPECT_EQ(run_hash(pooled), nominal_hash);
-}
-
-// ---- lane-batched path ------------------------------------------------------
-
-TEST_F(ReplayOracleTest, BatchEvaluationMatchesOracle) {
-  MultiplierCircuit mult = make_multiplier(lib_, 4);
-  std::vector<SignalId> inputs = mult.a;
-  inputs.insert(inputs.end(), mult.b.begin(), mult.b.end());
-  Stimulus stim = staggered_random_stimulus(inputs, 8, 5150);
-  stim.set_initial(mult.tie0, false);
-
-  ResimEngine engine(mult.netlist, ddm_, stim, SimConfig{});
-  engine.record();
-  ResimSession session(engine);
-
-  // Mixed-regime lanes within one batch: tiny perturbations next to
-  // schedule-breaking ones, so replayed and fallback lanes coexist.
-  static constexpr double kSigmas[] = {1e-8, 1e-2, 1e-6, 1e-4};
-  SplitMix64 seeds(0xBA7C4);
-  std::uint64_t batch_fallbacks = 0;
-  for (int round = 0; round < 8; ++round) {
-    std::vector<TimingGraph> corners;
-    for (std::size_t l = 0; l < replay::kReplayLanes; ++l) {
-      corners.push_back(gate_corner(engine.base_graph(), seeds.next(),
-                                    kSigmas[l % std::size(kSigmas)]));
-    }
-    std::array<const TimingGraph*, replay::kReplayLanes> graphs{};
-    std::array<ResimSample, replay::kReplayLanes> out{};
-    for (std::size_t l = 0; l < replay::kReplayLanes; ++l) graphs[l] = &corners[l];
-    session.evaluate_batch(graphs, mult.s, /*want_hash=*/true, out);
-    for (std::size_t l = 0; l < replay::kReplayLanes; ++l) {
-      ASSERT_EQ(out[l].history_hash, oracle_hash(mult.netlist, ddm_, corners[l], stim))
-          << "round " << round << " lane " << l;
-      if (out[l].fallback) ++batch_fallbacks;
-    }
-  }
-  EXPECT_GT(batch_fallbacks, 0u);
-  EXPECT_LT(batch_fallbacks, session.evaluated());
-
-  // Short batches (fewer graphs than lanes) are padded internally and
-  // stay positionally exact.
-  const TimingGraph one = gate_corner(engine.base_graph(), seeds.next(), 1e-7);
-  const TimingGraph* single[] = {&one};
-  ResimSample single_out[1];
-  session.evaluate_batch(single, mult.s, /*want_hash=*/true, single_out);
-  EXPECT_EQ(single_out[0].history_hash, oracle_hash(mult.netlist, ddm_, one, stim));
 }
 
 // ---- property / fuzz: randomized layered DAGs, per-arc perturbations --------

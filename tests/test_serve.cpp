@@ -668,19 +668,26 @@ TEST_F(ServeTest, DaemonRestrictsItsCommandSurface) {
   // lint is not daemon-routable: the client refuses before connecting.
   const Capture lint = run_args({"lint", netlist, "--connect", socket_});
   EXPECT_EQ(lint.code, 2);
-  EXPECT_NE(lint.err.find("--connect routes sim, sta, fault and variation"),
-            std::string::npos);
-  // sim takes no thread or partition flags: the daemon answers with the
+  EXPECT_NE(lint.err.find("lint has no --connect"), std::string::npos) << lint.err;
+  // A flag the command does not read -- sim's removed thread and partition
+  // flags, a typo, another command's flag: the daemon answers with the
   // local usage error, byte for byte.
   const std::string stim = write("a.stim", kStimA);
-  for (const char* flag : {"--threads", "--partitions"}) {
-    const std::vector<std::string> args{"sim", "--netlist", netlist, "--stim", stim, flag,
-                                        "2"};
+  const std::vector<std::pair<std::vector<std::string>, std::string>> unread{
+      {{"sim", "--netlist", netlist, "--stim", stim, "--threads", "2"},
+       "sim has no --threads"},
+      {{"sim", "--netlist", netlist, "--stim", stim, "--partitions", "2"},
+       "sim has no --partitions"},
+      {{"sim", "--netlist", netlist, "--stim", stim, "--budget-event", "1"},
+       "sim has no --budget-event"},
+      {{"sim", "--netlist", netlist, "--stim", stim, "--hsah"}, "sim has no --hsah"},
+      {{"sta", "--netlist", netlist, "--samples", "3"}, "sta has no --samples"},
+  };
+  for (const auto& [args, needle] : unread) {
     const Capture local = run_args(args);
-    EXPECT_EQ(local.code, 2) << flag;
-    EXPECT_NE(local.err.find("sim has no --threads/--partitions"), std::string::npos)
-        << local.err;
-    EXPECT_EQ(run_daemon(args), local) << flag;
+    EXPECT_EQ(local.code, 2) << needle;
+    EXPECT_NE(local.err.find("usage error: " + needle), std::string::npos) << local.err;
+    EXPECT_EQ(run_daemon(args), local) << needle;
   }
   // Unusable flag values are usage errors on both sides of the seam too.
   const std::vector<std::vector<std::string>> unusable{
@@ -694,18 +701,27 @@ TEST_F(ServeTest, DaemonRestrictsItsCommandSurface) {
     EXPECT_NE(local.err.find("usage error: "), std::string::npos) << local.err;
     EXPECT_EQ(run_daemon(args), local) << local.err;
   }
-  // A hand-built frame for a non-routable command is refused daemon-side.
-  serve::RequestFrame request;
-  request.args = {"repro", "--list"};
-  const serve::UnixFd conn = serve::connect_unix(socket_);
-  serve::write_frame(conn.get(), serve::encode_request(request), nullptr);
-  const std::optional<std::string> payload = serve::read_frame(conn.get(), nullptr, 5000);
-  ASSERT_TRUE(payload.has_value());
-  const serve::ResponseFrame response = serve::decode_response(*payload);
-  EXPECT_EQ(response.exit_code, 2);
-  EXPECT_NE(response.err.find("daemon serves sim, sta, fault and variation"),
+  // Hand-built frames (a client that skips the local checks) are refused
+  // daemon-side: a non-routable command, and a flag the command does not
+  // read, the latter with the local error bytes.
+  const auto exchange = [this](std::vector<std::string> args) {
+    serve::RequestFrame request;
+    request.args = std::move(args);
+    const serve::UnixFd conn = serve::connect_unix(socket_);
+    serve::write_frame(conn.get(), serve::encode_request(request), nullptr);
+    const std::optional<std::string> payload =
+        serve::read_frame(conn.get(), nullptr, 5000);
+    return payload.has_value() ? serve::decode_response(*payload) : serve::ResponseFrame{};
+  };
+  const serve::ResponseFrame repro = exchange({"repro", "--list"});
+  EXPECT_EQ(repro.exit_code, 2);
+  EXPECT_NE(repro.err.find("daemon serves sim, sta, fault and variation"),
             std::string::npos)
-      << response.err;
+      << repro.err;
+  const std::vector<std::string> typo{"sta", "--netlist", netlist, "--samples", "3"};
+  const serve::ResponseFrame refused = exchange(typo);
+  EXPECT_EQ(refused.exit_code, 2);
+  EXPECT_EQ(refused.err, run_args(typo).err);
 }
 
 TEST_F(ServeTest, RandomizedFailureSoakNeverWedgesTheDaemon) {
