@@ -77,8 +77,8 @@ struct WorkloadResult {
   SimStats stats;
   std::uint64_t history_hash = 0;
   std::uint64_t transitions_total = 0;   // transition-arena length after run
-  std::uint64_t peak_live_transitions = 0;  // peak live tracking records
-  std::uint64_t arena_bytes = 0;            // transition arena + pools footprint
+  std::uint64_t peak_live_transitions = 0;  // peak transitions holding a pair chain
+  std::uint64_t arena_bytes = 0;            // transition + event arena footprint
 };
 
 double seconds_since(std::chrono::steady_clock::time_point start) {

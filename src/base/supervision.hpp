@@ -87,7 +87,8 @@ struct RunBudget {
   /// reset()s).  Unlike SimConfig::max_events -- which *stops* the run
   /// with StopReason::kEventLimit -- exceeding a budget is an error.
   std::uint64_t max_events = 0;
-  /// Peak simultaneously-live transition bookkeeping records.
+  /// Transitions holding a suppressed-pair chain at once
+  /// (Simulator::live_transitions()).
   std::uint64_t max_live_transitions = 0;
   /// Transition + event arena byte footprint.
   std::uint64_t max_arena_bytes = 0;

@@ -77,15 +77,12 @@ class EventQueue {
   /// capacity across clear().
   void reserve(std::size_t expected_events) { nodes_.reserve(expected_events); }
 
-  /// Drops every event and resets the counters (the heap high-water mark
-  /// included) while keeping the arena and heap capacity -- the
-  /// Simulator::reset() re-arm path recycles the queue instead of
-  /// reallocating it.
+  /// Drops every event and resets the heap high-water mark while keeping
+  /// the arena and heap capacity -- the Simulator::reset() re-arm path
+  /// recycles the queue instead of reallocating it.
   void clear() {
     nodes_.clear();
     heap_.clear();
-    cancelled_ = 0;
-    fired_ = 0;
     peak_size_ = 0;
   }
 
@@ -139,8 +136,6 @@ class EventQueue {
   }
 
   [[nodiscard]] std::uint64_t created_count() const { return nodes_.size(); }
-  [[nodiscard]] std::uint64_t cancelled_count() const { return cancelled_; }
-  [[nodiscard]] std::uint64_t fired_count() const { return fired_; }
 
   /// Approximate byte footprint of the event arena and heap (capacity).
   [[nodiscard]] std::uint64_t arena_bytes() const {
@@ -194,8 +189,6 @@ class EventQueue {
 
   std::vector<Node> nodes_;      // arena, indexed by EventId
   std::vector<HeapSlot> heap_;   // 4-ary min-heap of scheduled pending events
-  std::uint64_t cancelled_ = 0;
-  std::uint64_t fired_ = 0;
   std::size_t peak_size_ = 0;    // heap high-water mark
 };
 
@@ -275,7 +268,6 @@ inline EventId EventQueue::pop() {
     sift_up(hole);
   }
   nodes_[raw].state = EventState::kFired;
-  ++fired_;
   return EventId{raw};
 }
 
@@ -284,7 +276,6 @@ inline EventId EventQueue::pop_replacing(EventId next) {
   const std::uint32_t raw = heap_.front().id;
   nodes_[raw].heap_pos = detail::kNoHeapPos;
   nodes_[raw].state = EventState::kFired;
-  ++fired_;
   const std::uint32_t nraw = next.value();
   Node& node = nodes_[nraw];
   debug_ensure(node.state == EventState::kPending && node.heap_pos == detail::kNoHeapPos,
@@ -308,7 +299,6 @@ inline void EventQueue::cancel(EventId id) {
     remove_at(pos);
   }
   node.state = EventState::kCancelled;
-  ++cancelled_;
 }
 
 inline void EventQueue::remove_at(std::size_t pos) {

@@ -141,14 +141,10 @@ void Simulator::build_static_tables() {
 void Simulator::reset() {
   queue_.clear();
   transitions_.clear();
-  tracks_.clear();
-  track_free_ = kNil;
-  spawn_pool_.clear();
-  spawn_free_ = kNil;
   pair_pool_.clear();
   pair_free_ = kNil;
-  live_tracks_ = 0;
-  peak_live_tracks_ = 0;
+  live_transitions_ = 0;
+  peak_live_transitions_ = 0;
   for (auto& history : signal_history_) history.clear();
   initial_values_.assign(initial_values_.size(), false);
   for (GateRec& gate : gates_) {
@@ -220,7 +216,6 @@ void Simulator::apply_stimulus(const Stimulus& stimulus) {
     // failure exactly where a constrained host would actually hit it.
     if (failpoint("alloc.simulator.arena")) throw std::bad_alloc();
     transitions_.reserve(est_transitions);
-    tracks_.reserve(std::min<std::size_t>(est_transitions / 8 + 64, 1u << 16));
     const std::size_t est_events = std::min(2 * est_transitions, kReserveCap);
     queue_.reserve(est_events);
     for (SignalId pi : pis) {
@@ -256,10 +251,6 @@ TransitionId Simulator::create_transition(SignalId signal, Edge edge, TimeNs t_s
   rec.tr.t_start = t_start;
   rec.tr.tau = tau;
   rec.tr.prev = prev;
-  // rec.track stays kNoTrackFree: a bookkeeping slot is allocated lazily by
-  // spawn_events() only if the transition actually spawns events or records
-  // suppressed pairs -- fanout-free lines (primary outputs) never pay the
-  // alloc/reclaim round trip.
   transitions_.push_back(rec);
   signal_history_[signal.value()].push_back(id);
   ++stats_.transitions_created;
@@ -267,9 +258,10 @@ TransitionId Simulator::create_transition(SignalId signal, Edge edge, TimeNs t_s
 }
 
 void Simulator::spawn_events(TransitionId tr_id) {
-  // Copy the POD part: pool appends below must not read through a stale
-  // reference.
-  const Transition tr = transitions_[tr_id.value()].tr;
+  // The loop never grows transitions_, so one lookup serves every fanout;
+  // the POD copy keeps the loop's arena writes from forcing reloads of it.
+  TransitionRec& rec = transitions_[tr_id.value()];
+  const Transition tr = rec.tr;
   const std::uint32_t sig = tr.signal.value();
   const std::uint32_t begin = fanout_base_[sig];
   // A transition on the stuck-at site is gagged: receivers perceive the
@@ -278,15 +270,6 @@ void Simulator::spawn_events(TransitionId tr_id) {
   const std::uint32_t end =
       tr.signal == fault_signal_ ? begin : fanout_base_[sig + 1];
   const bool rising = tr.edge == Edge::kRise;
-  // The loop never grows transitions_, so one lookup serves every fanout;
-  // the bookkeeping slot is allocated on the first append only (fanout-free
-  // transitions keep the kNoTrackFree sentinel and need no reclamation).
-  TransitionRec& rec = transitions_[tr_id.value()];
-  std::uint32_t track = rec.track;
-  const auto live_track = [&]() {
-    if (track >= kTrackSentinelMin) rec.track = track = alloc_track();
-    return track;
-  };
   for (std::uint32_t i = begin; i < end; ++i) {
     const FanoutEntry& fo = fanout_[i];
     const PinRef target{fo.gate, fo.pin};
@@ -306,12 +289,11 @@ void Simulator::spawn_events(TransitionId tr_id) {
         pair.partner_cause = prev_ev.transition;
         pair.partner_event = prev_id;
         pair.partner_time = prev_ev.time;
-        track_append_pair(live_track(), pair);
-        // The pair keeps the partner's bookkeeping alive until consumed.
-        ++transitions_[pair.partner_cause.value()].partner_refs;
+        append_pair(rec, pair);
         const bool was_head = in.head == prev_tail;
         list_remove(in, prev_id);
-        cancel_pending_event(prev_id);
+        queue_.cancel(prev_id);
+        ++stats_.events_cancelled;
         if (recorder_ != nullptr) {
           recorder_->on_pair_cancel(prev_id, tr_id, frac, fo.input, was_head);
         }
@@ -331,20 +313,7 @@ void Simulator::spawn_events(TransitionId tr_id) {
       // heap; later events are promoted when they reach the front.
       queue_.enqueue(id);
     }
-    track_append_spawned(live_track(), id);
-    ++rec.pending;
   }
-}
-
-void Simulator::cancel_pending_event(EventId id) {
-  const Event& ev = queue_.event_unchecked(id);
-  const TransitionId cause = ev.transition;
-  queue_.cancel(id);
-  ++stats_.events_cancelled;
-  TransitionRec& rec = transitions_[cause.value()];
-  debug_ensure(rec.pending > 0, "Simulator: pending-event accounting out of sync");
-  --rec.pending;
-  maybe_reclaim(cause);
 }
 
 RunResult Simulator::run() { return run_impl(config_.t_end); }
@@ -430,19 +399,17 @@ RunResult Simulator::run_impl(TimeNs horizon) {
       // in), so the event-budget stop point stays bit-deterministic while
       // the hot path only decrements.
       supervisor_->check_events(stats_.events_processed, "simulator");
-      supervisor_->check_poll(live_tracks_,
+      supervisor_->check_poll(live_transitions_,
                               transition_arena_bytes() + queue_.arena_bytes(),
                               "simulator");
       sup_countdown_ = sup_reload();
     }
 
     // Once any spawned event fires the causing transition can never be
-    // annihilated; its bookkeeping frees as soon as nothing else needs it.
+    // annihilated, so its suppressed pairs can never resurrect anything.
     TransitionRec& cause = transitions_[ev.transition.value()];
-    debug_ensure(cause.pending > 0, "Simulator: pending-event accounting out of sync");
     cause.fired_any = 1;
-    --cause.pending;
-    maybe_reclaim(ev.transition);
+    if (cause.sup_head != kNil) consume_pair_chain(cause, /*resurrect=*/false);
 
     if (recorder_ != nullptr) {
       recorder_->on_fire(eid, ev.input, ev.target.gate.value());
@@ -558,56 +525,44 @@ void Simulator::schedule_output(GateId gate_id, int pin, const Event& ev, bool n
 }
 
 bool Simulator::can_annihilate(TransitionId tr_id) const {
-  const TransitionRec& rec = transitions_[tr_id.value()];
-  if (rec.track == kNoTrackFree) return true;   // nothing ever spawned
-  if (rec.track == kNoTrackDead) return false;  // an event fired long ago
-  return rec.fired_any == 0;
+  return transitions_[tr_id.value()].fired_any == 0;
 }
 
 void Simulator::annihilate(GateId gate_id, TransitionId tr_id) {
   TransitionRec& rec = transitions_[tr_id.value()];
   ensure(!rec.tr.cancelled, "Simulator::annihilate(): transition already cancelled");
 
-  if (rec.track < kTrackSentinelMin) {
-    const std::uint32_t t = rec.track;
-
-    // Remove the transition's still-pending fanout events, in spawn order.
-    // A cancelled head hands its heap slot to the input's next pending
-    // event (heads-only heap discipline).
-    const auto cancel_if_pending = [this](EventId ev_id) {
-      if (queue_.state_unchecked(ev_id) != EventState::kPending) return;
-      const std::uint32_t input = queue_.event_unchecked(ev_id).input;
-      InputState& in = inputs_[input];
-      const bool was_head = in.head == ev_id.value();
-      list_remove(in, ev_id);
-      cancel_pending_event(ev_id);
-      if (recorder_ != nullptr) recorder_->on_cancel(ev_id, input, was_head);
-      if (was_head && in.head != kNil) {
-        queue_.enqueue(EventId{in.head});
-      }
-    };
-    {
-      const TrackRec& track = tracks_[t];
-      const std::uint32_t inline_n =
-          std::min(track.spawned_count, TrackRec::kInlineSpawned);
-      for (std::uint32_t i = 0; i < inline_n; ++i) cancel_if_pending(track.spawned[i]);
+  // Remove the transition's still-pending fanout events.  Each targets a
+  // fanout input of its line, at most one per input, and an input's list
+  // holds only that line's events.  A cancelled head hands its heap slot to
+  // the input's next pending event (heads-only heap discipline).
+  const std::uint32_t sig = rec.tr.signal.value();
+  for (std::uint32_t i = fanout_base_[sig]; i < fanout_base_[sig + 1]; ++i) {
+    const std::uint32_t input = fanout_[i].input;
+    InputState& in = inputs_[input];
+    // The transition is its line's latest, so its event is normally the
+    // tail; a resurrected one may sit further up the list.
+    std::uint32_t mine = kNil;
+    for (std::uint32_t e = in.tail; e != kNil; e = queue_.links(EventId{e}).prev) {
+      if (queue_.event_unchecked(EventId{e}).transition != tr_id) continue;
+      debug_ensure(mine == kNil,
+                   "Simulator::annihilate(): two pending events of one transition on an input");
+      mine = e;
     }
-    for (std::uint32_t n = tracks_[t].overflow_head; n != kNil;
-         n = spawn_pool_[n].next) {
-      cancel_if_pending(spawn_pool_[n].id);
-    }
-
-    // The annihilated pulse never existed at the output, so pair
-    // cancellations it performed at spawn time were premature: the partner
-    // events (from the still-live preceding transition) must be restored.
-    const std::uint32_t sup_head = tracks_[t].sup_head;
-    tracks_[t].sup_head = tracks_[t].sup_tail = kNil;
-    consume_pair_chain(sup_head, /*resurrect=*/true);
-
-    reclaim_track(rec, kNoTrackDead);
-  } else {
-    rec.track = kNoTrackDead;  // annihilated: never resurrectable again
+    if (mine == kNil) continue;
+    const EventId ev_id{mine};
+    const bool was_head = in.head == mine;
+    list_remove(in, ev_id);
+    queue_.cancel(ev_id);
+    ++stats_.events_cancelled;
+    if (recorder_ != nullptr) recorder_->on_cancel(ev_id, input, was_head);
+    if (was_head && in.head != kNil) queue_.enqueue(EventId{in.head});
   }
+
+  // The annihilated pulse never existed at the output, so pair
+  // cancellations it performed at spawn time were premature: the partner
+  // events (from the still-live preceding transitions) must be restored.
+  if (rec.sup_head != kNil) consume_pair_chain(rec, /*resurrect=*/true);
 
   rec.tr.cancelled = true;
   auto& history = signal_history_[rec.tr.signal.value()];
@@ -621,54 +576,9 @@ void Simulator::annihilate(GateId gate_id, TransitionId tr_id) {
   ++stats_.annihilations;
 }
 
-// ---- track pool -------------------------------------------------------------
+// ---- suppressed-pair chains -------------------------------------------------
 
-std::uint32_t Simulator::alloc_track() {
-  std::uint32_t t;
-  if (track_free_ != kNil) {
-    t = track_free_;
-    track_free_ = tracks_[t].next_free;
-    // Reset only the live fields; the inline spawned array is dead storage
-    // below spawned_count, so recycling never pays the full 48-byte clear.
-    TrackRec& track = tracks_[t];
-    track.spawned_count = 0;
-    track.overflow_head = track.overflow_tail = kNil;
-    track.sup_head = track.sup_tail = kNil;
-    track.next_free = kNil;
-  } else {
-    t = static_cast<std::uint32_t>(tracks_.size());
-    tracks_.emplace_back();
-  }
-  ++live_tracks_;
-  peak_live_tracks_ = std::max(peak_live_tracks_, live_tracks_);
-  return t;
-}
-
-void Simulator::track_append_spawned(std::uint32_t track_index, EventId id) {
-  TrackRec& track = tracks_[track_index];
-  if (track.spawned_count < TrackRec::kInlineSpawned) {
-    track.spawned[track.spawned_count++] = id;
-    return;
-  }
-  std::uint32_t n;
-  if (spawn_free_ != kNil) {
-    n = spawn_free_;
-    spawn_free_ = spawn_pool_[n].next;
-    spawn_pool_[n] = SpawnNode{id, kNil};
-  } else {
-    n = static_cast<std::uint32_t>(spawn_pool_.size());
-    spawn_pool_.push_back(SpawnNode{id, kNil});
-  }
-  if (track.overflow_tail == kNil) {
-    track.overflow_head = n;
-  } else {
-    spawn_pool_[track.overflow_tail].next = n;
-  }
-  track.overflow_tail = n;
-  ++track.spawned_count;
-}
-
-void Simulator::track_append_pair(std::uint32_t track_index, const SuppressedPair& pair) {
+void Simulator::append_pair(TransitionRec& rec, const SuppressedPair& pair) {
   std::uint32_t n;
   if (pair_free_ != kNil) {
     n = pair_free_;
@@ -678,17 +588,21 @@ void Simulator::track_append_pair(std::uint32_t track_index, const SuppressedPai
     n = static_cast<std::uint32_t>(pair_pool_.size());
     pair_pool_.push_back(PairNode{pair, kNil});
   }
-  TrackRec& track = tracks_[track_index];
-  if (track.sup_tail == kNil) {
-    track.sup_head = n;
+  if (rec.sup_tail == kNil) {
+    rec.sup_head = n;
+    ++live_transitions_;
+    peak_live_transitions_ = std::max(peak_live_transitions_, live_transitions_);
   } else {
-    pair_pool_[track.sup_tail].next = n;
+    pair_pool_[rec.sup_tail].next = n;
   }
-  track.sup_tail = n;
+  rec.sup_tail = n;
 }
 
-void Simulator::consume_pair_chain(std::uint32_t head, bool resurrect) {
-  std::uint32_t n = head;
+void Simulator::consume_pair_chain(TransitionRec& rec, bool resurrect) {
+  std::uint32_t n = rec.sup_head;
+  rec.sup_head = rec.sup_tail = kNil;
+  debug_ensure(live_transitions_ > 0, "Simulator: live-transition accounting out of sync");
+  --live_transitions_;
   while (n != kNil) {
     const PairNode node = pair_pool_[n];  // copy before recycling the slot
     pair_pool_[n].next = pair_free_;
@@ -696,72 +610,27 @@ void Simulator::consume_pair_chain(std::uint32_t head, bool resurrect) {
     n = node.next;
 
     const TransitionId partner = node.pair.partner_cause;
-    if (resurrect && !transitions_[partner.value()].tr.cancelled) {
-      const TimeNs when = std::max(node.pair.partner_time, now_);
-      const auto input = static_cast<std::uint32_t>(input_index(node.pair.target));
-      const EventId id = push_event(when, partner, node.pair.target, input);
-      ++stats_.events_created;
-      ++stats_.events_resurrected;
-      // Keep the per-input pending list time-ordered: O(k) insert from
-      // the tail instead of the seed kernel's full re-sort.  A resurrection
-      // that lands at the front displaces the old head's heap slot.
-      InputState& in = inputs_[input];
-      const std::uint32_t old_head = in.head;
-      list_insert_sorted(in, id);
-      if (recorder_ != nullptr) {
-        const EventQueue::EventLinks& links = queue_.links(id);
-        recorder_->on_resurrect(id, node.pair.partner_event, links.prev, links.next, input);
-      }
-      if (in.head != old_head) {
-        if (old_head != kNil) queue_.dequeue(EventId{old_head});
-        queue_.enqueue(id);
-      }
-      TransitionRec& pc = transitions_[partner.value()];
-      ensure(pc.track < kTrackSentinelMin,
-             "Simulator: partner bookkeeping already reclaimed");
-      track_append_spawned(pc.track, id);
-      ++pc.pending;
+    if (!resurrect || transitions_[partner.value()].tr.cancelled) continue;
+    const TimeNs when = std::max(node.pair.partner_time, now_);
+    const auto input = static_cast<std::uint32_t>(input_index(node.pair.target));
+    const EventId id = push_event(when, partner, node.pair.target, input);
+    ++stats_.events_created;
+    ++stats_.events_resurrected;
+    // Keep the per-input pending list time-ordered: O(k) insert from the
+    // tail instead of the seed kernel's full re-sort.  A resurrection that
+    // lands at the front displaces the old head's heap slot.
+    InputState& in = inputs_[input];
+    const std::uint32_t old_head = in.head;
+    list_insert_sorted(in, id);
+    if (recorder_ != nullptr) {
+      const EventQueue::EventLinks& links = queue_.links(id);
+      recorder_->on_resurrect(id, node.pair.partner_event, links.prev, links.next, input);
     }
-    TransitionRec& pc = transitions_[partner.value()];
-    debug_ensure(pc.partner_refs > 0, "Simulator: suppressed-pair refcount out of sync");
-    --pc.partner_refs;
-    maybe_reclaim(partner);
+    if (in.head != old_head) {
+      if (old_head != kNil) queue_.dequeue(EventId{old_head});
+      queue_.enqueue(id);
+    }
   }
-}
-
-void Simulator::reclaim_track(TransitionRec& rec, std::uint32_t sentinel) {
-  const std::uint32_t t = rec.track;
-  ensure(t < kTrackSentinelMin, "Simulator::reclaim_track(): no live track");
-  rec.track = sentinel;  // before any cascade: breaks reclamation cycles
-
-  // Recycle the spawned-overflow chain.
-  std::uint32_t n = tracks_[t].overflow_head;
-  while (n != kNil) {
-    const std::uint32_t next = spawn_pool_[n].next;
-    spawn_pool_[n].next = spawn_free_;
-    spawn_free_ = n;
-    n = next;
-  }
-
-  // Unconsumed suppressed pairs will never resurrect anything (this
-  // transition can no longer be annihilated): release the partner
-  // references, cascading reclamation into partners that were only kept
-  // alive by them.
-  consume_pair_chain(tracks_[t].sup_head, /*resurrect=*/false);
-
-  // The stale contents stay in place; alloc_track() resets the live fields
-  // when the slot is reused.
-  tracks_[t].next_free = track_free_;
-  track_free_ = t;
-  debug_ensure(live_tracks_ > 0, "Simulator: live-track accounting out of sync");
-  --live_tracks_;
-}
-
-void Simulator::maybe_reclaim(TransitionId id) {
-  TransitionRec& rec = transitions_[id.value()];
-  if (rec.track >= kTrackSentinelMin) return;  // already reclaimed
-  if (rec.pending != 0 || rec.partner_refs != 0 || rec.fired_any == 0) return;
-  reclaim_track(rec, kNoTrackDead);
 }
 
 // ---- pending lists ----------------------------------------------------------
@@ -886,8 +755,6 @@ bool Simulator::perceived_value(const PinRef& pin) const {
 
 std::uint64_t Simulator::transition_arena_bytes() const {
   return transitions_.capacity() * sizeof(TransitionRec) +
-         tracks_.capacity() * sizeof(TrackRec) +
-         spawn_pool_.capacity() * sizeof(SpawnNode) +
          pair_pool_.capacity() * sizeof(PairNode);
 }
 

@@ -37,14 +37,13 @@
 //     and the precomputed threshold crossing fractions VT/VDD -- so
 //     spawn_events() walks one contiguous array with no threshold or cell
 //     lookups.
-//   * Transition bookkeeping (spawned events, suppressed pairs) lives in
-//     pooled, reclaimable `TrackRec` slots with inline small-buffer storage
-//     spilling to shared pools, allocated lazily on first use; a record is
-//     reclaimed -- and its pool nodes recycled -- as soon as the transition
-//     can neither be annihilated nor resurrect a partner, so live
-//     bookkeeping is bounded by circuit activity, not by stimulus length.
-//     Only the 32-byte POD per transition survives (it is the waveform
-//     history).
+//   * A transition is one 48-byte record (the waveform history) plus the
+//     suppressed pairs its spawn recorded, chained through a recycled pool.
+//     A chain is released when the transition's first event fires (it can
+//     then never be annihilated) and consumed when it is annihilated, so
+//     live chains are bounded by circuit activity, not by stimulus length.
+//     Annihilation finds the transition's pending events through the
+//     per-input pending lists below: no second per-transition index.
 //   * Per-input pending events form intrusive doubly-linked lists threaded
 //     through the event records themselves: O(1) pop-front in run(), O(1)
 //     unlink on cancellation, O(k) ordered insert on resurrection.  Only
@@ -55,7 +54,6 @@
 //     list directly.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -118,7 +116,7 @@ class Simulator {
   void apply_stimulus(const Stimulus& stimulus);
 
   /// Re-arms the simulator for another stimulus on the same netlist: clears
-  /// every piece of dynamic state (queue, transitions, tracks, histories,
+  /// every piece of dynamic state (queue, transitions, pair chains, histories,
   /// pending lists, stats, any injected fault) while keeping the static
   /// tables and the arenas' capacity, so a reset + apply_stimulus + run
   /// cycle is bit-identical to a freshly constructed Simulator but performs
@@ -216,14 +214,14 @@ class Simulator {
   /// (combinational feedback loops show up at the top of this list).
   [[nodiscard]] std::vector<SignalId> most_active_signals(std::size_t n) const;
 
-  /// Peak number of simultaneously-live transition bookkeeping records
+  /// Peak number of transitions holding a suppressed-pair chain at once
   /// (perf_report's bounded-memory metric): how large the reclaimable part
-  /// of the transition arena ever got.
-  [[nodiscard]] std::uint64_t peak_live_transitions() const { return peak_live_tracks_; }
-  /// Transition bookkeeping records live right now (pending or still
-  /// annihilatable / resurrectable transitions).
-  [[nodiscard]] std::uint64_t live_transitions() const { return live_tracks_; }
-  /// Approximate byte footprint of the transition arena and its pools.
+  /// of the transition bookkeeping ever got.
+  [[nodiscard]] std::uint64_t peak_live_transitions() const { return peak_live_transitions_; }
+  /// Transitions holding a suppressed-pair chain right now: still
+  /// annihilatable (no event fired yet) with at least one pair to restore.
+  [[nodiscard]] std::uint64_t live_transitions() const { return live_transitions_; }
+  /// Approximate byte footprint of the transition arena and the pair pool.
   [[nodiscard]] std::uint64_t transition_arena_bytes() const;
   /// Approximate byte footprint of the event arena and heap.
   [[nodiscard]] std::uint64_t event_arena_bytes() const { return queue_.arena_bytes(); }
@@ -283,42 +281,18 @@ class Simulator {
   };
 
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-  /// Track sentinel: bookkeeping reclaimed, transition can never be
-  /// annihilated (an event fired, or it was itself annihilated).
-  static constexpr std::uint32_t kNoTrackDead = 0xFFFFFFFFu;
-  /// Track sentinel: bookkeeping reclaimed trivially (no fanout events, no
-  /// suppressed pairs); the transition is still annihilatable, which needs
-  /// no data.
-  static constexpr std::uint32_t kNoTrackFree = 0xFFFFFFFEu;
-  static constexpr std::uint32_t kTrackSentinelMin = kNoTrackFree;
 
-  /// Per-transition record: the waveform POD plus compact lifetime
-  /// counters.  Grows with the history (that is the waveform output); the
-  /// variable-size bookkeeping lives in reclaimable TrackRec slots.
+  /// Per-transition record: the waveform POD plus the chain of pairs its
+  /// spawn cancelled.  Grows with the history (that is the waveform
+  /// output); the chain nodes live in the recycled pair_pool_.
   struct TransitionRec {
     Transition tr;
-    std::uint32_t track = kNoTrackFree;  ///< live slot in tracks_, or sentinel
-    std::uint32_t partner_refs = 0;  ///< live suppressed pairs naming me partner
-    std::uint32_t pending = 0;       ///< my spawned events still pending
-    std::uint8_t fired_any = 0;      ///< any spawned event fired => never annihilatable
-  };
-
-  /// Reclaimable bookkeeping slot: spawned events (inline, spilling to
-  /// spawn_pool_) and suppressed pairs (chained in pair_pool_).
-  struct TrackRec {
-    static constexpr std::uint32_t kInlineSpawned = 6;
-    std::array<EventId, kInlineSpawned> spawned;
-    std::uint32_t spawned_count = 0;     ///< total, inline + overflow
-    std::uint32_t overflow_head = kNil;  ///< chain in spawn_pool_, append order
-    std::uint32_t overflow_tail = kNil;
-    std::uint32_t sup_head = kNil;  ///< chain in pair_pool_, append order
+    std::uint32_t sup_head = kNil;  ///< suppressed-pair chain, append order
     std::uint32_t sup_tail = kNil;
-    std::uint32_t next_free = kNil;  ///< tracks_ free list link
+    std::uint8_t fired_any = 0;     ///< any spawned event fired => never annihilatable
   };
-  struct SpawnNode {
-    EventId id;
-    std::uint32_t next = kNil;
-  };
+  static_assert(sizeof(TransitionRec) == 48, "TransitionRec: the history's record size");
+
   struct PairNode {
     SuppressedPair pair;
     std::uint32_t next = kNil;
@@ -346,24 +320,13 @@ class Simulator {
   void schedule_output(GateId gate_id, int pin, const Event& ev, bool new_output);
   [[nodiscard]] bool can_annihilate(TransitionId tr_id) const;
   void annihilate(GateId gate_id, TransitionId tr_id);
-  /// Cancels a pending event and updates its causing transition's counters.
-  void cancel_pending_event(EventId id);
 
-  // -- track pool -------------------------------------------------------------
-  std::uint32_t alloc_track();
-  void track_append_spawned(std::uint32_t track, EventId id);
-  void track_append_pair(std::uint32_t track, const SuppressedPair& pair);
-  /// Walks and recycles a suppressed-pair chain, releasing each partner
-  /// reference (cascading reclamation).  With `resurrect` set, a
-  /// non-cancelled partner's deleted event is restored first (the
+  // -- suppressed-pair chains ------------------------------------------------
+  void append_pair(TransitionRec& rec, const SuppressedPair& pair);
+  /// Recycles `rec`'s (non-empty) suppressed-pair chain.  With `resurrect`
+  /// set, each non-cancelled partner's deleted event is restored first (the
   /// output-pulse annihilation path).
-  void consume_pair_chain(std::uint32_t head, bool resurrect);
-  /// Frees `rec`'s track slot and pool nodes; unconsumed suppressed pairs
-  /// release their partner references (cascading reclamation).
-  void reclaim_track(TransitionRec& rec, std::uint32_t sentinel);
-  /// Reclaims the transition's bookkeeping when it can no longer be
-  /// annihilated (an event fired) nor referenced by a live suppressed pair.
-  void maybe_reclaim(TransitionId id);
+  void consume_pair_chain(TransitionRec& rec, bool resurrect);
 
   // -- pending lists ----------------------------------------------------------
   /// Creates an unscheduled event for flat input `input` (== input_index(target)).
@@ -396,14 +359,10 @@ class Simulator {
   // dynamic state
   EventQueue queue_;
   std::vector<TransitionRec> transitions_;
-  std::vector<TrackRec> tracks_;
-  std::uint32_t track_free_ = kNil;
-  std::vector<SpawnNode> spawn_pool_;
-  std::uint32_t spawn_free_ = kNil;
   std::vector<PairNode> pair_pool_;
   std::uint32_t pair_free_ = kNil;
-  std::uint64_t live_tracks_ = 0;
-  std::uint64_t peak_live_tracks_ = 0;
+  std::uint64_t live_transitions_ = 0;  ///< transitions holding a pair chain
+  std::uint64_t peak_live_transitions_ = 0;
   std::vector<std::vector<TransitionId>> signal_history_;
   std::vector<bool> initial_values_;
   std::vector<InputState> inputs_;          // flattened (gate, pin)

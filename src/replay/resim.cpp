@@ -37,7 +37,8 @@ TimingGraph& ResimEngine::base_graph_mutable() {
   return base_graph_;
 }
 
-void ResimEngine::record(const RunSupervisor* supervisor) {
+TimeNs ResimEngine::record(const RunSupervisor* supervisor,
+                          std::span<const SignalId> observed) {
   require(!recorded_, "ResimEngine::record(): already recorded");
   Simulator sim(*netlist_, model_, base_graph_, config_);
   sim.record_into(&recorder_);
@@ -45,6 +46,7 @@ void ResimEngine::record(const RunSupervisor* supervisor) {
   sim.apply_stimulus(*stimulus_);
   sim.finish_recording(sim.run());
   recorded_ = true;
+  return latest_t50(sim, observed);
 }
 
 ResimSample full_sample(const ResimEngine& engine, const TimingGraph& graph,

@@ -36,7 +36,10 @@ class ResimEngine {
 
   /// Runs and records the base simulation (serial; supervised when
   /// `supervisor` is given).  Must be called once before sessions open.
-  void record(const RunSupervisor* supervisor = nullptr);
+  /// Returns the recorded run's latest surviving t50 over `observed` -- the
+  /// critical_t50 of full_sample() on base_graph(), without a second run.
+  TimeNs record(const RunSupervisor* supervisor = nullptr,
+                std::span<const SignalId> observed = {});
 
   [[nodiscard]] bool recorded() const { return recorded_; }
   [[nodiscard]] const Trace& trace() const { return recorder_.trace(); }
@@ -70,8 +73,8 @@ struct ResimSample {
 
 /// One from-scratch full event simulation of `graph` (elaborated over the
 /// engine's netlist) under the engine's model, stimulus and config --
-/// bit-exact by definition.  Runs the session's fallback, a variation
-/// analysis's nominal run, and every sample of one without replay.
+/// bit-exact by definition.  Runs the session's fallback, and a variation
+/// analysis's nominal run and every sample when it does not replay.
 /// `observed` and `want_hash` as for ResimSession::evaluate(); `fallback`
 /// stays false.
 [[nodiscard]] ResimSample full_sample(const ResimEngine& engine, const TimingGraph& graph,

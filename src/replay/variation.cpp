@@ -54,13 +54,15 @@ VariationResult run_variation(const Netlist& netlist, const DelayModel& model,
   VariationResult result;
   result.replay_used = config.use_replay;
 
-  // The nominal (unperturbed) run: one full simulation in either mode, so
-  // the artifact value is mode-independent by construction.
+  // The nominal (unperturbed) run: the recording run in replay mode, one
+  // full simulation otherwise -- the same kernel run on the base graph, so
+  // the artifact value is mode-independent.
   result.nominal_t50 =
-      full_sample(engine, engine.base_graph(), observed, /*want_hash=*/false, supervisor)
-          .critical_t50;
-
-  if (config.use_replay) engine.record(supervisor);
+      config.use_replay
+          ? engine.record(supervisor, observed)
+          : full_sample(engine, engine.base_graph(), observed, /*want_hash=*/false,
+                        supervisor)
+                .critical_t50;
 
   // Per-sample seeds, drawn up front so row i is a pure function of
   // (master seed, i) regardless of scheduling.

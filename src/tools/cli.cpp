@@ -263,37 +263,6 @@ Stimulus load_stimulus(const ServiceEnv& env, const Options& options,
   return Stimulus(0.5);  // quiescent testbench
 }
 
-/// Elaborates the netlist's TimingGraph under `policy` and, with --sdf,
-/// back-annotates it from the given file (reporting the override count).
-TimingGraph load_timing(const Options& options, const Netlist& netlist,
-                        const TimingPolicy& policy, std::ostream& out) {
-  TimingGraph graph = TimingGraph::build(netlist, policy);
-  if (const auto sdf_path = options.get("sdf")) {
-    const SdfFile sdf = read_sdf(read_file(*sdf_path));
-    const std::size_t applied = apply_sdf(graph, sdf);
-    out << "annotated " << applied << " IOPATH record" << (applied == 1 ? "" : "s")
-        << " from " << *sdf_path;
-    if (!sdf.design.empty()) out << " (design \"" << sdf.design << "\")";
-    out << "\n";
-    // A partial SDF used to keep library delays on the missing arcs without
-    // a trace -- exactly the silent-mismatch the annotation flow exists to
-    // prevent.  Warn per pin (capped), and lint reports the same set as
-    // TIM-SDF-MISSING findings.
-    const std::vector<PinRef> missing = sdf_unannotated_pins(graph);
-    constexpr std::size_t kMaxListed = 20;
-    for (std::size_t i = 0; i < missing.size() && i < kMaxListed; ++i) {
-      out << "warning: sdf: no IOPATH for gate '"
-          << netlist.gate(missing[i].gate).name << "' pin "
-          << sdf_port_name(missing[i].pin) << " -- keeping library delay\n";
-    }
-    if (missing.size() > kMaxListed) {
-      out << "warning: sdf: ... and " << missing.size() - kMaxListed
-          << " more unannotated gate inputs\n";
-    }
-  }
-  return graph;
-}
-
 /// The elaboration path shared by sim / sta / fault / variation in both
 /// modes: parse + TimingGraph::build + optional SDF annotation, keyed off
 /// the input *bytes*.  Daemon requests consult the keyed LRU cache (a warm
@@ -581,7 +550,6 @@ int cmd_sta(const Options& options, std::ostream& out, const ServiceEnv& env) {
 }
 
 int cmd_lint(const Options& options, std::ostream& out, const ServiceEnv& env) {
-  const Library& lib = default_library();
   const std::string format = options.get("format").value_or("text");
   if (format != "text" && format != "json") throw UsageError("--format must be text|json");
   const std::string fail_on = options.get("fail-on").value_or("error");
@@ -593,24 +561,29 @@ int cmd_lint(const Options& options, std::ostream& out, const ServiceEnv& env) {
   const std::string netlist_path = options.require_flag("netlist");
   const std::string netlist_format =
       options.get("netlist-format").value_or(extension_format(netlist_path));
-  const Netlist netlist =
-      serve::parse_netlist_text(read_file(netlist_path), netlist_format, lib);
+  const std::string netlist_text = read_file(netlist_path);
   const DelayModel model = make_model(options);
   const RunSupervisor supervisor = make_supervisor(options, env);
+  const auto sdf_path = options.get("sdf");
+  std::optional<std::string> sdf_text;
+  if (sdf_path) sdf_text = read_file(*sdf_path);
+  const std::shared_ptr<const serve::Elaboration> elab = serve::build_elaboration(
+      default_library(), netlist_text, netlist_format, model.timing_policy(),
+      sdf_text.has_value() ? &*sdf_text : nullptr);
+  const Netlist& netlist = elab->netlist;
 
   // SDF annotation progress and per-pin warnings go to the console only in
   // text mode: `--format json` on stdout must stay a pure JSON document
   // (the same information is in the TIM-SDF-MISSING findings).
   std::ostringstream timing_log;
-  const TimingGraph timing =
-      load_timing(options, netlist, model.timing_policy(), timing_log);
+  if (sdf_path) serve::print_sdf_facts(timing_log, elab->sdf, *sdf_path);
 
   lint::LintOptions lint_options;
   lint_options.input_slew = options.number("slew", 0.5);
   lint_options.fanout_limit = usage_count(options, "fanout-limit", 64);
-  lint_options.sdf_coverage = options.get("sdf").has_value();
+  lint_options.sdf_coverage = sdf_path.has_value();
   lint_options.supervisor = &supervisor;
-  lint::LintReport report = lint::run_lint(netlist, timing, lint_options);
+  lint::LintReport report = lint::run_lint(netlist, elab->graph, lint_options);
 
   if (const auto baseline_path = options.get("baseline")) {
     lint::apply_baseline(report, lint::parse_baseline(read_file(*baseline_path)));

@@ -368,6 +368,51 @@ TEST_F(CliTest, SimWithThirdPartySdfFixture) {
   EXPECT_NE(out_.str().find("critical delay"), std::string::npos);
 }
 
+/// `lint --sdf` prints the same annotation report and per-pin warnings as
+/// `sim --sdf` (warning cap included), in text mode only: `--format json`
+/// stdout stays one JSON document.
+TEST_F(CliTest, LintSdfReportMatchesSim) {
+  const auto sdf_lines = [](const std::string& text) {
+    std::string lines;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) {
+      if (line.rfind("annotated ", 0) == 0 || line.rfind("warning: sdf: ", 0) == 0) {
+        lines += line + '\n';
+      }
+    }
+    return lines;
+  };
+  const auto expect_same_report = [&](const std::string& netlist, const std::string& stim,
+                                      const std::string& sdf, const std::string& needle) {
+    ASSERT_EQ(run({"sim", "--netlist", netlist, "--stim", stim, "--sdf", sdf}), 0);
+    const std::string from_sim = sdf_lines(out_.str());
+    EXPECT_NE(from_sim.find(needle), std::string::npos) << from_sim;
+    ASSERT_EQ(run({"lint", netlist, "--sdf", sdf, "--fail-on", "none"}), 0);
+    EXPECT_EQ(sdf_lines(out_.str()), from_sim);
+    ASSERT_EQ(run({"lint", netlist, "--sdf", sdf, "--format", "json", "--fail-on", "none"}),
+              0);
+    const std::string json = out_.str();
+    ASSERT_FALSE(json.empty());
+    EXPECT_EQ(json.front(), '{');
+    EXPECT_EQ(json[json.find_last_not_of(" \n")], '}');
+    EXPECT_EQ(sdf_lines(json), "");
+  };
+
+  // The fixture without its INV_X1 cell: one unannotated pin.
+  expect_same_report(write("and2.bench", kBench), write("and2.stim", kStim),
+                     std::string(HALOTIS_SOURCE_DIR) + "/tests/sdf/and2_partial.sdf",
+                     "warning: sdf: no IOPATH for gate 'g_y' pin A -- keeping library delay");
+
+  // 24 unannotated inverters: 20 named, the rest in one summary line.
+  std::string chain = "INPUT(n0)\nOUTPUT(n24)\n";
+  for (int i = 1; i <= 24; ++i) {
+    chain += "n" + std::to_string(i) + " = NOT(n" + std::to_string(i - 1) + ")\n";
+  }
+  expect_same_report(write("chain.bench", chain), write("chain.stim", "slew 0.4\n"),
+                     write("empty.sdf", "(DELAYFILE\n  (SDFVERSION \"3.0\")\n)\n"),
+                     "warning: sdf: ... and 4 more unannotated gate inputs");
+}
+
 /// `sim --sdf A,B --replay` re-times every corner from the library
 /// elaboration plus that corner's own SDF: a corner that leaves a pin
 /// unannotated keeps the library delay there, not the reference corner's.

@@ -53,8 +53,8 @@ TEST(EventQueue, CancelRemovesFromHeap) {
   EXPECT_EQ(q.state(b), EventState::kCancelled);
   EXPECT_EQ(q.pop(), a);
   EXPECT_EQ(q.pop(), c);
-  EXPECT_EQ(q.cancelled_count(), 1u);
-  EXPECT_EQ(q.fired_count(), 2u);
+  EXPECT_EQ(q.state(a), EventState::kFired);
+  EXPECT_EQ(q.state(c), EventState::kFired);
 }
 
 TEST(EventQueue, CancelHeadThenPop) {
@@ -249,27 +249,27 @@ TEST(EventQueue, HeadsOnlyApiMatchesMultisetOracleOnTies) {
   EXPECT_LE(q.peak_size(), kInputs);
 }
 
-TEST(EventQueue, CountersConsistent) {
+TEST(EventQueue, EveryEventEndsFiredOrCancelled) {
   SplitMix64 rng(7);
   EventQueue q;
   std::vector<EventId> ids;
   for (int i = 0; i < 500; ++i) {
     ids.push_back(q.push(rng.next_double_in(0.0, 10.0), TransitionId{0}, pin(0)));
   }
-  std::uint64_t cancels = 0;
-  for (std::size_t i = 0; i < ids.size(); i += 3) {
-    q.cancel(ids[i]);
-    ++cancels;
-  }
-  std::uint64_t pops = 0;
+  for (std::size_t i = 0; i < ids.size(); i += 3) q.cancel(ids[i]);
+  std::vector<bool> popped(ids.size(), false);
   while (!q.empty()) {
-    (void)q.pop();
-    ++pops;
+    const EventId id = q.pop();
+    ASSERT_FALSE(popped[id.value()]) << "event " << id.value() << " popped twice";
+    popped[id.value()] = true;
   }
   EXPECT_EQ(q.created_count(), 500u);
-  EXPECT_EQ(q.cancelled_count(), cancels);
-  EXPECT_EQ(q.fired_count(), pops);
-  EXPECT_EQ(pops + cancels, 500u);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const bool cancelled = i % 3 == 0;
+    EXPECT_EQ(q.state(ids[i]), cancelled ? EventState::kCancelled : EventState::kFired)
+        << "event " << i;
+    EXPECT_EQ(popped[ids[i].value()], !cancelled) << "event " << i;
+  }
 }
 
 }  // namespace

@@ -5,10 +5,12 @@
 
 #include <array>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "src/core/simulator.hpp"
 #include "src/replay/history_hash.hpp"
+#include "src/replay/trace.hpp"
 #include "src/timing/timing_graph.hpp"
 
 namespace halotis {
@@ -139,6 +141,117 @@ TEST_F(SimulatorTest, RuntPulseAnnihilatedAtOutput) {
   EXPECT_GE(sim.stats().annihilations, 1u);
   EXPECT_TRUE(sim.final_value(fx.out));  // back to initial 1
   EXPECT_EQ(sim.toggle_count(fx.out), 0u);
+}
+
+TEST_F(SimulatorTest, CollapsedPulseIsCancelledOnEveryFanoutInput) {
+  // in -> INV -> mid -> four inverters.  The runt on `in` collapses mid's
+  // pulse (DDM T <= T0) while its first transition still has an event
+  // pending on every receiver input: annihilation must cancel all four.
+  Netlist nl(lib_);
+  const SignalId in = nl.add_primary_input("in");
+  const SignalId mid = nl.add_signal("mid");
+  nl.set_wire_cap(mid, 0.1);
+  const std::array<SignalId, 1> drive{in};
+  (void)nl.add_gate("g", CellKind::kInv, drive, mid);
+  std::vector<SignalId> outs;
+  std::vector<GateId> receivers;
+  for (int i = 0; i < 4; ++i) {
+    outs.push_back(nl.add_signal("o" + std::to_string(i)));
+    nl.mark_primary_output(outs.back());
+    const std::array<SignalId, 1> receive{mid};
+    receivers.push_back(
+        nl.add_gate("r" + std::to_string(i), CellKind::kInv, receive, outs.back()));
+  }
+  Stimulus stim(0.4);
+  stim.add_edge(in, 5.0, true);
+  stim.add_edge(in, 5.2, false);
+
+  Simulator sim(nl, ddm_);
+  sim.apply_stimulus(stim);
+  (void)sim.run();
+
+  EXPECT_TRUE(sim.history(mid).empty());
+  for (std::size_t i = 0; i < outs.size(); ++i) {
+    EXPECT_TRUE(sim.history(outs[i]).empty()) << "receiver " << i << " saw the pulse";
+    EXPECT_TRUE(sim.perceived_value(PinRef{receivers[i], 0}));
+  }
+  const SimStats& s = sim.stats();
+  EXPECT_EQ(s.events_created, 6u);  // two at g, four spawned by mid's fall
+  EXPECT_EQ(s.events_processed, 2u);
+  EXPECT_EQ(s.events_cancelled, 4u);
+  EXPECT_EQ(s.events_suppressed, 0u);
+  EXPECT_EQ(s.events_resurrected, 0u);
+  EXPECT_EQ(s.pair_cancellations, 0u);
+  EXPECT_EQ(s.annihilations, 1u);
+  EXPECT_EQ(s.ddm_collapses, 1u);
+  EXPECT_EQ(s.cdm_inertial_filtered, 0u);
+  EXPECT_EQ(s.clamped_pulses, 0u);
+  EXPECT_EQ(s.transitions_created, 3u);
+  EXPECT_EQ(s.transitions_annihilated, 1u);
+  EXPECT_EQ(s.gate_evaluations, 2u);
+}
+
+TEST_F(SimulatorTest, AnnihilationCancelsAResurrectedEvent) {
+  // in -> INV g -> mid -> INV_LVT r -> out, with four edges on `in`:
+  //   1. mid falls (T); a slow ramp on a low-threshold input, so T's
+  //      event at r comes late.
+  //   2. mid rises (U); U's crossing at r does not come after T's, so the
+  //      pair rule deletes T's event (U records the pair).
+  //   3. mid would fall again before U's midswing: U collapses and is
+  //      annihilated, which resurrects T's event at r.
+  //   4. a slow falling ramp (large T0) collapses mid against T: T is
+  //      annihilated while its resurrected event is still pending.
+  Netlist nl(lib_);
+  const SignalId in = nl.add_primary_input("in");
+  const SignalId mid = nl.add_signal("mid");
+  const SignalId out = nl.add_signal("out");
+  nl.mark_primary_output(out);
+  nl.set_wire_cap(mid, 0.3);
+  const std::array<SignalId, 1> drive{in};
+  (void)nl.add_gate("g", CellKind::kInv, drive, mid);
+  const std::array<SignalId, 1> receive{mid};
+  (void)nl.add_gate("r", lib_.find("INV_LVT"), receive, out);
+  Stimulus stim(0.05);
+  stim.add_edge(in, 5.0, true);
+  stim.add_edge(in, 5.76, false);
+  stim.add_edge(in, 5.78, true);
+  stim.add_edge(in, 5.83, false, /*tau=*/4.0);
+
+  replay::TraceRecorder recorder;
+  Simulator sim(nl, ddm_);
+  sim.record_into(&recorder);
+  sim.apply_stimulus(stim);
+  sim.finish_recording(sim.run());
+
+  // The annihilation path cancelled the event a resurrection created.
+  std::vector<std::uint32_t> resurrected;
+  std::vector<std::uint32_t> cancelled;
+  for (const replay::TraceOp& op : recorder.trace().ops) {
+    if (op.kind == replay::OpKind::kResurrect) resurrected.push_back(op.a);
+    if (op.kind == replay::OpKind::kCancel) cancelled.push_back(op.a);
+  }
+  ASSERT_EQ(resurrected.size(), 1u);
+  EXPECT_EQ(cancelled, resurrected);
+
+  EXPECT_TRUE(sim.history(mid).empty());
+  EXPECT_TRUE(sim.history(out).empty());
+  EXPECT_FALSE(sim.final_value(out));  // INV_LVT(INV(0)) throughout
+  EXPECT_EQ(sim.peak_live_transitions(), 1u);  // U, holding its one pair
+  EXPECT_EQ(sim.live_transitions(), 0u);
+  const SimStats& s = sim.stats();
+  EXPECT_EQ(s.events_created, 6u);
+  EXPECT_EQ(s.events_processed, 4u);
+  EXPECT_EQ(s.events_cancelled, 2u);
+  EXPECT_EQ(s.events_suppressed, 1u);
+  EXPECT_EQ(s.events_resurrected, 1u);
+  EXPECT_EQ(s.pair_cancellations, 1u);
+  EXPECT_EQ(s.annihilations, 2u);
+  EXPECT_EQ(s.ddm_collapses, 2u);
+  EXPECT_EQ(s.cdm_inertial_filtered, 0u);
+  EXPECT_EQ(s.clamped_pulses, 0u);
+  EXPECT_EQ(s.transitions_created, 6u);
+  EXPECT_EQ(s.transitions_annihilated, 2u);
+  EXPECT_EQ(s.gate_evaluations, 4u);
 }
 
 TEST_F(SimulatorTest, WidePulsePropagatesFullyUnderBothModels) {
