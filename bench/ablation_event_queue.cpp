@@ -1,11 +1,13 @@
-// Ablation (google-benchmark): the simulator's indexed 4-ary heap event
-// queue against a std::multiset-based alternative, under the push / pop /
-// cancel mix the simulator actually generates.  Cancellable queues are a
-// hard requirement of the paper's algorithm (Fig. 4 deletes pending
-// events); this measures what the position-tracked heap buys over the
-// multiset.  Both pop the identical sequence; only constants differ.
+// Ablation (google-benchmark): the simulator's event queue -- per-input
+// pending lists under a heads-only 4-ary heap -- against a
+// std::multiset-based alternative, under the append / pop / cancel mix the
+// simulator actually generates.  Cancellable queues are a hard requirement
+// of the paper's algorithm (Fig. 4 deletes pending events); this measures
+// what the lists and the position-tracked heap buy over the multiset.  Both
+// pop the identical sequence; only constants differ.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <tuple>
@@ -18,6 +20,9 @@ namespace halotis {
 namespace {
 
 PinRef pin(unsigned gate) { return PinRef{GateId{gate}, 0}; }
+
+/// Gate inputs the workload spreads its events over.
+constexpr std::uint32_t kInputs = 64;
 
 /// Reference implementation: ordered multiset + id map.
 class MultisetQueue {
@@ -51,23 +56,28 @@ class MultisetQueue {
   std::uint64_t next_ = 0;
 };
 
-// Workload in both benchmarks: bursts of pushes, ~20 % cancellations of the
-// youngest pending event, pops otherwise -- the mix the simulator generates.
+// Workload in both benchmarks: bursts of events (each input's crossings
+// arrive in time order, like a line's transitions), ~20 % cancellations of
+// the youngest pending event, pops otherwise -- the mix the simulator
+// generates.
 
 void BM_IndexedHeapQueue(benchmark::State& state) {
   for (auto _ : state) {
-    EventQueue q;
+    EventQueue q(kInputs);
+    std::vector<TimeNs> last(kInputs, 0.0);
     std::vector<EventId> live;
     SplitMix64 rng(42);
     const int ops = static_cast<int>(state.range(0));
     double t = 0.0;
     for (int i = 0; i < ops; ++i) {
       const double action = rng.next_double();
+      const auto in = static_cast<std::uint32_t>(rng.next_below(kInputs));
       if (action < 0.45 || q.empty()) {
-        live.push_back(q.push(t + rng.next_double_in(0.0, 3.0), TransitionId{0}, pin(0)));
+        last[in] = std::max(last[in], t + rng.next_double_in(0.0, 3.0));
+        live.push_back(q.append(in, last[in], TransitionId{0}, pin(in)));
       } else if (action < 0.65 && !live.empty() &&
                  q.state(live.back()) == EventState::kPending) {
-        q.cancel(live.back());
+        (void)q.cancel(live.back());
         live.pop_back();
       } else {
         const EventId id = q.pop();
@@ -85,14 +95,17 @@ BENCHMARK(BM_IndexedHeapQueue)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
 void BM_MultisetQueue(benchmark::State& state) {
   for (auto _ : state) {
     MultisetQueue q;
+    std::vector<TimeNs> last(kInputs, 0.0);
     std::vector<std::uint64_t> live;
     SplitMix64 rng(42);
     const int ops = static_cast<int>(state.range(0));
     double t = 0.0;
     for (int i = 0; i < ops; ++i) {
       const double action = rng.next_double();
+      const auto in = static_cast<std::uint32_t>(rng.next_below(kInputs));
       if (action < 0.45 || q.empty()) {
-        live.push_back(q.push(t + rng.next_double_in(0.0, 3.0)));
+        last[in] = std::max(last[in], t + rng.next_double_in(0.0, 3.0));
+        live.push_back(q.push(last[in]));
       } else if (action < 0.65 && !live.empty()) {
         q.cancel(live.back());
         live.pop_back();

@@ -32,14 +32,14 @@ Row measure(const MultiplierCircuit& mult, const std::vector<std::uint64_t>& wor
     sim.apply_stimulus(multiplier_stimulus(mult, words));
     (void)sim.run();
     row.ddm_events = sim.stats().events_processed;
-    row.ddm_activity = sim.total_activity();
+    row.ddm_activity = sim.stats().surviving_transitions();
   }
   {
     Simulator sim(mult.netlist, cdm);
     sim.apply_stimulus(multiplier_stimulus(mult, words));
     (void)sim.run();
     row.cdm_events = sim.stats().events_processed;
-    row.cdm_activity = sim.total_activity();
+    row.cdm_activity = sim.stats().surviving_transitions();
   }
   return row;
 }

@@ -30,7 +30,7 @@ Sample run_sample(const MultiplierCircuit& mult, const DelayModel& model,
   sim.apply_stimulus(multiplier_stimulus(mult, words));
   (void)sim.run();
   Sample sample;
-  sample.activity = sim.total_activity();
+  sample.activity = sim.stats().surviving_transitions();
   for (const SignalId s : mult.s) {
     const auto history = sim.history(s);
     if (!history.empty()) sample.settle = std::max(sample.settle, history.back().t50());

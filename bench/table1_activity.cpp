@@ -32,7 +32,7 @@ Row run(const MultiplierCircuit& mult, const DelayModel& model,
   sim.apply_stimulus(multiplier_stimulus(mult, words));
   (void)sim.run();
   return Row{sim.stats().events_processed, sim.stats().filtered_events(),
-             sim.total_activity()};
+             sim.stats().surviving_transitions()};
 }
 
 }  // namespace

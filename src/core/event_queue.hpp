@@ -1,12 +1,18 @@
-// The HALOTIS event queue.
+// The HALOTIS event queue: per-input pending lists under a heads-only heap.
 //
 // Events are threshold crossings at specific gate inputs (paper Fig. 3).
-// The queue must support, besides the usual push / pop-earliest, *erasure*
-// of pending events: the inertial treatment cancels a pending event Ej-1
-// whenever the following transition's crossing Ej on the same input does
-// not come after it (paper Fig. 4).  The implementation is a 4-ary
-// min-heap over an event arena with position tracking, giving O(log n)
-// push / pop / erase and stable FIFO ordering of simultaneous events.
+// Each gate input keeps its pending events in time order, and the inertial
+// treatment erases a pending event Ej-1 whenever the following transition's
+// crossing Ej on the same input does not come after it (paper Fig. 4).  The
+// queue owns the whole structure: an event arena whose records thread one
+// doubly-linked, (time, id)-ordered pending list per input, and a 4-ary
+// min-heap that holds exactly the head of each non-empty list.  The heap
+// arbitrates one event per active input, so mid-list events never pay heap
+// maintenance.  Appending to an empty list schedules the event; a popped or
+// cancelled head, or a head displaced by a sorted insert, hands its heap
+// slot to its successor or displacer in place.  Every operation leaves the
+// heap holding exactly the non-empty lists' heads, so pops follow the
+// (time, id) order of all pending events.
 //
 // Hot-path layout: each 16-byte heap slot holds its sort key inline -- the
 // event time as an order-preserving 64-bit integer plus the event id -- so
@@ -18,10 +24,11 @@
 // paper's (time, seq) ordering.
 //
 // The heap is 4-ary: a shallower tree than a binary heap, and the four
-// children of a node share one cache line.  pop() is bottom-up: the hole
-// left at the root walks down to a leaf along the smaller children and the
-// heap's last slot, which almost always belongs near the bottom, sifts up
-// from there.  Pop order is a deterministic total order on (time, id).
+// children of a node share one cache line.  A pop whose list empties is
+// bottom-up: the hole left at the root walks down to a leaf along the
+// smaller children and the heap's last slot, which almost always belongs
+// near the bottom, sifts up from there.  Pop order is a deterministic total
+// order on (time, id).
 #pragma once
 
 #include <bit>
@@ -43,97 +50,72 @@ struct Event {
   TimeNs time = 0.0;
   TransitionId transition;   ///< the transition that produced the event
   PinRef target;             ///< receiving gate input
-  std::uint32_t input = 0;   ///< the owner's flat index of `target` (fills padding)
+  std::uint32_t input = 0;   ///< pending list (flat input index of `target`; fills padding)
 };
 
 enum class EventState : std::uint8_t { kPending, kFired, kCancelled };
 
 class EventQueue {
  public:
-  /// Creates and enqueues an event.  Returns its id.
-  EventId push(TimeNs time, TransitionId transition, PinRef target,
-               std::uint32_t input = 0);
+  /// An empty queue over `num_inputs` pending lists.
+  explicit EventQueue(std::size_t num_inputs = 0) : lists_(num_inputs) {}
 
-  /// Creates an event in the arena *without* scheduling it (pending, not in
-  /// the heap).  The simulator's per-input pending lists are time-ordered,
-  /// so only each list's head competes in the heap; the rest of the list
-  /// never pays heap maintenance (enqueue()d when promoted to head).
-  /// `time` must not be NaN (it has no place in the order).
-  EventId create(TimeNs time, TransitionId transition, PinRef target,
-                 std::uint32_t input = 0);
-
-  /// Schedules a created (or previously dequeue()d) pending event into the
-  /// heap.  Requires the event is pending and not already scheduled.
-  void enqueue(EventId id);
-
-  /// Removes a pending event from the heap without cancelling it -- the
-  /// event stopped being its input's earliest (a resurrection displaced it)
-  /// and may be enqueue()d again later.
-  void dequeue(EventId id);
-
-  /// Pre-sizes the event arena for `expected_events` creations.  The heap
-  /// is not reserved: it holds only scheduled events (one per active input
-  /// in the simulator), grows to its high-water mark once and keeps that
-  /// capacity across clear().
-  void reserve(std::size_t expected_events) { nodes_.reserve(expected_events); }
-
-  /// Drops every event and resets the heap high-water mark while keeping
-  /// the arena and heap capacity -- the Simulator::reset() re-arm path
-  /// recycles the queue instead of reallocating it.
-  void clear() {
+  /// Drops every event, leaves `num_inputs` empty pending lists and resets
+  /// the heap high-water mark, keeping the arena and heap capacity -- the
+  /// Simulator::reset() re-arm path recycles the queue instead of
+  /// reallocating it.
+  void clear(std::size_t num_inputs) {
     nodes_.clear();
     heap_.clear();
+    lists_.assign(num_inputs, ListEnds{});
     peak_size_ = 0;
   }
 
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
-  /// Most events ever scheduled at once since construction or clear().
-  [[nodiscard]] std::size_t peak_size() const { return peak_size_; }
+  /// Pre-sizes the event arena for `expected_events` creations.  The heap
+  /// is not reserved: it holds one event per active input, grows to its
+  /// high-water mark once and keeps that capacity across clear().
+  void reserve(std::size_t expected_events) { nodes_.reserve(expected_events); }
 
-  /// Earliest event id without removing it.  Requires !empty().
+  /// Creates an event at the tail of `input`'s pending list.  Requires a
+  /// time no earlier than the tail's (ids grow with creation, so the event
+  /// then comes after it) and not NaN.  An event appended to an empty list
+  /// is scheduled.
+  EventId append(std::uint32_t input, TimeNs time, TransitionId transition, PinRef target);
+
+  /// Creates an event and links it into `input`'s pending list in (time, id)
+  /// order, scanning from the tail (O(k); resurrection).  A new head takes
+  /// over the displaced head's heap slot.
+  EventId insert_sorted(std::uint32_t input, TimeNs time, TransitionId transition,
+                        PinRef target);
+
+  /// Cancels a pending event and unlinks it from its list.  Returns whether
+  /// it was the list's head (the scheduled one); a cancelled head hands its
+  /// heap slot to its successor.  Requires state(id) == kPending.
+  bool cancel(EventId id);
+
+  /// Earliest scheduled event without removing it.  Requires !empty().
   [[nodiscard]] EventId peek() const;
 
-  /// Removes and returns the earliest event; marks it fired.
+  /// Removes the earliest event, marks it fired and returns it.  Its
+  /// successor on the same list takes over the vacated root in one sift.
   EventId pop();
 
-  /// Pops the earliest event and schedules `next` into the vacated root in
-  /// one sift -- the fired head's successor on the same pending list
-  /// (usually close to the minimum, so pop + enqueue would pay a full
-  /// sift_down plus a sift_up back toward the root).  Equivalent to
-  /// `pop(); enqueue(next);`: same heap membership, same pop order.
-  EventId pop_replacing(EventId next);
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  /// Scheduled events: one per non-empty pending list.
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  /// Most events ever scheduled at once since the last clear().
+  [[nodiscard]] std::size_t peak_size() const { return peak_size_; }
+  [[nodiscard]] std::size_t num_inputs() const { return lists_.size(); }
 
-  /// Cancels a pending event, removing it from the heap if scheduled.
-  /// Requires state(id) == kPending.
-  void cancel(EventId id);
+  /// Pending-list ends and links, earliest first; the invalid id past
+  /// either end.  A fired or cancelled event has no neighbours.
+  [[nodiscard]] EventId head(std::uint32_t input) const { return EventId{lists_[input].head}; }
+  [[nodiscard]] EventId tail(std::uint32_t input) const { return EventId{lists_[input].tail}; }
+  [[nodiscard]] EventId prev(EventId id) const { return EventId{node(id).prev}; }
+  [[nodiscard]] EventId next(EventId id) const { return EventId{node(id).next}; }
 
-  /// Owner-managed intrusive list links stored alongside each event: the
-  /// simulator threads its per-input pending lists through these so the
-  /// event, its lifecycle state and its links share one ~40-byte record
-  /// (one cache line touch, one arena append) instead of three parallel
-  /// arrays.  The queue itself never reads or writes them after create().
-  struct EventLinks {
-    std::uint32_t prev = 0xFFFFFFFFu;
-    std::uint32_t next = 0xFFFFFFFFu;
-  };
-  [[nodiscard]] EventLinks& links(EventId id) { return nodes_[id.value()].links; }
-  [[nodiscard]] const EventLinks& links(EventId id) const {
-    return nodes_[id.value()].links;
-  }
-
-  [[nodiscard]] const Event& event(EventId id) const;
-  [[nodiscard]] EventState state(EventId id) const;
-
-  /// Unchecked accessors for the simulation engine's inner loop, where the
-  /// id provably came from this queue.  The checked variants above are the
-  /// public face.
-  [[nodiscard]] const Event& event_unchecked(EventId id) const {
-    return nodes_[id.value()].ev;
-  }
-  [[nodiscard]] EventState state_unchecked(EventId id) const {
-    return nodes_[id.value()].state;
-  }
+  [[nodiscard]] const Event& event(EventId id) const { return node(id).ev; }
+  [[nodiscard]] EventState state(EventId id) const { return node(id).state; }
 
   [[nodiscard]] std::uint64_t created_count() const { return nodes_.size(); }
 
@@ -144,21 +126,28 @@ class EventQueue {
 
  private:
   static constexpr std::size_t kArity = 4;
+  static constexpr std::uint32_t kNil = EventId::kInvalid;
 
   /// Heap node: the sort key, stored inline so comparisons stay in-cache.
   struct HeapSlot {
     std::uint64_t key;  ///< time_key(event time)
     std::uint32_t id;
   };
-  /// One event record: POD event + owner links + heap bookkeeping.
+  /// One event record: POD event + pending-list links + heap bookkeeping.
   struct Node {
     Event ev;
-    EventLinks links;
-    std::uint32_t heap_pos = 0xFFFFFFFFu;
+    std::uint32_t prev = kNil;
+    std::uint32_t next = kNil;
+    std::uint32_t heap_pos = kNil;
     EventState state = EventState::kPending;
   };
   static_assert(sizeof(HeapSlot) == 16, "heap slot: 64-bit key + id");
   static_assert(sizeof(Node) == 40, "event record: Event.input must fit its padding");
+
+  struct ListEnds {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
 
   /// Order-preserving integer image of a non-NaN time: unsigned comparison
   /// of keys is the double comparison.  `+ 0.0` folds -0.0 onto +0.0 (they
@@ -176,11 +165,23 @@ class EventQueue {
   [[nodiscard]] static bool before(const HeapSlot& a, const HeapSlot& b) {
     return a.key < b.key + static_cast<std::uint64_t>(a.id < b.id);
   }
+  [[nodiscard]] HeapSlot slot_of(std::uint32_t raw) const {
+    return HeapSlot{time_key(nodes_[raw].ev.time), raw};
+  }
+  [[nodiscard]] const Node& node(EventId id) const {
+    debug_ensure(id.value() < nodes_.size(), "EventQueue: invalid event id");
+    return nodes_[id.value()];
+  }
+  /// Appends an unlinked, unscheduled event record; returns its id.
+  std::uint32_t new_node(std::uint32_t input, TimeNs time, TransitionId transition,
+                         PinRef target);
+  /// Schedules `raw` into a new heap slot.
+  void schedule(std::uint32_t raw);
   /// Index of the earliest of the children [first, min(first + kArity, n)).
   [[nodiscard]] std::size_t min_child(std::size_t first, std::size_t n) const;
   void sift_up(std::size_t index);
   void sift_down(std::size_t index);
-  /// Removes the heap entry at `pos` (event already known pending).
+  /// Removes the heap entry at `pos`.
   void remove_at(std::size_t pos);
   void place(std::size_t index, HeapSlot slot) {
     heap_[index] = slot;
@@ -188,58 +189,84 @@ class EventQueue {
   }
 
   std::vector<Node> nodes_;      // arena, indexed by EventId
-  std::vector<HeapSlot> heap_;   // 4-ary min-heap of scheduled pending events
+  std::vector<ListEnds> lists_;  // per-input pending-list ends
+  std::vector<HeapSlot> heap_;   // 4-ary min-heap of the lists' heads
   std::size_t peak_size_ = 0;    // heap high-water mark
 };
 
 // ---- implementation ---------------------------------------------------------
 // Defined in the header so the simulator's event loop can inline the queue
 // operations (they sit between every pair of kernel steps; an out-of-line
-// call per push/pop costs measurable throughput).
+// call per append/pop costs measurable throughput).
 
-namespace detail {
-constexpr std::uint32_t kNoHeapPos = 0xFFFFFFFFu;
-}
-
-inline EventId EventQueue::push(TimeNs time, TransitionId transition, PinRef target,
-                                std::uint32_t input) {
-  const EventId id = create(time, transition, target, input);
-  enqueue(id);
-  return id;
-}
-
-inline EventId EventQueue::create(TimeNs time, TransitionId transition, PinRef target,
-                                  std::uint32_t input) {
-  debug_ensure(!std::isnan(time), "EventQueue::create(): event time is NaN");
-  const auto raw = static_cast<EventId::underlying_type>(nodes_.size());
+inline std::uint32_t EventQueue::new_node(std::uint32_t input, TimeNs time,
+                                          TransitionId transition, PinRef target) {
+  debug_ensure(!std::isnan(time), "EventQueue: event time is NaN");
+  debug_ensure(input < lists_.size(), "EventQueue: input out of range");
+  const auto raw = static_cast<std::uint32_t>(nodes_.size());
   Node node;
   node.ev.time = time;
   node.ev.transition = transition;
   node.ev.target = target;
   node.ev.input = input;
   nodes_.push_back(node);
-  return EventId{raw};
+  return raw;
 }
 
-inline void EventQueue::enqueue(EventId id) {
-  const std::uint32_t raw = id.value();
-  Node& node = nodes_[raw];
-  debug_ensure(node.state == EventState::kPending && node.heap_pos == detail::kNoHeapPos,
-               "EventQueue::enqueue(): event not pending or already scheduled");
-  heap_.push_back(HeapSlot{time_key(node.ev.time), raw});
+inline void EventQueue::schedule(std::uint32_t raw) {
+  heap_.push_back(slot_of(raw));
   if (heap_.size() > peak_size_) peak_size_ = heap_.size();
   sift_up(heap_.size() - 1);
 }
 
-inline void EventQueue::dequeue(EventId id) {
-  const std::uint32_t raw = id.value();
-  Node& node = nodes_[raw];
-  debug_ensure(node.state == EventState::kPending, "EventQueue::dequeue(): not pending");
-  const std::uint32_t pos = node.heap_pos;
-  debug_ensure(pos != detail::kNoHeapPos && pos < heap_.size() && heap_[pos].id == raw,
-               "EventQueue::dequeue(): event not scheduled");
-  node.heap_pos = detail::kNoHeapPos;
-  remove_at(pos);
+inline EventId EventQueue::append(std::uint32_t input, TimeNs time, TransitionId transition,
+                                  PinRef target) {
+  const std::uint32_t raw = new_node(input, time, transition, target);
+  ListEnds& list = lists_[input];
+  if (list.tail == kNil) {
+    list.head = raw;
+    schedule(raw);
+  } else {
+    debug_ensure(!(time < nodes_[list.tail].ev.time),
+                 "EventQueue::append(): event precedes its list's tail");
+    nodes_[raw].prev = list.tail;
+    nodes_[list.tail].next = raw;
+  }
+  list.tail = raw;
+  return EventId{raw};
+}
+
+inline EventId EventQueue::insert_sorted(std::uint32_t input, TimeNs time,
+                                         TransitionId transition, PinRef target) {
+  const std::uint32_t raw = new_node(input, time, transition, target);
+  ListEnds& list = lists_[input];
+  // The new id is the newest, so it goes after every event not later.
+  std::uint32_t after = list.tail;
+  while (after != kNil && time < nodes_[after].ev.time) after = nodes_[after].prev;
+  const std::uint32_t next = after == kNil ? list.head : nodes_[after].next;
+  nodes_[raw].prev = after;
+  nodes_[raw].next = next;
+  if (next == kNil) {
+    list.tail = raw;
+  } else {
+    nodes_[next].prev = raw;
+  }
+  if (after != kNil) {
+    nodes_[after].next = raw;
+    return EventId{raw};
+  }
+  list.head = raw;
+  if (next == kNil) {
+    schedule(raw);
+  } else {
+    // It precedes the head it displaces, whose children all come after
+    // that head: only the way up can be out of order.
+    const std::uint32_t pos = nodes_[next].heap_pos;
+    nodes_[next].heap_pos = kNil;
+    heap_[pos] = slot_of(raw);
+    sift_up(pos);
+  }
+  return EventId{raw};
 }
 
 inline EventId EventQueue::peek() const {
@@ -250,9 +277,26 @@ inline EventId EventQueue::peek() const {
 inline EventId EventQueue::pop() {
   require(!heap_.empty(), "EventQueue::pop(): queue is empty");
   const std::uint32_t raw = heap_.front().id;
+  Node& fired = nodes_[raw];
+  debug_ensure(fired.prev == kNil && lists_[fired.ev.input].head == raw,
+               "EventQueue::pop(): scheduled event is not its list's head");
+  fired.heap_pos = kNil;
+  fired.state = EventState::kFired;
+  const std::uint32_t next = fired.next;
+  fired.next = kNil;
+  ListEnds& list = lists_[fired.ev.input];
+  list.head = next;
+  if (next != kNil) {
+    // The successor is usually close to the minimum: one top-down sift from
+    // the root instead of a full pop plus a sift back up.
+    nodes_[next].prev = kNil;
+    heap_[0] = slot_of(next);
+    sift_down(0);
+    return EventId{raw};
+  }
+  list.tail = kNil;
   const HeapSlot last = heap_.back();
   heap_.pop_back();
-  nodes_[raw].heap_pos = detail::kNoHeapPos;
   const std::size_t n = heap_.size();
   if (n != 0) {
     // Bottom-up: move the smaller child into the hole level by level until
@@ -267,38 +311,42 @@ inline EventId EventQueue::pop() {
     heap_[hole] = last;
     sift_up(hole);
   }
-  nodes_[raw].state = EventState::kFired;
   return EventId{raw};
 }
 
-inline EventId EventQueue::pop_replacing(EventId next) {
-  require(!heap_.empty(), "EventQueue::pop_replacing(): queue is empty");
-  const std::uint32_t raw = heap_.front().id;
-  nodes_[raw].heap_pos = detail::kNoHeapPos;
-  nodes_[raw].state = EventState::kFired;
-  const std::uint32_t nraw = next.value();
-  Node& node = nodes_[nraw];
-  debug_ensure(node.state == EventState::kPending && node.heap_pos == detail::kNoHeapPos,
-               "EventQueue::pop_replacing(): replacement not pending or already scheduled");
-  place(0, HeapSlot{time_key(node.ev.time), nraw});
-  sift_down(0);
-  return EventId{raw};
-}
-
-inline void EventQueue::cancel(EventId id) {
+inline bool EventQueue::cancel(EventId id) {
   require(id.valid() && id.value() < nodes_.size(), "EventQueue::cancel(): invalid id");
-  Node& node = nodes_[id.value()];
-  require(node.state == EventState::kPending,
-          "EventQueue::cancel(): event is not pending");
-  const std::uint32_t pos = node.heap_pos;
-  if (pos != detail::kNoHeapPos) {
-    // Scheduled (a pending-list head): remove the heap entry too.
-    ensure(pos < heap_.size() && heap_[pos].id == id.value(),
-           "EventQueue::cancel(): heap position corrupt");
-    node.heap_pos = detail::kNoHeapPos;
-    remove_at(pos);
+  const std::uint32_t raw = id.value();
+  Node& gone = nodes_[raw];
+  require(gone.state == EventState::kPending, "EventQueue::cancel(): event is not pending");
+  gone.state = EventState::kCancelled;
+  const std::uint32_t prev = gone.prev;
+  const std::uint32_t next = gone.next;
+  gone.prev = gone.next = kNil;
+  ListEnds& list = lists_[gone.ev.input];
+  if (next == kNil) {
+    list.tail = prev;
+  } else {
+    nodes_[next].prev = prev;
   }
-  node.state = EventState::kCancelled;
+  if (prev != kNil) {
+    nodes_[prev].next = next;
+    return false;
+  }
+  list.head = next;
+  const std::uint32_t pos = gone.heap_pos;
+  ensure(pos < heap_.size() && heap_[pos].id == raw,
+         "EventQueue::cancel(): heap position corrupt");
+  gone.heap_pos = kNil;
+  if (next == kNil) {
+    remove_at(pos);
+  } else {
+    // The successor comes after the head it replaces, whose parent comes
+    // before it: only the way down can be out of order.
+    heap_[pos] = slot_of(next);
+    sift_down(pos);
+  }
+  return true;
 }
 
 inline void EventQueue::remove_at(std::size_t pos) {
@@ -310,16 +358,6 @@ inline void EventQueue::remove_at(std::size_t pos) {
     sift_down(pos);
     sift_up(nodes_[last.id].heap_pos);
   }
-}
-
-inline const Event& EventQueue::event(EventId id) const {
-  require(id.valid() && id.value() < nodes_.size(), "EventQueue::event(): invalid id");
-  return nodes_[id.value()].ev;
-}
-
-inline EventState EventQueue::state(EventId id) const {
-  require(id.valid() && id.value() < nodes_.size(), "EventQueue::state(): invalid id");
-  return nodes_[id.value()].state;
 }
 
 inline void EventQueue::sift_up(std::size_t index) {

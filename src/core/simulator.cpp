@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <new>
-#include <span>
 #include <string_view>
 
 #include "src/base/check.hpp"
@@ -32,7 +31,6 @@ void Simulator::rebind(const Netlist& netlist, const DelayModel& model,
                        const TimingGraph& timing, SimConfig config) {
   require(&timing.netlist() == &netlist,
           "Simulator::rebind(): TimingGraph was elaborated over a different netlist");
-  require(config.min_pulse_width > 0.0, "SimConfig::min_pulse_width must be positive");
   const bool same_tables = netlist_ == &netlist && timing_ == &timing;
   netlist_ = &netlist;
   model_ = model;
@@ -48,7 +46,6 @@ void Simulator::rebind(const Netlist& netlist, const DelayModel& model,
 }
 
 void Simulator::build_static_tables() {
-  require(config_.min_pulse_width > 0.0, "SimConfig::min_pulse_width must be positive");
   netlist_->check();
   arcs_ = timing_->arcs().data();
 
@@ -85,24 +82,11 @@ void Simulator::build_static_tables() {
     gi.num_inputs = static_cast<std::uint8_t>(gate.inputs.size());
     total_pins += gate.inputs.size();
 
-    // Compile the gate's boolean function to a truth table indexed by the
-    // packed input word (bit p = perceived value of pin p).
     std::int32_t& truth = cell_truth[gate.cell.value()];
-    if (truth < 0) {
-      require(gate.inputs.size() <= 4, "Simulator: fan-in too large for truth table");
-      bool ins[4] = {};
-      truth = 0;
-      for (std::uint32_t word = 0; word < (1u << gate.inputs.size()); ++word) {
-        for (std::size_t p = 0; p < gate.inputs.size(); ++p) ins[p] = ((word >> p) & 1u) != 0;
-        if (eval_cell(netlist_->cell_of(gid).kind,
-                      std::span<const bool>(ins, gate.inputs.size()))) {
-          truth |= static_cast<std::int32_t>(1u << word);
-        }
-      }
-    }
+    if (truth < 0) truth = truth_table(netlist_->cell_of(gid).kind);
     gi.truth = static_cast<std::uint16_t>(truth);
   }
-  inputs_.assign(total_pins, InputState{});
+  queue_.clear(total_pins);
 
   // Flattened fanout table: resolve, once, everything spawn_events() needs
   // per (signal, receiving pin) -- the receiving pin's flattened input index
@@ -139,7 +123,7 @@ void Simulator::build_static_tables() {
 }
 
 void Simulator::reset() {
-  queue_.clear();
+  queue_.clear(queue_.num_inputs());
   transitions_.clear();
   pair_pool_.clear();
   pair_free_ = kNil;
@@ -153,7 +137,6 @@ void Simulator::reset() {
     gate.last_out = TransitionId{};
     gate.last_out50 = 0.0;
   }
-  inputs_.assign(inputs_.size(), InputState{});
   now_ = 0.0;
   stimulus_applied_ = false;
   fault_signal_ = SignalId{};
@@ -275,27 +258,23 @@ void Simulator::spawn_events(TransitionId tr_id) {
     const PinRef target{fo.gate, fo.pin};
     const double frac = rising ? fo.vt_frac : 1.0 - fo.vt_frac;
     TimeNs ej = tr.t_start + tr.tau * frac;
-    InputState& in = inputs_[fo.input];
-    const std::uint32_t prev_tail = in.tail;
+    const EventId prev_tail = queue_.tail(fo.input);
 
-    if (prev_tail != kNil) {
-      const EventId prev_id{prev_tail};
-      const Event& prev_ev = queue_.event_unchecked(prev_id);
+    if (prev_tail.valid()) {
+      const Event& prev_ev = queue_.event(prev_tail);
       if (ej <= prev_ev.time) {
         // Paper Fig. 4: the pulse never crosses this input's threshold.
         // Delete Ej-1, do not insert Ej.
         SuppressedPair pair;
         pair.target = target;
         pair.partner_cause = prev_ev.transition;
-        pair.partner_event = prev_id;
+        pair.partner_event = prev_tail;
         pair.partner_time = prev_ev.time;
         append_pair(rec, pair);
-        const bool was_head = in.head == prev_tail;
-        list_remove(in, prev_id);
-        queue_.cancel(prev_id);
+        const bool was_head = queue_.cancel(prev_tail);
         ++stats_.events_cancelled;
         if (recorder_ != nullptr) {
-          recorder_->on_pair_cancel(prev_id, tr_id, frac, fo.input, was_head);
+          recorder_->on_pair_cancel(prev_tail, tr_id, frac, fo.input, was_head);
         }
         ++stats_.pair_cancellations;
         ++stats_.events_suppressed;
@@ -303,16 +282,11 @@ void Simulator::spawn_events(TransitionId tr_id) {
       }
     }
     if (ej < now_) ej = now_;  // causality clamp for extreme slope ratios
-    const EventId id = push_event(ej, tr_id, target, fo.input);
-    if (recorder_ != nullptr) recorder_->on_spawn(id, tr_id, frac, prev_tail, fo.input);
-    ++stats_.events_created;
-    const bool was_empty = in.head == kNil;
-    list_push_back(in, id);
-    if (was_empty) {
-      // Only the head of a (time-ordered) pending list competes in the
-      // heap; later events are promoted when they reach the front.
-      queue_.enqueue(id);
+    const EventId id = queue_.append(fo.input, ej, tr_id, target);
+    if (recorder_ != nullptr) {
+      recorder_->on_spawn(id, tr_id, frac, prev_tail.value(), fo.input);
     }
+    ++stats_.events_created;
   }
 }
 
@@ -337,11 +311,12 @@ void Simulator::finish_recording(const RunResult& result) {
 
   // Residual pending events, in creation order: the replayer verifies each
   // stays beyond the horizon under perturbation.
-  const auto created = static_cast<std::uint32_t>(queue_.created_count());
-  for (std::uint32_t e = 0; e < created; ++e) {
-    const EventId id{e};
-    if (queue_.state_unchecked(id) == EventState::kPending) recorder_->on_residual(id);
+  std::vector<EventId> residual;
+  for (std::uint32_t in = 0; in < queue_.num_inputs(); ++in) {
+    for (EventId e = queue_.head(in); e.valid(); e = queue_.next(e)) residual.push_back(e);
   }
+  std::sort(residual.begin(), residual.end());
+  for (const EventId id : residual) recorder_->on_residual(id);
 
   // Surviving-history snapshot, identical membership to history().
   std::vector<std::vector<replay::TraceHistoryEntry>> history(signal_history_.size());
@@ -355,8 +330,8 @@ void Simulator::finish_recording(const RunResult& result) {
     }
   }
   recorder_->seal(std::move(history), transitions_.size(), queue_.created_count(),
-                  timing_->arcs().size(), inputs_.size(), gates_.size(),
-                  config_.min_pulse_width, config_.t_end,
+                  timing_->arcs().size(), queue_.num_inputs(), gates_.size(),
+                  config_.t_end,
                   /*replayable=*/result.reason != StopReason::kEventLimit);
 }
 
@@ -365,7 +340,7 @@ RunResult Simulator::run_impl(TimeNs horizon) {
   RunResult result;
   while (!queue_.empty()) {
     const EventId eid = queue_.peek();
-    const Event ev = queue_.event_unchecked(eid);  // copy: queue mutates below
+    const Event ev = queue_.event(eid);  // copy: the arena may grow below
     // The two random-access records this event will touch; issue the loads
     // early so the pop/list maintenance below covers their latency.
     __builtin_prefetch(&transitions_[ev.transition.value()], 0);
@@ -380,17 +355,7 @@ RunResult Simulator::run_impl(TimeNs horizon) {
       result.end_time = now_;
       return result;
     }
-    InputState& in = inputs_[ev.input];
-    debug_ensure(in.head == eid.value(),
-                 "Simulator: fired event is not the input's earliest pending event");
-    list_remove(in, eid);
-    // Pop, promoting the input's next pending event into the vacated root
-    // in the same sift when there is one.
-    if (in.head != kNil) {
-      (void)queue_.pop_replacing(EventId{in.head});
-    } else {
-      (void)queue_.pop();
-    }
+    (void)queue_.pop();
     now_ = std::max(now_, ev.time);
     ++stats_.events_processed;
     if (supervisor_ != nullptr && --sup_countdown_ == 0) {
@@ -478,7 +443,7 @@ void Simulator::schedule_output(GateId gate_id, int pin, const Event& ev, bool n
     ++stats_.ddm_collapses;
   }
   if (has_prev) {
-    if (!collapse && t_out50 <= prev50 + config_.min_pulse_width) {
+    if (!collapse && t_out50 <= prev50 + kMinPulseWidth) {
       collapse = true;  // ordering collapse: the pulse has no width
       rflags |= replay::kOpOrdCollapse;
     }
@@ -505,13 +470,13 @@ void Simulator::schedule_output(GateId gate_id, int pin, const Event& ev, bool n
     }
     // Part of the fanout already consumed the previous edge: emit a
     // minimum-width pulse instead and let the receiving inputs filter it.
-    t_out50 = prev50 + config_.min_pulse_width;
+    t_out50 = prev50 + kMinPulseWidth;
     rflags |= replay::kOpClamped;
     ++stats_.clamped_pulses;
   }
 
   const Edge out_edge = new_output ? Edge::kRise : Edge::kFall;
-  const TimeNs tau_out = std::max(delay.tau_out, config_.min_pulse_width);
+  const TimeNs tau_out = std::max(delay.tau_out, kMinPulseWidth);
   const TransitionId id = create_transition(gate.output, out_edge,
                                             t_out50 - 0.5 * tau_out, tau_out, prev_id);
   if (recorder_ != nullptr) {
@@ -534,29 +499,23 @@ void Simulator::annihilate(GateId gate_id, TransitionId tr_id) {
 
   // Remove the transition's still-pending fanout events.  Each targets a
   // fanout input of its line, at most one per input, and an input's list
-  // holds only that line's events.  A cancelled head hands its heap slot to
-  // the input's next pending event (heads-only heap discipline).
+  // holds only that line's events.
   const std::uint32_t sig = rec.tr.signal.value();
   for (std::uint32_t i = fanout_base_[sig]; i < fanout_base_[sig + 1]; ++i) {
     const std::uint32_t input = fanout_[i].input;
-    InputState& in = inputs_[input];
     // The transition is its line's latest, so its event is normally the
     // tail; a resurrected one may sit further up the list.
-    std::uint32_t mine = kNil;
-    for (std::uint32_t e = in.tail; e != kNil; e = queue_.links(EventId{e}).prev) {
-      if (queue_.event_unchecked(EventId{e}).transition != tr_id) continue;
-      debug_ensure(mine == kNil,
+    EventId mine;
+    for (EventId e = queue_.tail(input); e.valid(); e = queue_.prev(e)) {
+      if (queue_.event(e).transition != tr_id) continue;
+      debug_ensure(!mine.valid(),
                    "Simulator::annihilate(): two pending events of one transition on an input");
       mine = e;
     }
-    if (mine == kNil) continue;
-    const EventId ev_id{mine};
-    const bool was_head = in.head == mine;
-    list_remove(in, ev_id);
-    queue_.cancel(ev_id);
+    if (!mine.valid()) continue;
+    const bool was_head = queue_.cancel(mine);
     ++stats_.events_cancelled;
-    if (recorder_ != nullptr) recorder_->on_cancel(ev_id, input, was_head);
-    if (was_head && in.head != kNil) queue_.enqueue(EventId{in.head});
+    if (recorder_ != nullptr) recorder_->on_cancel(mine, input, was_head);
   }
 
   // The annihilated pulse never existed at the output, so pair
@@ -613,92 +572,12 @@ void Simulator::consume_pair_chain(TransitionRec& rec, bool resurrect) {
     if (!resurrect || transitions_[partner.value()].tr.cancelled) continue;
     const TimeNs when = std::max(node.pair.partner_time, now_);
     const auto input = static_cast<std::uint32_t>(input_index(node.pair.target));
-    const EventId id = push_event(when, partner, node.pair.target, input);
+    const EventId id = queue_.insert_sorted(input, when, partner, node.pair.target);
     ++stats_.events_created;
     ++stats_.events_resurrected;
-    // Keep the per-input pending list time-ordered: O(k) insert from the
-    // tail instead of the seed kernel's full re-sort.  A resurrection that
-    // lands at the front displaces the old head's heap slot.
-    InputState& in = inputs_[input];
-    const std::uint32_t old_head = in.head;
-    list_insert_sorted(in, id);
     if (recorder_ != nullptr) {
-      const EventQueue::EventLinks& links = queue_.links(id);
-      recorder_->on_resurrect(id, node.pair.partner_event, links.prev, links.next, input);
-    }
-    if (in.head != old_head) {
-      if (old_head != kNil) queue_.dequeue(EventId{old_head});
-      queue_.enqueue(id);
-    }
-  }
-}
-
-// ---- pending lists ----------------------------------------------------------
-
-EventId Simulator::push_event(TimeNs time, TransitionId transition, PinRef target,
-                              std::uint32_t input) {
-  // Arena-only creation: heap scheduling is the caller's decision (only
-  // pending-list heads live in the heap).  The pending-list links live in
-  // the event's own queue record (EventQueue::links), initialized unlinked.
-  return queue_.create(time, transition, target, input);
-}
-
-void Simulator::list_push_back(InputState& in, EventId id) {
-  const std::uint32_t v = id.value();
-  queue_.links(id) = EvLink{in.tail, kNil};
-  if (in.tail == kNil) {
-    in.head = v;
-  } else {
-    queue_.links(EventId{in.tail}).next = v;
-  }
-  in.tail = v;
-}
-
-void Simulator::list_remove(InputState& in, EventId id) {
-  const std::uint32_t v = id.value();
-  const EvLink link = queue_.links(id);
-  if (link.prev == kNil) {
-    debug_ensure(in.head == v, "Simulator: pending list out of sync");
-    in.head = link.next;
-  } else {
-    queue_.links(EventId{link.prev}).next = link.next;
-  }
-  if (link.next == kNil) {
-    debug_ensure(in.tail == v, "Simulator: pending list out of sync");
-    in.tail = link.prev;
-  } else {
-    queue_.links(EventId{link.next}).prev = link.prev;
-  }
-  queue_.links(id) = EvLink{};
-}
-
-void Simulator::list_insert_sorted(InputState& in, EventId id) {
-  const Event& nev = queue_.event_unchecked(id);
-  const std::uint32_t v_new = id.value();
-  std::uint32_t after = in.tail;
-  while (after != kNil) {
-    const Event& cev = queue_.event_unchecked(EventId{after});
-    // Ids are creation-ordered, so (time, id) is the paper's (time, seq).
-    if (cev.time < nev.time || (cev.time == nev.time && after < v_new)) break;
-    after = queue_.links(EventId{after}).prev;
-  }
-  const std::uint32_t v = id.value();
-  if (after == kNil) {  // new head
-    queue_.links(id) = EvLink{kNil, in.head};
-    if (in.head == kNil) {
-      in.tail = v;
-    } else {
-      queue_.links(EventId{in.head}).prev = v;
-    }
-    in.head = v;
-  } else {
-    const std::uint32_t next = queue_.links(EventId{after}).next;
-    queue_.links(id) = EvLink{after, next};
-    queue_.links(EventId{after}).next = v;
-    if (next == kNil) {
-      in.tail = v;
-    } else {
-      queue_.links(EventId{next}).prev = v;
+      recorder_->on_resurrect(id, node.pair.partner_event, queue_.prev(id).value(),
+                              queue_.next(id).value(), input);
     }
   }
 }
@@ -736,12 +615,6 @@ bool Simulator::value_at(SignalId signal, TimeNs t) const {
 
 std::size_t Simulator::toggle_count(SignalId signal) const {
   return signal_history_.at(signal.value()).size();
-}
-
-std::uint64_t Simulator::total_activity() const {
-  std::uint64_t total = 0;
-  for (const auto& history : signal_history_) total += history.size();
-  return total;
 }
 
 bool Simulator::perceived_value(const PinRef& pin) const {

@@ -44,14 +44,13 @@
 //     live chains are bounded by circuit activity, not by stimulus length.
 //     Annihilation finds the transition's pending events through the
 //     per-input pending lists below: no second per-transition index.
-//   * Per-input pending events form intrusive doubly-linked lists threaded
-//     through the event records themselves: O(1) pop-front in run(), O(1)
-//     unlink on cancellation, O(k) ordered insert on resurrection.  Only
-//     each list's head is scheduled in the d-ary heap: the lists are
-//     time-ordered, so the heap arbitrates one event per active input and
-//     mid-list cancellations never pay heap maintenance.  Each event carries
-//     its input's flat index, so firing or cancelling it indexes the pending
-//     list directly.
+//   * The EventQueue owns the per-input pending lists and the heads-only
+//     heap over them (event_queue.hpp): O(1) pop-front and unlink, O(k)
+//     ordered insert on resurrection, and the queue keeps each non-empty
+//     list's head scheduled.  The simulator only decides: which event the
+//     pair rule cancels, which events an annihilation removes, which ones
+//     it resurrects.  Each event carries its input's flat index, so firing
+//     or cancelling it indexes its pending list directly.
 #pragma once
 
 #include <cstdint>
@@ -76,14 +75,15 @@ namespace replay {
 class TraceRecorder;
 }  // namespace replay
 
+/// Minimum output pulse width, used when a collapse cannot be executed
+/// cleanly because the previous edge was already consumed downstream.
+inline constexpr TimeNs kMinPulseWidth = 0.001;  // 1 ps
+
 struct SimConfig {
   /// Simulation horizon; events after it stay unprocessed.
   TimeNs t_end = kNeverNs;
   /// Hard safety bound on processed events (oscillating feedback guard).
   std::uint64_t max_events = 100'000'000;
-  /// Minimum output pulse width used when a collapse cannot be executed
-  /// cleanly because the previous edge was already consumed downstream.
-  TimeNs min_pulse_width = 0.001;  // 1 ps
 };
 
 /// Why run() returned.
@@ -205,8 +205,6 @@ class Simulator {
   [[nodiscard]] bool value_at(SignalId signal, TimeNs t) const;
   /// Number of surviving transitions (toggle count) on `signal`.
   [[nodiscard]] std::size_t toggle_count(SignalId signal) const;
-  /// Total surviving transitions across all signals (switching activity).
-  [[nodiscard]] std::uint64_t total_activity() const;
   /// Perceived logic value at a gate input (for consistency checks).
   [[nodiscard]] bool perceived_value(const PinRef& pin) const;
   /// The `n` signals with the most transitions, most active first --
@@ -243,7 +241,7 @@ class Simulator {
   struct FanoutEntry {
     GateId gate;               ///< receiving gate
     std::uint16_t pin = 0;     ///< receiving input pin of `gate`
-    std::uint32_t input = 0;   ///< index into inputs_ (flattened gate pins)
+    std::uint32_t input = 0;   ///< pending list: flattened (gate, pin) index
     double vt_frac = 0.5;      ///< rising crossing = t_start + tau * vt_frac;
                                ///< falling uses (1 - vt_frac), computed inline
   };
@@ -298,15 +296,6 @@ class Simulator {
     std::uint32_t next = kNil;
   };
 
-  /// Intrusive doubly-linked, time-ordered pending list per gate input,
-  /// threaded through the event records themselves (EventQueue::links --
-  /// the event, its state and its links share one arena record).
-  struct InputState {
-    std::uint32_t head = kNil;
-    std::uint32_t tail = kNil;
-  };
-  using EvLink = EventQueue::EventLinks;
-
   [[nodiscard]] std::size_t input_index(const PinRef& pin) const {
     return gates_[pin.gate.value()].input_base + static_cast<std::size_t>(pin.pin);
   }
@@ -328,15 +317,6 @@ class Simulator {
   /// output-pulse annihilation path).
   void consume_pair_chain(TransitionRec& rec, bool resurrect);
 
-  // -- pending lists ----------------------------------------------------------
-  /// Creates an unscheduled event for flat input `input` (== input_index(target)).
-  EventId push_event(TimeNs time, TransitionId transition, PinRef target,
-                     std::uint32_t input);
-  void list_push_back(InputState& in, EventId id);
-  void list_remove(InputState& in, EventId id);
-  /// Ordered insert by (time, seq), scanning from the tail (resurrection).
-  void list_insert_sorted(InputState& in, EventId id);
-
   /// Shared table-build step of both constructors.
   void build_static_tables();
 
@@ -357,7 +337,7 @@ class Simulator {
   bool has_cycles_ = false;                  // cached: steady-state sweep bound
 
   // dynamic state
-  EventQueue queue_;
+  EventQueue queue_;  ///< events, per-input pending lists, heads-only heap
   std::vector<TransitionRec> transitions_;
   std::vector<PairNode> pair_pool_;
   std::uint32_t pair_free_ = kNil;
@@ -365,7 +345,6 @@ class Simulator {
   std::uint64_t peak_live_transitions_ = 0;
   std::vector<std::vector<TransitionId>> signal_history_;
   std::vector<bool> initial_values_;
-  std::vector<InputState> inputs_;          // flattened (gate, pin)
   TimeNs now_ = 0.0;
   bool stimulus_applied_ = false;
   const RunSupervisor* supervisor_ = nullptr;  ///< optional; see supervise()

@@ -7,7 +7,6 @@
 #include <queue>
 #include <utility>
 
-#include "src/base/check.hpp"
 #include "src/lint/lint.hpp"
 #include "src/netlist/cell.hpp"
 
@@ -16,25 +15,6 @@ namespace halotis::lint {
 namespace {
 
 constexpr int kMaxPins = 4;  // enforced by num_inputs() for every CellKind
-
-/// Compiles the gate's function into a <= 16-bit truth table, bit index =
-/// packed input word (pin p = bit p).  Same compilation the event kernel
-/// performs at reset.
-std::uint16_t compile_truth(const Netlist& netlist, GateId gate) {
-  const Gate& g = netlist.gate(gate);
-  const CellKind kind = netlist.cell_of(gate).kind;
-  const int k = static_cast<int>(g.inputs.size());
-  require(k <= kMaxPins, "lint: gate fan-in exceeds 4");
-  std::uint16_t truth = 0;
-  for (unsigned word = 0; word < (1u << k); ++word) {
-    std::array<bool, kMaxPins> vals{};
-    for (int p = 0; p < k; ++p) vals[static_cast<std::size_t>(p)] = ((word >> p) & 1u) != 0;
-    if (eval_cell(kind, {vals.data(), static_cast<std::size_t>(k)})) {
-      truth |= static_cast<std::uint16_t>(1u << word);
-    }
-  }
-  return truth;
-}
 
 inline bool truth_at(std::uint16_t truth, unsigned word) {
   return ((truth >> word) & 1u) != 0;
@@ -103,7 +83,7 @@ HazardAnalysis analyze_hazards(const Netlist& netlist, const TimingGraph& timing
     const int k = static_cast<int>(netlist.gate(gate).inputs.size());
     GateHazard& hz = analysis.gates[gi];
     if (k < 2) continue;  // single-input gates cannot multiply transitions
-    const std::uint16_t truth = compile_truth(netlist, gate);
+    const std::uint16_t truth = truth_table(netlist.cell_of(gate).kind);
 
     CapabilitySearch search{truth, k};
     search.run();

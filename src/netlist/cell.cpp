@@ -1,5 +1,6 @@
 #include "src/netlist/cell.hpp"
 
+#include <array>
 #include <string>
 
 namespace halotis {
@@ -57,6 +58,19 @@ bool eval_cell(CellKind kind, std::span<const bool> in) {
   }
   ensure(false, "eval_cell(): unhandled cell kind");
   return false;
+}
+
+std::uint16_t truth_table(CellKind kind) {
+  const int k = num_inputs(kind);
+  std::uint16_t truth = 0;
+  for (unsigned word = 0; word < (1u << k); ++word) {
+    std::array<bool, 4> ins{};
+    for (int p = 0; p < k; ++p) ins[static_cast<std::size_t>(p)] = ((word >> p) & 1u) != 0;
+    if (eval_cell(kind, {ins.data(), static_cast<std::size_t>(k)})) {
+      truth |= static_cast<std::uint16_t>(1u << word);
+    }
+  }
+  return truth;
 }
 
 std::string_view cell_kind_name(CellKind kind) {

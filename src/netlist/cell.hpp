@@ -6,6 +6,7 @@
 // ISCAS-85 benchmarks.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string_view>
 
@@ -98,6 +99,11 @@ enum class CellKind {
 /// Evaluates the boolean function of `kind` on `inputs`.
 /// Requires inputs.size() == num_inputs(kind).
 [[nodiscard]] bool eval_cell(CellKind kind, std::span<const bool> inputs);
+
+/// The boolean function of `kind` as a truth table: bit w is the output for
+/// the packed input word w (bit p = pin p).  Fan-in is at most 4, so 16
+/// bits hold every word.
+[[nodiscard]] std::uint16_t truth_table(CellKind kind);
 
 /// Canonical upper-case cell-kind mnemonic ("NAND2", "AOI21", ...).
 [[nodiscard]] std::string_view cell_kind_name(CellKind kind);

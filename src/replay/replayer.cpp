@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/base/check.hpp"
+#include "src/core/simulator.hpp"
 #include "src/replay/history_hash.hpp"
 
 namespace halotis::replay {
@@ -56,7 +57,6 @@ ReplayOutcome TraceReplayer::replay(std::span<const TimingArc> arcs,
           "TraceReplayer::replay(): arc table size differs from the recording graph");
   have_times_ = false;
 
-  const TimeNs mpw = trace_->min_pulse_width;
   const TimeNs horizon = trace_->horizon;
   std::fill(last_list_.begin(), last_list_.end(), Touch{});
   std::fill(last_gate_.begin(), last_gate_.end(), Touch{});
@@ -190,7 +190,7 @@ ReplayOutcome TraceReplayer::replay(std::span<const TimingArc> arcs,
         bool collapse = delay.filtered;
         if (has_prev) {
           if (!collapse) {
-            const bool ord = t_out50 <= prev50 + mpw;
+            const bool ord = t_out50 <= prev50 + kMinPulseWidth;
             if (ord != ((op.flags & kOpOrdCollapse) != 0)) {
               return {false, i};
             }
@@ -209,9 +209,9 @@ ReplayOutcome TraceReplayer::replay(std::span<const TimingArc> arcs,
           break;  // collapse removed the previous output; no new transition
         }
         if ((op.flags & kOpClamped) != 0) {
-          t_out50 = prev50 + mpw;
+          t_out50 = prev50 + kMinPulseWidth;
         }
-        const TimeNs tau_out = std::max(delay.tau_out, mpw);
+        const TimeNs tau_out = std::max(delay.tau_out, kMinPulseWidth);
         tr_[op.a] = Ramp{t_out50 - 0.5 * tau_out, tau_out};
         break;
       }
@@ -236,7 +236,7 @@ ReplayOutcome TraceReplayer::replay(std::span<const TimingArc> arcs,
           return {false, i};
         }
         // The sorted re-insert must land between the same neighbours.  The
-        // new event's id is globally newest, so list_insert_sorted places
+        // new event's id is globally newest, so EventQueue::insert_sorted places
         // it after the last node with time <= when: the recorded neighbours
         // are kept iff prev <= when < next.
         if (op.c != kNone && !(ev_[op.c] <= when)) {

@@ -83,7 +83,7 @@ enum class OpKind : std::uint8_t {
 enum : std::uint8_t {
   kOpHasPrev = 1u << 0,      ///< the gate had a previous surviving output
   kOpFiltered = 1u << 1,     ///< DDM T <= T0 collapse (eval_arc filtered)
-  kOpOrdCollapse = 1u << 2,  ///< t_out50 <= prev50 + min_pulse_width
+  kOpOrdCollapse = 1u << 2,  ///< t_out50 <= prev50 + kMinPulseWidth
   kOpInertial = 1u << 3,     ///< CDM classical inertial window collapse
   kOpAnnihilated = 1u << 4,  ///< collapse executed as an annihilation
   kOpClamped = 1u << 5,      ///< collapse emitted a min-width pulse instead
@@ -132,7 +132,6 @@ struct Trace {
   std::size_t num_arcs = 0;
   std::size_t num_inputs = 0;  ///< pending-list count (serialization domains)
   std::size_t num_gates = 0;   ///< gate count (serialization domains)
-  TimeNs min_pulse_width = 0.001;
   TimeNs horizon = kNeverNs;
   /// Sealed by finish_recording() and re-timeable.  A run stopped by the
   /// event limit is not: the limit truncates the schedule at an ordinal,
@@ -239,14 +238,13 @@ class TraceRecorder {
   void seal(std::vector<std::vector<TraceHistoryEntry>> history,
             std::size_t num_transitions, std::size_t num_events,
             std::size_t num_arcs, std::size_t num_inputs, std::size_t num_gates,
-            TimeNs min_pulse_width, TimeNs horizon, bool replayable) {
+            TimeNs horizon, bool replayable) {
     trace_.history = std::move(history);
     trace_.num_transitions = num_transitions;
     trace_.num_events = num_events;
     trace_.num_arcs = num_arcs;
     trace_.num_inputs = num_inputs;
     trace_.num_gates = num_gates;
-    trace_.min_pulse_width = min_pulse_width;
     trace_.horizon = horizon;
     trace_.replayable = replayable;
   }

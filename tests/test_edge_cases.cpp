@@ -98,13 +98,6 @@ TEST_F(EdgeCases, HorizonExactlyAtEventTime) {
   }
 }
 
-TEST_F(EdgeCases, MinPulseWidthConfigValidated) {
-  ChainCircuit chain = make_chain(lib_, 1);
-  SimConfig config;
-  config.min_pulse_width = 0.0;
-  EXPECT_THROW(Simulator(chain.netlist, ddm_, config), ContractViolation);
-}
-
 TEST_F(EdgeCases, HugeFanoutNode) {
   // One driver into 64 receivers: per-event fanout loops and the load model
   // must stay consistent.

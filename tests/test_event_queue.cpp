@@ -1,14 +1,13 @@
-// Tests for the cancellable indexed event queue, including randomized
-// differential tests against a multiset oracle: one over push / pop /
-// cancel, one over the heads-only API the simulator drives.
+// Tests for the event queue: per-input pending lists under a heads-only
+// heap, including randomized differential tests against a multiset oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <iterator>
 #include <set>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -20,11 +19,56 @@ namespace {
 
 PinRef pin(unsigned gate, int p = 0) { return PinRef{GateId{gate}, p}; }
 
+using Key = std::pair<double, std::uint32_t>;  // (time, id)
+using Lists = std::vector<std::vector<EventId>>;
+
+Key key_of(const EventQueue& q, EventId id) { return Key{q.event(id).time, id.value()}; }
+
+/// Checks the queue against a model of its pending lists: the list ends
+/// and links match, and the heap holds exactly the non-empty lists' heads.
+/// Exact membership: the heap has one slot per non-empty list, and
+/// draining a copy pops every pending event in (time, id) order -- a head
+/// missing from the heap could never pop, since nothing precedes it.
+void expect_heads_only(const EventQueue& q, const Lists& lists) {
+  std::size_t non_empty = 0;
+  std::vector<Key> pending;
+  for (std::uint32_t in = 0; in < lists.size(); ++in) {
+    const std::vector<EventId>& list = lists[in];
+    ASSERT_EQ(q.head(in), list.empty() ? EventId{} : list.front()) << "input " << in;
+    ASSERT_EQ(q.tail(in), list.empty() ? EventId{} : list.back()) << "input " << in;
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      ASSERT_EQ(q.prev(list[i]), i == 0 ? EventId{} : list[i - 1]);
+      ASSERT_EQ(q.next(list[i]), i + 1 == list.size() ? EventId{} : list[i + 1]);
+      pending.push_back(key_of(q, list[i]));
+    }
+    non_empty += list.empty() ? 0 : 1;
+  }
+  ASSERT_EQ(q.size(), non_empty);
+  std::sort(pending.begin(), pending.end());
+  EventQueue drain = q;
+  for (const Key& expected : pending) {
+    ASSERT_FALSE(drain.empty());
+    ASSERT_EQ(drain.pop().value(), expected.second);
+  }
+  ASSERT_TRUE(drain.empty());
+}
+
+/// Inserts `id` into its model list at its (time, id) position; returns
+/// whether it became the head.
+bool model_insert(const EventQueue& q, std::vector<EventId>& list, EventId id) {
+  const Key key = key_of(q, id);
+  const auto at = std::upper_bound(list.begin(), list.end(), key,
+                                   [&](const Key& k, EventId e) { return k < key_of(q, e); });
+  const bool head = at == list.begin();
+  list.insert(at, id);
+  return head;
+}
+
 TEST(EventQueue, PopsInTimeOrder) {
-  EventQueue q;
-  (void)q.push(3.0, TransitionId{0}, pin(0));
-  (void)q.push(1.0, TransitionId{1}, pin(1));
-  (void)q.push(2.0, TransitionId{2}, pin(2));
+  EventQueue q(3);
+  (void)q.append(0, 3.0, TransitionId{0}, pin(0));
+  (void)q.append(1, 1.0, TransitionId{1}, pin(1));
+  (void)q.append(2, 2.0, TransitionId{2}, pin(2));
 
   EXPECT_EQ(q.size(), 3u);
   EXPECT_DOUBLE_EQ(q.event(q.pop()).time, 1.0);
@@ -34,113 +78,204 @@ TEST(EventQueue, PopsInTimeOrder) {
 }
 
 TEST(EventQueue, SimultaneousEventsFifoByCreation) {
-  EventQueue q;
-  const EventId a = q.push(5.0, TransitionId{0}, pin(0));
-  const EventId b = q.push(5.0, TransitionId{1}, pin(1));
-  const EventId c = q.push(5.0, TransitionId{2}, pin(2));
+  EventQueue q(3);
+  const EventId a = q.append(2, 5.0, TransitionId{0}, pin(2));
+  const EventId b = q.append(0, 5.0, TransitionId{1}, pin(0));
+  const EventId c = q.append(2, 5.0, TransitionId{2}, pin(2));
+  const EventId d = q.insert_sorted(0, 5.0, TransitionId{3}, pin(0));
+  EXPECT_EQ(q.next(b), d);  // a sorted insert goes after every equal time
   EXPECT_EQ(q.pop(), a);
   EXPECT_EQ(q.pop(), b);
   EXPECT_EQ(q.pop(), c);
+  EXPECT_EQ(q.pop(), d);
 }
 
-TEST(EventQueue, CancelRemovesFromHeap) {
-  EventQueue q;
-  const EventId a = q.push(1.0, TransitionId{0}, pin(0));
-  const EventId b = q.push(2.0, TransitionId{1}, pin(1));
-  const EventId c = q.push(3.0, TransitionId{2}, pin(2));
-  q.cancel(b);
+TEST(EventQueue, OnlyListHeadsAreScheduled) {
+  EventQueue q(2);
+  const EventId a = q.append(0, 1.0, TransitionId{0}, pin(0));
+  const EventId b = q.append(0, 2.0, TransitionId{1}, pin(0));
+  const EventId c = q.append(1, 1.5, TransitionId{2}, pin(1));
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.head(0), a);
+  EXPECT_EQ(q.tail(0), b);
+  EXPECT_EQ(q.next(a), b);
+  EXPECT_EQ(q.prev(b), a);
+  EXPECT_FALSE(q.prev(a).valid());
+  EXPECT_FALSE(q.next(b).valid());
+
+  EXPECT_EQ(q.pop(), a);  // b takes over a's heap slot
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.head(0), b);
+  EXPECT_FALSE(q.prev(b).valid());
+  EXPECT_FALSE(q.next(a).valid());  // a fired event has no neighbours
+  EXPECT_EQ(q.pop(), c);
+  EXPECT_FALSE(q.head(1).valid());
+  EXPECT_FALSE(q.tail(1).valid());
+  EXPECT_EQ(q.pop(), b);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.peak_size(), 2u);
+}
+
+TEST(EventQueue, CancelScheduledHead) {
+  EventQueue q(3);
+  const EventId a = q.append(0, 1.0, TransitionId{0}, pin(0));
+  const EventId b = q.append(1, 2.0, TransitionId{1}, pin(1));
+  const EventId c = q.append(2, 3.0, TransitionId{2}, pin(2));
+  EXPECT_TRUE(q.cancel(b));
   EXPECT_EQ(q.size(), 2u);
   EXPECT_EQ(q.state(b), EventState::kCancelled);
+  EXPECT_FALSE(q.head(1).valid());
   EXPECT_EQ(q.pop(), a);
   EXPECT_EQ(q.pop(), c);
   EXPECT_EQ(q.state(a), EventState::kFired);
   EXPECT_EQ(q.state(c), EventState::kFired);
 }
 
-TEST(EventQueue, CancelHeadThenPop) {
-  EventQueue q;
-  const EventId a = q.push(1.0, TransitionId{0}, pin(0));
-  const EventId b = q.push(2.0, TransitionId{1}, pin(1));
-  q.cancel(a);
+TEST(EventQueue, CancelMidListEventLeavesTheHeapAlone) {
+  EventQueue q(1);
+  const EventId a = q.append(0, 1.0, TransitionId{0}, pin(0));
+  const EventId b = q.append(0, 2.0, TransitionId{1}, pin(0));
+  const EventId c = q.append(0, 3.0, TransitionId{2}, pin(0));
+  EXPECT_FALSE(q.cancel(b));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.next(a), c);
+  EXPECT_EQ(q.prev(c), a);
+  EXPECT_EQ(q.pop(), a);
+  EXPECT_EQ(q.pop(), c);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, CancelHeadHandsItsSlotToTheSuccessor) {
+  EventQueue q(2);
+  const EventId a = q.append(0, 1.0, TransitionId{0}, pin(0));
+  const EventId b = q.append(0, 4.0, TransitionId{1}, pin(0));
+  const EventId d = q.append(1, 2.0, TransitionId{2}, pin(1));
+  EXPECT_TRUE(q.cancel(a));
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.head(0), b);
+  EXPECT_EQ(q.pop(), d);
   EXPECT_EQ(q.pop(), b);
   EXPECT_TRUE(q.empty());
 }
 
+TEST(EventQueue, InsertSortedInFrontDisplacesTheHead) {
+  EventQueue q(2);
+  const EventId a = q.append(0, 2.0, TransitionId{0}, pin(0));
+  const EventId d = q.append(1, 3.0, TransitionId{1}, pin(1));
+  const EventId x = q.insert_sorted(0, 1.0, TransitionId{2}, pin(0));
+  const EventId y = q.insert_sorted(0, 2.5, TransitionId{3}, pin(0));
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.head(0), x);
+  EXPECT_EQ(q.next(x), a);
+  EXPECT_EQ(q.next(a), y);
+  EXPECT_EQ(q.tail(0), y);
+  EXPECT_EQ(q.pop(), x);
+  EXPECT_EQ(q.pop(), a);
+  EXPECT_EQ(q.pop(), y);
+  EXPECT_EQ(q.pop(), d);
+  EXPECT_EQ(q.peak_size(), 2u);
+}
+
 TEST(EventQueue, StateTransitions) {
-  EventQueue q;
-  const EventId a = q.push(1.0, TransitionId{0}, pin(0));
+  EventQueue q(1);
+  const EventId a = q.append(0, 1.0, TransitionId{0}, pin(0));
+  const EventId b = q.append(0, 2.0, TransitionId{1}, pin(0));
   EXPECT_EQ(q.state(a), EventState::kPending);
   (void)q.pop();
   EXPECT_EQ(q.state(a), EventState::kFired);
-  EXPECT_THROW(q.cancel(a), ContractViolation);  // fired events not cancellable
+  EXPECT_THROW((void)q.cancel(a), ContractViolation);  // fired events not cancellable
+  EXPECT_TRUE(q.cancel(b));
+  EXPECT_THROW((void)q.cancel(b), ContractViolation);
+  EXPECT_THROW((void)q.cancel(EventId{}), ContractViolation);
 }
 
 TEST(EventQueue, PopEmptyThrows) {
-  EventQueue q;
+  EventQueue q(1);
   EXPECT_THROW((void)q.pop(), ContractViolation);
   EXPECT_THROW((void)q.peek(), ContractViolation);
 }
 
 TEST(EventQueue, PeekDoesNotRemove) {
-  EventQueue q;
-  const EventId a = q.push(1.0, TransitionId{0}, pin(0));
+  EventQueue q(1);
+  const EventId a = q.append(0, 1.0, TransitionId{0}, pin(0));
   EXPECT_EQ(q.peek(), a);
   EXPECT_EQ(q.size(), 1u);
   EXPECT_EQ(q.pop(), a);
 }
 
-/// Randomized differential test: heap behaviour must match a multiset-based
-/// oracle under a mixed push / pop / cancel workload.
-TEST(EventQueue, RandomizedMatchesMultisetOracle4Ary) {
+/// Randomized differential test: appends, sorted inserts, pops and cancels
+/// anywhere in the lists must match a multiset oracle of every pending
+/// event, with the heap on exactly the lists' heads throughout.
+TEST(EventQueue, RandomizedMatchesMultisetOracle) {
+  constexpr std::uint32_t kInputs = 16;
   SplitMix64 rng(2024);
-  EventQueue q;
-  // Oracle: set of (time, id) for pending events (ids are creation-ordered,
-  // so they double as the FIFO sequence tie-break).
-  using Key = std::tuple<double, std::uint32_t>;  // time, id
+  EventQueue q(kInputs);
   std::set<Key> oracle;
+  Lists lists(kInputs);
   std::vector<EventId> live;
 
   for (int step = 0; step < 20000; ++step) {
     const double action = rng.next_double();
+    const auto in = static_cast<std::uint32_t>(rng.next_below(kInputs));
+    std::vector<EventId>& list = lists[in];
     if (action < 0.5 || oracle.empty()) {
-      const double t = rng.next_double_in(0.0, 1000.0);
-      const EventId id = q.push(t, TransitionId{0}, pin(0));
-      oracle.emplace(t, id.value());
+      EventId id;
+      if (action < 0.3 && !list.empty()) {
+        const double t = q.event(list.back()).time + rng.next_double_in(0.0, 3.0);
+        id = q.append(in, t, TransitionId{0}, pin(in));
+      } else {
+        id = q.insert_sorted(in, rng.next_double_in(0.0, 1000.0), TransitionId{0}, pin(in));
+      }
+      (void)model_insert(q, list, id);
+      oracle.insert(key_of(q, id));
       live.push_back(id);
     } else if (action < 0.8) {
-      const auto expected = *oracle.begin();
+      const Key expected = *oracle.begin();
       oracle.erase(oracle.begin());
       const EventId got = q.pop();
-      EXPECT_EQ(got.value(), std::get<1>(expected));
-      EXPECT_DOUBLE_EQ(q.event(got).time, std::get<0>(expected));
+      ASSERT_EQ(got.value(), expected.second);
+      EXPECT_DOUBLE_EQ(q.event(got).time, expected.first);
+      std::vector<EventId>& fired = lists[q.event(got).input];
+      ASSERT_EQ(fired.front(), got);
+      fired.erase(fired.begin());
     } else {
-      // Cancel a random pending event.
-      const std::size_t pick = rng.next_below(live.size());
-      const EventId victim = live[pick];
+      const EventId victim = live[rng.next_below(live.size())];
       if (q.state(victim) == EventState::kPending) {
-        q.cancel(victim);
-        oracle.erase({q.event(victim).time, victim.value()});
+        std::vector<EventId>& owner = lists[q.event(victim).input];
+        const auto at = std::find(owner.begin(), owner.end(), victim);
+        ASSERT_NE(at, owner.end());
+        EXPECT_EQ(q.cancel(victim), at == owner.begin());
+        owner.erase(at);
+        oracle.erase(key_of(q, victim));
       }
     }
-    ASSERT_EQ(q.size(), oracle.size());
+    ASSERT_EQ(q.empty(), oracle.empty());
+    if (!oracle.empty()) {
+      ASSERT_EQ(q.event(q.peek()).time, oracle.begin()->first);
+    }
+    if (step % 500 == 0) {
+      expect_heads_only(q, lists);
+      if (HasFatalFailure()) return;
+    }
   }
+  expect_heads_only(q, lists);
   // Drain and verify full ordering.
   while (!oracle.empty()) {
-    const auto expected = *oracle.begin();
+    const Key expected = *oracle.begin();
     oracle.erase(oracle.begin());
-    EXPECT_EQ(q.pop().value(), std::get<1>(expected));
+    EXPECT_EQ(q.pop().value(), expected.second);
   }
   EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, SignedZerosTieAndTheIdBreaksTheTie) {
-  EventQueue q;
-  const EventId pos_zero = q.push(0.0, TransitionId{0}, pin(0));
-  const EventId neg_zero = q.push(-0.0, TransitionId{1}, pin(1));
-  const EventId negative = q.push(-2.5, TransitionId{2}, pin(2));
-  const EventId tiny = q.push(std::nextafter(0.0, 1.0), TransitionId{3}, pin(3));
-  const EventId never = q.push(kNeverNs, TransitionId{4}, pin(4));
-  const EventId very_negative = q.push(-kNeverNs, TransitionId{5}, pin(5));
+  EventQueue q(6);
+  const EventId pos_zero = q.append(0, 0.0, TransitionId{0}, pin(0));
+  const EventId neg_zero = q.append(1, -0.0, TransitionId{1}, pin(1));
+  const EventId negative = q.append(2, -2.5, TransitionId{2}, pin(2));
+  const EventId tiny = q.append(3, std::nextafter(0.0, 1.0), TransitionId{3}, pin(3));
+  const EventId never = q.append(4, kNeverNs, TransitionId{4}, pin(4));
+  const EventId very_negative = q.append(5, -kNeverNs, TransitionId{5}, pin(5));
   EXPECT_EQ(q.pop(), very_negative);
   EXPECT_EQ(q.pop(), negative);
   EXPECT_EQ(q.pop(), pos_zero);  // -0.0 == +0.0: creation order decides
@@ -150,113 +285,99 @@ TEST(EventQueue, SignedZerosTieAndTheIdBreaksTheTie) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, CreateRejectsNanTimeInDebugBuilds) {
+TEST(EventQueue, RejectsNanTimeInDebugBuilds) {
 #ifdef NDEBUG
   GTEST_SKIP() << "debug_ensure is compiled out of release builds";
 #else
-  EventQueue q;
-  EXPECT_THROW((void)q.create(std::nan(""), TransitionId{0}, pin(0)), ContractViolation);
+  EventQueue q(1);
+  EXPECT_THROW((void)q.append(0, std::nan(""), TransitionId{0}, pin(0)), ContractViolation);
+  EXPECT_THROW((void)q.insert_sorted(0, std::nan(""), TransitionId{0}, pin(0)),
+               ContractViolation);
 #endif
 }
 
-/// The heads-only discipline the simulator drives: each input keeps a
-/// (time, id)-ordered pending list and only its head is scheduled.  A new
-/// head displaces the old one (dequeue + enqueue, as a resurrection does),
-/// a fired head hands its slot to its successor (pop_replacing), and a
-/// cancelled head is replaced by its successor.  Times come from a small
-/// set full of ties and sign/ordering edge cases; every pop must match a
-/// multiset oracle of the scheduled heads in (time, id) order, with -0.0
-/// and +0.0 equal.
-TEST(EventQueue, HeadsOnlyApiMatchesMultisetOracleOnTies) {
+/// The heads-only discipline on ties: times come from a small set full of
+/// ties and sign/ordering edge cases, events are appended or inserted in
+/// order (landing in front of a scheduled head too), and cancels hit any
+/// position, including a head with a successor.  After every operation the
+/// heap must hold exactly the non-empty lists' heads, and every pop must
+/// match a multiset oracle in (time, id) order, with -0.0 and +0.0 equal.
+TEST(EventQueue, HeadsOnlyMatchesMultisetOracleOnTies) {
   const std::array<double, 6> times = {0.0,  -0.0, -2.5, 1.0, std::nextafter(1.0, 2.0),
                                        kNeverNs};
-  constexpr std::size_t kInputs = 6;
+  constexpr std::uint32_t kInputs = 6;
   SplitMix64 rng(0x7135);
-  EventQueue q;
-  // std::set orders the pair through double's <=>: -0.0 and +0.0 are
+  EventQueue q(kInputs);
+  // std::set orders the pair through double's <: -0.0 and +0.0 are
   // equivalent and the id breaks the tie, exactly the queue's contract.
-  using Key = std::pair<double, std::uint32_t>;
   std::set<Key> oracle;
-  std::array<std::vector<EventId>, kInputs> lists;
-  const auto key_of = [&q](EventId id) { return Key{q.event(id).time, id.value()}; };
-  const auto schedule_head = [&](std::size_t in) {
-    if (lists[in].empty()) return;
-    q.enqueue(lists[in].front());
-    oracle.insert(key_of(lists[in].front()));
-  };
-  const auto pop_earliest = [&]() {
-    const Key expected = *oracle.begin();
-    const std::size_t in = q.event(EventId{expected.second}).input;
-    std::vector<EventId>& list = lists[in];
-    ASSERT_EQ(list.front().value(), expected.second) << "oracle head is not a list head";
-    oracle.erase(oracle.begin());
-    EventId got;
-    if (list.size() > 1) {
-      got = q.pop_replacing(list[1]);
-      oracle.insert(key_of(list[1]));
-    } else {
-      got = q.pop();
-    }
-    ASSERT_EQ(got.value(), expected.second);
-    EXPECT_EQ(q.state(got), EventState::kFired);
-    list.erase(list.begin());
-  };
+  Lists lists(kInputs);
 
   std::size_t high_water = 0;
   std::uint64_t pops = 0;
-  for (int step = 0; step < 20000; ++step) {
+  std::uint64_t displaced_heads = 0;
+  std::uint64_t cancelled_heads_with_successor = 0;
+  for (int step = 0; step < 6000; ++step) {
     const double action = rng.next_double();
-    const auto in = static_cast<std::size_t>(rng.next_below(kInputs));
+    const auto in = static_cast<std::uint32_t>(rng.next_below(kInputs));
     std::vector<EventId>& list = lists[in];
     if (action < 0.45) {
       const double t = times[rng.next_below(times.size())];
-      const EventId id =
-          q.create(t, TransitionId{0}, pin(0, static_cast<int>(in)),
-                   static_cast<std::uint32_t>(in));
-      const Key key = key_of(id);
-      const auto at = std::upper_bound(list.begin(), list.end(), key,
-                                       [&](const Key& k, EventId e) { return k < key_of(e); });
-      if (at == list.begin() && !list.empty()) {
-        q.dequeue(list.front());
-        oracle.erase(key_of(list.front()));
-      }
-      const bool new_head = at == list.begin();
-      list.insert(at, id);
-      if (new_head) schedule_head(in);
+      const bool may_append = list.empty() || !(t < q.event(list.back()).time);
+      const EventId id = may_append && rng.next_below(2) == 0
+                             ? q.append(in, t, TransitionId{0}, pin(0, static_cast<int>(in)))
+                             : q.insert_sorted(in, t, TransitionId{0},
+                                               pin(0, static_cast<int>(in)));
+      if (model_insert(q, list, id) && list.size() > 1) ++displaced_heads;
+      oracle.insert(key_of(q, id));
     } else if (action < 0.75) {
       if (oracle.empty()) continue;
-      pop_earliest();
+      const Key expected = *oracle.begin();
+      oracle.erase(oracle.begin());
+      const EventId got = q.pop();
+      ASSERT_EQ(got.value(), expected.second);
+      EXPECT_EQ(q.state(got), EventState::kFired);
+      std::vector<EventId>& fired = lists[q.event(got).input];
+      ASSERT_EQ(fired.front(), got) << "popped event is not a list head";
+      fired.erase(fired.begin());
       ++pops;
     } else if (!list.empty()) {
       const auto pick = static_cast<std::ptrdiff_t>(rng.next_below(list.size()));
       const EventId victim = list[static_cast<std::size_t>(pick)];
-      if (pick == 0) oracle.erase(key_of(victim));
-      q.cancel(victim);
+      if (pick == 0 && list.size() > 1) ++cancelled_heads_with_successor;
+      EXPECT_EQ(q.cancel(victim), pick == 0);
       EXPECT_EQ(q.state(victim), EventState::kCancelled);
+      oracle.erase(key_of(q, victim));
       list.erase(list.begin() + pick);
-      if (pick == 0) schedule_head(in);
     }
-    ASSERT_EQ(q.size(), oracle.size()) << "step " << step;
-    high_water = std::max(high_water, oracle.size());
+    expect_heads_only(q, lists);
+    if (HasFatalFailure()) return;
+    high_water = std::max(high_water, q.size());
   }
   while (!oracle.empty()) {
-    pop_earliest();
+    const Key expected = *oracle.begin();
+    oracle.erase(oracle.begin());
+    ASSERT_EQ(q.pop().value(), expected.second);
     ++pops;
   }
   EXPECT_TRUE(q.empty());
-  EXPECT_GT(pops, 5000u);
+  EXPECT_GT(pops, 1500u);
+  EXPECT_GT(displaced_heads, 100u);
+  EXPECT_GT(cancelled_heads_with_successor, 100u);
   EXPECT_EQ(q.peak_size(), high_water);
   EXPECT_LE(q.peak_size(), kInputs);
 }
 
 TEST(EventQueue, EveryEventEndsFiredOrCancelled) {
+  constexpr std::uint32_t kInputs = 8;
   SplitMix64 rng(7);
-  EventQueue q;
+  EventQueue q(kInputs);
   std::vector<EventId> ids;
   for (int i = 0; i < 500; ++i) {
-    ids.push_back(q.push(rng.next_double_in(0.0, 10.0), TransitionId{0}, pin(0)));
+    const auto in = static_cast<std::uint32_t>(rng.next_below(kInputs));
+    ids.push_back(q.insert_sorted(in, rng.next_double_in(0.0, 10.0), TransitionId{0}, pin(in)));
   }
-  for (std::size_t i = 0; i < ids.size(); i += 3) q.cancel(ids[i]);
+  for (std::size_t i = 0; i < ids.size(); i += 3) (void)q.cancel(ids[i]);
   std::vector<bool> popped(ids.size(), false);
   while (!q.empty()) {
     const EventId id = q.pop();
@@ -270,6 +391,13 @@ TEST(EventQueue, EveryEventEndsFiredOrCancelled) {
         << "event " << i;
     EXPECT_EQ(popped[ids[i].value()], !cancelled) << "event " << i;
   }
+
+  q.clear(3);
+  EXPECT_EQ(q.num_inputs(), 3u);
+  EXPECT_EQ(q.created_count(), 0u);
+  EXPECT_EQ(q.peak_size(), 0u);
+  EXPECT_FALSE(q.head(2).valid());
+  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace

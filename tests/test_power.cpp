@@ -23,7 +23,7 @@ TEST_F(PowerTest, CountsMatchSimulatorHistories) {
   (void)sim.run();
 
   const ActivityReport report = compute_activity(sim);
-  EXPECT_EQ(report.total_transitions, sim.total_activity());
+  EXPECT_EQ(report.total_transitions, sim.stats().surviving_transitions());
   ASSERT_EQ(report.per_signal.size(), chain.netlist.num_signals());
   for (const SignalActivity& a : report.per_signal) {
     EXPECT_EQ(a.transitions, sim.toggle_count(a.signal)) << a.name;

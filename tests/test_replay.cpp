@@ -384,6 +384,41 @@ TEST_F(ReplayOracleTest, HorizonStopRecordsResidualsAndReplays) {
   }
 }
 
+// These recordings resurrect a pair-cancelled event (an output pulse
+// collapsed after its spawn had cancelled a partner): under stimulus seed
+// 10 the resurrected event is cancelled again before it fires, under seed
+// 14 it fires.  Small per-gate corners keep the schedule, so every sample
+// replays through the kResurrect op and must equal a full run.
+TEST_F(ReplayOracleTest, ResurrectionReplaysBitExact) {
+  LayeredCircuit dag = make_layered_circuit(lib_, 40, 30, 0xA000);
+  for (const std::uint64_t stim_seed : {10u, 14u}) {
+    const Stimulus stim = staggered_random_stimulus(dag.inputs, 8, stim_seed, 0.2);
+    ResimEngine engine(dag.netlist, ddm_, stim, SimConfig{});
+    engine.record();
+    ASSERT_TRUE(engine.trace().replayable);
+    std::size_t resurrections = 0;
+    for (const replay::TraceOp& op : engine.trace().ops) {
+      if (op.kind == replay::OpKind::kResurrect) ++resurrections;
+    }
+    EXPECT_GE(resurrections, 1u) << "stimulus " << stim_seed;
+
+    ResimSession session(engine);
+    SplitMix64 seeds(0xA000 + stim_seed);
+    for (const double sigma : {1e-9, 1e-7, 1e-5}) {
+      for (int i = 0; i < 10; ++i) {
+        const TimingGraph graph = gate_corner(engine.base_graph(), seeds.next(), sigma);
+        const ResimSample sample = session.evaluate(graph, dag.outputs, /*want_hash=*/true);
+        EXPECT_FALSE(sample.fallback)
+            << "stimulus " << stim_seed << " sigma " << sigma << " sample " << i;
+        EXPECT_EQ(sample.history_hash,
+                  replay::full_sample(engine, graph, dag.outputs, /*want_hash=*/true)
+                      .history_hash)
+            << "stimulus " << stim_seed << " sigma " << sigma << " sample " << i;
+      }
+    }
+  }
+}
+
 TEST_F(ReplayOracleTest, ReplaySupervisionBudgetStops) {
   MultiplierCircuit mult = make_multiplier(lib_, 8);
   std::vector<SignalId> inputs = mult.a;
