@@ -59,7 +59,6 @@
 #include "src/serve/server.hpp"
 #include "src/serve/service.hpp"
 #include "src/serve/socket_io.hpp"
-#include "src/timing/timing_arc.hpp"
 #include "src/timing/timing_graph.hpp"
 #include "src/tools/cli.hpp"
 
@@ -552,14 +551,6 @@ ReplayThroughputResult run_replay_throughput(const Library& lib, bool quick) {
   std::vector<std::uint64_t> seeds(result.samples);
   SplitMix64 seed_rng(0x5EEDBA5EULL);
   for (std::uint64_t& s : seeds) s = seed_rng.next();
-  const auto perturbed = [&](const TimingGraph& base,
-                             std::uint64_t seed) -> TimingGraph {
-    TimingGraph graph = base;
-    for (std::uint32_t g = 0; g < static_cast<std::uint32_t>(graph.num_gates()); ++g) {
-      graph.scale_gate_factor(GateId{g}, variation_factor(seed, sigma, GateId{g}));
-    }
-    return graph;
-  };
 
   replay::ResimEngine engine(mult.netlist, ddm, stim, SimConfig{});
   auto start = std::chrono::steady_clock::now();
@@ -572,7 +563,7 @@ ReplayThroughputResult run_replay_throughput(const Library& lib, bool quick) {
   std::vector<TimingGraph> corners;
   corners.reserve(result.samples);
   for (std::size_t i = 0; i < result.samples; ++i) {
-    corners.push_back(perturbed(engine.base_graph(), seeds[i]));
+    corners.push_back(engine.base_graph().vary(sigma, seeds[i]));
   }
 
   replay::ResimSession session(engine);
@@ -914,7 +905,6 @@ int main(int argc, char** argv) {
     const WorkloadResult& base = results[results.size() - 2];  // the DDM run
     RunBudget budget;
     budget.max_events = ~0ull;
-    budget.max_live_transitions = ~0ull;
     budget.max_arena_bytes = ~0ull;
     budget.deadline_s = 3600.0;
     RunSupervisor supervisor(budget);

@@ -33,13 +33,7 @@ void RunSupervisor::arm() {
   armed_ = true;
 }
 
-void RunSupervisor::check_poll(std::uint64_t live_transitions, std::uint64_t arena_bytes,
-                               std::string_view where) const {
-  if (budget_.max_live_transitions != 0 &&
-      live_transitions > budget_.max_live_transitions) {
-    throw_budget(where, "live-transition", live_transitions,
-                 budget_.max_live_transitions);
-  }
+void RunSupervisor::check_poll(std::uint64_t arena_bytes, std::string_view where) const {
   if (budget_.max_arena_bytes != 0 && arena_bytes > budget_.max_arena_bytes) {
     throw_budget(where, "arena-byte", arena_bytes, budget_.max_arena_bytes);
   }

@@ -5,10 +5,10 @@
 // The simulator's only native defense against a runaway workload (a
 // near-oscillatory DDM event storm, a feedback loop that never settles)
 // used to be SimConfig::max_events.  The supervision layer generalizes
-// that into a RunBudget -- event count, peak live-transition count, arena
-// byte footprint, wall-clock deadline -- plus a CancelToken any thread
-// (or a SIGINT handler) can trip, and a structured RunError taxonomy that
-// maps onto documented CLI exit codes.
+// that into a RunBudget -- event count, arena byte footprint, wall-clock
+// deadline -- plus a CancelToken any thread (or a SIGINT handler) can trip,
+// and a structured RunError taxonomy that maps onto documented CLI exit
+// codes.
 //
 // Determinism contract: budget checks are pure functions of deterministic
 // kernel state (event ordinals, arena sizes), so a budget stop happens at
@@ -87,9 +87,6 @@ struct RunBudget {
   /// reset()s).  Unlike SimConfig::max_events -- which *stops* the run
   /// with StopReason::kEventLimit -- exceeding a budget is an error.
   std::uint64_t max_events = 0;
-  /// Transitions holding a suppressed-pair chain at once
-  /// (Simulator::live_transitions()).
-  std::uint64_t max_live_transitions = 0;
   /// Transition + event arena byte footprint.
   std::uint64_t max_arena_bytes = 0;
   /// Wall-clock deadline in seconds, measured from RunSupervisor::arm().
@@ -126,10 +123,9 @@ class RunSupervisor {
     }
   }
 
-  /// Slow poll -- deadline, cancellation, memory budgets.  Called every
+  /// Slow poll -- deadline, cancellation, arena-byte budget.  Called every
   /// poll_events events by the kernel.
-  void check_poll(std::uint64_t live_transitions, std::uint64_t arena_bytes,
-                  std::string_view where) const;
+  void check_poll(std::uint64_t arena_bytes, std::string_view where) const;
 
   /// Deadline + cancellation only (coarse boundaries with no kernel
   /// memory to measure).

@@ -5,6 +5,7 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/base/check.hpp"
@@ -24,14 +25,12 @@ struct WorkerPool::Impl {
   std::uint64_t generation = 0;  ///< bumped per sweep; wakes the workers
   int workers_active = 0;
   std::exception_ptr first_error;
-  std::size_t error_count = 0;
   bool shutting_down = false;
 
   /// Claims and runs indices until the ticket counter drains.  A throwing
-  /// body records the failure (first exception kept, all counted -- see
-  /// for_each_index's aggregation contract) and the worker keeps claiming
-  /// further tickets, so every index is attempted exactly once even on
-  /// errors.
+  /// body ends the sweep: the counter jumps past the last index, so no
+  /// worker claims another one, and the first exception is kept for
+  /// for_each_index to rethrow.
   void drain(int worker) {
     const IndexFn& fn = *body;
     while (true) {
@@ -40,9 +39,10 @@ struct WorkerPool::Impl {
       try {
         fn(worker, index);
       } catch (...) {
+        next.store(count, std::memory_order_relaxed);
         std::lock_guard<std::mutex> lock(mutex);
         if (!first_error) first_error = std::current_exception();
-        ++error_count;
+        return;
       }
     }
   }
@@ -101,8 +101,6 @@ void WorkerPool::for_each_index(std::size_t count, const IndexFn& body) {
     impl_->count = count;
     impl_->next.store(0, std::memory_order_relaxed);
     impl_->workers_active = static_cast<int>(impl_->threads.size());
-    impl_->first_error = nullptr;
-    impl_->error_count = 0;
     ++impl_->generation;
   }
   impl_->work_ready.notify_all();
@@ -110,27 +108,13 @@ void WorkerPool::for_each_index(std::size_t count, const IndexFn& body) {
   impl_->drain(/*worker=*/0);  // the calling thread participates
 
   std::exception_ptr error;
-  std::size_t error_count = 0;
   {
     std::unique_lock<std::mutex> lock(impl_->mutex);
     impl_->work_done.wait(lock, [&] { return impl_->workers_active == 0; });
     impl_->body = nullptr;
-    error = impl_->first_error;
-    error_count = impl_->error_count;
+    error = std::exchange(impl_->first_error, nullptr);
   }
-  if (!error) return;
-  // One failure propagates unchanged (type-preserving); several are
-  // aggregated so the caller sees the real blast radius, not just the
-  // scheduling-dependent first casualty.
-  if (error_count <= 1) std::rethrow_exception(error);
-  std::string first_message = "unknown (non-standard exception)";
-  try {
-    std::rethrow_exception(error);
-  } catch (const std::exception& e) {
-    first_message = e.what();
-  } catch (...) {
-  }
-  throw WorkerPoolError(error_count, first_message);
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace halotis

@@ -1,45 +1,29 @@
 // A small reusable worker pool for embarrassingly parallel sweeps.
 //
 // HALOTIS campaign workloads (stuck-at fault simulation, Monte-Carlo
-// variation runs) shard an index space across a fixed set of workers, each
-// of which owns heavyweight reusable state (a Simulator).  The pool keeps
-// its threads alive across calls so repeated sweeps -- e.g. one per ATPG
-// candidate vector -- pay no thread creation cost.
+// variation runs, the repro experiments) shard an index space across a
+// fixed set of workers, each of which owns heavyweight reusable state (a
+// Simulator).  The pool keeps its threads alive across calls so repeated
+// sweeps -- e.g. one per ATPG candidate vector -- pay no thread creation
+// cost.
 //
 // Scheduling is dynamic (one atomic ticket per index), so results must be
 // keyed by index, never by completion order: callers that write one output
 // slot per index are deterministic regardless of thread count or OS
 // scheduling.
+//
+// Failure contract (the one every sweep shares): the first exception a job
+// throws ends the sweep.  No worker claims another index, jobs already
+// running finish, and for_each_index rethrows that exception unchanged, so
+// a RunError keeps its kind and exit code.  A job that wants to survive a
+// failure (a campaign's per-fault verdict, a repro experiment's outcome)
+// catches it itself.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <stdexcept>
-#include <string>
 
 namespace halotis {
-
-/// Thrown by WorkerPool::for_each_index when MORE THAN ONE job failed:
-/// the first failure's message is preserved verbatim and the total count
-/// rides along, so campaign/repro diagnostics are never misled into
-/// thinking a single fault was the only casualty.  A sweep with exactly
-/// one failing job rethrows that job's original exception unchanged
-/// (type-preserving -- callers filtering on RunError keep working).
-class WorkerPoolError : public std::runtime_error {
- public:
-  WorkerPoolError(std::size_t failures, const std::string& first_message)
-      : std::runtime_error(std::to_string(failures) +
-                           " worker jobs failed; first failure: " + first_message),
-        failures_(failures),
-        first_message_(first_message) {}
-
-  [[nodiscard]] std::size_t failures() const { return failures_; }
-  [[nodiscard]] const std::string& first_message() const { return first_message_; }
-
- private:
-  std::size_t failures_;
-  std::string first_message_;
-};
 
 class WorkerPool {
  public:
@@ -61,10 +45,9 @@ class WorkerPool {
   /// Runs body(worker, index) for every index in [0, count), sharded across
   /// the pool by an atomic ticket counter; blocks until all indices are
   /// done.  `body` must be safe to call concurrently from different
-  /// workers.  Every index is attempted exactly once even when some throw;
-  /// after the sweep drains, a single failure is rethrown unchanged on the
-  /// calling thread, and multiple failures raise WorkerPoolError carrying
-  /// the count plus the first failure's message.  Not reentrant.
+  /// workers.  If a job throws, no index is claimed after it, the running
+  /// jobs finish, and the first exception is rethrown unchanged on the
+  /// calling thread; the pool stays usable.  Not reentrant.
   void for_each_index(std::size_t count, const IndexFn& body);
 
   /// `threads` normalized the same way the constructor does it: 0 becomes

@@ -323,10 +323,9 @@ void Simulator::finish_recording(const RunResult& result) {
   for (std::size_t s = 0; s < signal_history_.size(); ++s) {
     history[s].reserve(signal_history_[s].size());
     for (const TransitionId id : signal_history_[s]) {
-      const TransitionRec& rec = transitions_[id.value()];
-      if (rec.tr.cancelled) continue;
+      const Transition& tr = transitions_[id.value()].tr;
       history[s].push_back(replay::TraceHistoryEntry{
-          id.value(), static_cast<std::uint8_t>(rec.tr.edge == Edge::kRise ? 1 : 0)});
+          id.value(), static_cast<std::uint8_t>(tr.edge == Edge::kRise ? 1 : 0)});
     }
   }
   recorder_->seal(std::move(history), transitions_.size(), queue_.created_count(),
@@ -364,9 +363,7 @@ RunResult Simulator::run_impl(TimeNs horizon) {
       // in), so the event-budget stop point stays bit-deterministic while
       // the hot path only decrements.
       supervisor_->check_events(stats_.events_processed, "simulator");
-      supervisor_->check_poll(live_transitions_,
-                              transition_arena_bytes() + queue_.arena_bytes(),
-                              "simulator");
+      supervisor_->check_poll(transition_arena_bytes() + queue_.arena_bytes(), "simulator");
       sup_countdown_ = sup_reload();
     }
 
@@ -597,8 +594,7 @@ bool Simulator::final_value(SignalId signal) const {
 std::vector<Transition> Simulator::history(SignalId signal) const {
   std::vector<Transition> out;
   for (TransitionId id : signal_history_.at(signal.value())) {
-    const TransitionRec& rec = transitions_[id.value()];
-    if (!rec.tr.cancelled) out.push_back(rec.tr);
+    out.push_back(transitions_[id.value()].tr);
   }
   return out;
 }
@@ -606,9 +602,8 @@ std::vector<Transition> Simulator::history(SignalId signal) const {
 bool Simulator::value_at(SignalId signal, TimeNs t) const {
   const auto& history = signal_history_.at(signal.value());
   for (auto it = history.rbegin(); it != history.rend(); ++it) {
-    const TransitionRec& rec = transitions_[it->value()];
-    if (rec.tr.cancelled) continue;
-    if (rec.tr.t50() <= t) return rec.tr.final_value();
+    const Transition& tr = transitions_[it->value()].tr;
+    if (tr.t50() <= t) return tr.final_value();
   }
   return initial_values_[signal.value()];
 }

@@ -343,6 +343,8 @@ class Simulator {
   std::uint32_t pair_free_ = kNil;
   std::uint64_t live_transitions_ = 0;  ///< transitions holding a pair chain
   std::uint64_t peak_live_transitions_ = 0;
+  /// Per signal, its surviving transitions: annihilate() pops the one it
+  /// cancels, so no entry is ever cancelled.
   std::vector<std::vector<TransitionId>> signal_history_;
   std::vector<bool> initial_values_;
   TimeNs now_ = 0.0;

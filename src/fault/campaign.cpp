@@ -1,9 +1,6 @@
 #include "src/fault/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <mutex>
 
 #include "src/base/check.hpp"
 #include "src/base/failpoint.hpp"
@@ -167,21 +164,17 @@ CampaignResult CampaignEngine::run(const Stimulus& stimulus, std::vector<Fault> 
   // Shard the fault list: each worker recycles its own Simulator; verdicts
   // and error messages land in per-fault slots, so scheduling order cannot
   // change the result.  Failure semantics (docs/ARCHITECTURE.md):
-  //   * deadline / cancellation aborts the whole campaign -- recorded once
-  //     here and rethrown below so the caller sees the original RunError
-  //     (never a WorkerPoolError wrapper), with in-flight faults drained;
+  //   * deadline / cancellation aborts the whole campaign: rethrown out of
+  //     the job, so the pool stops the sweep and run() throws the original
+  //     RunError;
   //   * a per-fault budget trip is deterministic for that fault: verdict
   //     kVerdictError immediately, no retry (it would trip identically);
   //   * any other failure (injected fault point, allocation failure) is
   //     retried once from clean state, then becomes kVerdictError.
   std::vector<std::uint64_t> worker_events(sims_.size(), 0);
   std::vector<std::uint64_t> worker_retries(sims_.size(), 0);
-  std::atomic<bool> sup_stopped{false};
-  std::mutex sup_mutex;
-  std::exception_ptr sup_error;  // guarded by sup_mutex
   pool_.for_each_index(faults.size(), [&](int worker, std::size_t index) {
     const auto w = static_cast<std::size_t>(worker);
-    if (sup_stopped.load(std::memory_order_relaxed)) return;  // fast drain
     for (int attempt = 0;; ++attempt) {
       try {
         result.verdicts[index] =
@@ -192,10 +185,7 @@ CampaignResult CampaignEngine::run(const Stimulus& stimulus, std::vector<Fault> 
       } catch (const RunError& e) {
         if (e.kind() == RunErrorKind::kDeadlineExceeded ||
             e.kind() == RunErrorKind::kCancelled) {
-          std::lock_guard<std::mutex> lock(sup_mutex);
-          if (!sup_error) sup_error = std::current_exception();
-          sup_stopped.store(true, std::memory_order_relaxed);
-          return;
+          throw;
         }
         result.verdicts[index] = kVerdictError;
         result.error_messages[index] = e.what();
@@ -211,10 +201,6 @@ CampaignResult CampaignEngine::run(const Stimulus& stimulus, std::vector<Fault> 
       }
     }
   });
-  {
-    std::lock_guard<std::mutex> lock(sup_mutex);
-    if (sup_error) std::rethrow_exception(sup_error);
-  }
 
   // Aggregate in fault-index order: bit-identical for any thread count.
   for (std::size_t i = 0; i < faults.size(); ++i) {

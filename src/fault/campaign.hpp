@@ -111,8 +111,8 @@ class CampaignEngine {
   /// faulty run (each worker sim reset()s between faults), which makes a
   /// budget trip a deterministic property of the single fault -- reported
   /// as a kVerdictError verdict, not a campaign abort.  Deadline expiry
-  /// and cancellation abort the whole campaign with the original RunError
-  /// rethrown from run() after the in-flight faults drain.
+  /// and cancellation abort the whole campaign: no further fault starts,
+  /// and run() rethrows the original RunError once the running ones finish.
   void supervise(const RunSupervisor* supervisor);
   [[nodiscard]] const RunSupervisor* supervisor() const { return supervisor_; }
 

@@ -70,7 +70,7 @@ Stimulus make_vector_stimulus(const Netlist& netlist, std::span<const std::uint6
 }
 
 AtpgResult generate_tests(const Netlist& netlist, const DelayModel& model,
-                          AtpgOptions options) {
+                          const TimingGraph& timing, AtpgOptions options) {
   require(options.max_candidates > 0, "generate_tests(): need at least one candidate");
   AtpgResult result;
   std::vector<Fault> remaining = enumerate_faults(netlist);
@@ -86,7 +86,7 @@ AtpgResult generate_tests(const Netlist& netlist, const DelayModel& model,
   sampling.sample_period = options.period;
   // One engine for the whole search: the worker pool's threads and every
   // worker's Simulator survive across candidate evaluations.
-  CampaignEngine engine(netlist, model, options.threads);
+  CampaignEngine engine(netlist, model, timing, options.threads);
   engine.supervise(options.supervisor);
 
   // Incremental evaluation: detection compares *settled* primary-output

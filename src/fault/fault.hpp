@@ -18,6 +18,7 @@
 #include "src/core/delay_model.hpp"
 #include "src/core/simulator.hpp"
 #include "src/netlist/netlist.hpp"
+#include "src/timing/timing_graph.hpp"
 
 namespace halotis {
 
@@ -108,7 +109,11 @@ struct AtpgResult {
 /// detection compares settled samples and the survivors already survived
 /// every prefix vector.  Running the returned `words` as one stimulus
 /// through a CampaignEngine reproduces `detected` exactly.
+///
+/// `timing` is the caller's elaboration of `netlist` under the model's
+/// policy (the CLI passes its shared one, the daemon's cached copy under
+/// `--connect`); every candidate's campaign reads it.
 [[nodiscard]] AtpgResult generate_tests(const Netlist& netlist, const DelayModel& model,
-                                        AtpgOptions options = {});
+                                        const TimingGraph& timing, AtpgOptions options = {});
 
 }  // namespace halotis

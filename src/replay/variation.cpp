@@ -11,7 +11,6 @@
 #include "src/base/strings.hpp"
 #include "src/base/worker_pool.hpp"
 #include "src/replay/resim.hpp"
-#include "src/timing/timing_arc.hpp"
 
 namespace halotis::replay {
 
@@ -21,22 +20,6 @@ namespace {
   char buffer[24];
   std::snprintf(buffer, sizeof buffer, "%016" PRIx64, v);
   return buffer;
-}
-
-/// Applies sample `seed`'s per-gate derating corner to a copy of `base` --
-/// bit-identical arcs to elaborating the model's policy with
-/// variation_sigma = sigma and variation_seed = seed, because elaboration
-/// stores the factor verbatim and the base factors are the model's own
-/// (scaling multiplies).
-[[nodiscard]] TimingGraph perturbed_graph(const TimingGraph& base, double sigma,
-                                          std::uint64_t seed) {
-  TimingGraph graph = base;
-  const auto num_gates = static_cast<std::uint32_t>(graph.num_gates());
-  for (std::uint32_t g = 0; g < num_gates; ++g) {
-    const GateId gid{g};
-    graph.scale_gate_factor(gid, variation_factor(seed, sigma, gid));
-  }
-  return graph;
 }
 
 }  // namespace
@@ -79,7 +62,7 @@ VariationResult run_variation(const Netlist& netlist, const DelayModel& model,
 
   result.rows.resize(config.samples);
   pool.for_each_index(config.samples, [&](int worker, std::size_t i) {
-    const TimingGraph graph = perturbed_graph(engine.base_graph(), config.sigma, seeds[i]);
+    const TimingGraph graph = engine.base_graph().vary(config.sigma, seeds[i]);
     ResimSession* session = sessions[static_cast<std::size_t>(worker)].get();
     const ResimSample sample =
         session != nullptr

@@ -1,8 +1,6 @@
 #include "src/repro/runner.hpp"
 
-#include <atomic>
 #include <exception>
-#include <mutex>
 #include <utility>
 
 #include "src/base/check.hpp"
@@ -93,18 +91,9 @@ RunReport run_experiments(const ExperimentRegistry& registry, const RunOptions& 
   const ExperimentContext context{lib, options.quick};
 
   // Supervision: a deadline expiry / cancellation aborts the whole run --
-  // recorded once and rethrown below so the caller sees the original
-  // RunError (never a WorkerPoolError wrapper); every other failure inside
-  // an experiment stays captured in its outcome.
-  std::atomic<bool> sup_stopped{false};
-  std::mutex sup_mutex;
-  std::exception_ptr sup_error;  // guarded by sup_mutex
-  const auto record_sup_stop = [&] {
-    std::lock_guard<std::mutex> lock(sup_mutex);
-    if (!sup_error) sup_error = std::current_exception();
-    sup_stopped.store(true, std::memory_order_relaxed);
-  };
-
+  // rethrown out of the job, so the pool stops the sweep and the caller
+  // sees the original RunError; every other failure inside an experiment
+  // stays captured in its outcome.
   WorkerPool pool(options.threads);
   pool.for_each_index(selected.size(), [&](int /*worker*/, std::size_t index) {
     const Experiment& experiment = *selected[index];
@@ -112,7 +101,6 @@ RunReport run_experiments(const ExperimentRegistry& registry, const RunOptions& 
     outcome.id = experiment.id;
     outcome.title = experiment.title;
     outcome.paper_ref = experiment.paper_ref;
-    if (sup_stopped.load(std::memory_order_relaxed)) return;  // fast drain
     try {
       if (options.supervisor != nullptr) {
         options.supervisor->check_coarse("repro experiment");
@@ -121,18 +109,13 @@ RunReport run_experiments(const ExperimentRegistry& registry, const RunOptions& 
     } catch (const RunError& e) {
       if (e.kind() == RunErrorKind::kDeadlineExceeded ||
           e.kind() == RunErrorKind::kCancelled) {
-        record_sup_stop();
-        return;
+        throw;
       }
       outcome.error = e.what();
     } catch (const std::exception& e) {
       outcome.error = e.what();
     }
   });
-  {
-    std::lock_guard<std::mutex> lock(sup_mutex);
-    if (sup_error) std::rethrow_exception(sup_error);
-  }
 
   // Hash and (optionally) verify every artifact, in deterministic order.
   for (ExperimentOutcome& outcome : report.outcomes) {

@@ -28,9 +28,10 @@ struct RunOptions {
   std::string golden_text;
   /// Optional run supervision (must outlive the call).  Checked at the
   /// coarse boundary before each experiment; a deadline expiry or
-  /// cancellation aborts the whole run -- run_experiments() rethrows the
-  /// original RunError after in-flight experiments drain.  Any other
-  /// failure inside an experiment is captured in its outcome, as before.
+  /// cancellation aborts the whole run -- no further experiment starts,
+  /// and run_experiments() rethrows the original RunError once the running
+  /// ones finish.  Any other failure inside an experiment is captured in
+  /// its outcome.
   const RunSupervisor* supervisor = nullptr;
 };
 

@@ -68,6 +68,18 @@ void TimingGraph::annotate_iopath(GateId gate, int pin, TimeNs rise, TimeNs fall
   }
 }
 
+TimingGraph TimingGraph::vary(double sigma, std::uint64_t seed) const {
+  TimingGraph graph = *this;
+  for (std::size_t g = 0; g < gates_.size(); ++g) {
+    const GateId gid{static_cast<GateId::underlying_type>(g)};
+    const double scale = variation_factor(seed, sigma, gid);
+    const std::uint32_t base = gates_[g].arc_base;
+    const auto n = static_cast<std::uint32_t>(2 * netlist_->gate(gid).inputs.size());
+    for (std::uint32_t a = base; a < base + n; ++a) graph.arcs_[a].factor *= scale;
+  }
+  return graph;
+}
+
 std::string TimingGraph::format_arcs() const {
   std::ostringstream out;
   out << "timing graph: " << num_gates() << " gates, " << num_arcs() << " arcs";

@@ -82,16 +82,14 @@ class TimingGraph {
 
   // ---- perturbation (variation / replay) -------------------------------------
 
-  /// Multiplies the derating factor of every arc of `gate` (per-instance
-  /// process variation: eval_arc scales tp, tau_out and the inertial
-  /// window by the factor).  The graph stays copyable, so variation
-  /// samples perturb a copy and the base elaboration is never touched.
-  void scale_gate_factor(GateId gate, double scale) {
-    const std::uint32_t base = gates_[gate.value()].arc_base;
-    const auto n =
-        static_cast<std::uint32_t>(2 * netlist_->gate(gate).inputs.size());
-    for (std::uint32_t a = base; a < base + n; ++a) arcs_[a].factor *= scale;
-  }
+  /// A copy with every gate's arcs derated by variation_factor(seed,
+  /// sigma, gate) -- one per-instance process-variation corner (eval_arc
+  /// scales tp, tau_out and the inertial window by the factor).  On a
+  /// graph without variation of its own (every factor 1) the copy equals,
+  /// bit for bit, elaborating the policy with variation_sigma = sigma and
+  /// variation_seed = seed: elaboration stores the factor verbatim, and
+  /// the copy multiplies.  The base graph is never touched.
+  [[nodiscard]] TimingGraph vary(double sigma, std::uint64_t seed) const;
 
   /// Multiplies one arc's derating factor (per-arc fuzz perturbation).
   void scale_arc_factor(std::uint32_t id, double scale) { arcs_[id].factor *= scale; }

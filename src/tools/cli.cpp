@@ -625,7 +625,7 @@ int cmd_fault(const Options& options, std::ostream& out, const ServiceEnv& env) 
     atpg.seed = usage_unsigned(options, "seed", 1);
     atpg.threads = threads;
     atpg.supervisor = &supervisor;
-    const AtpgResult result = generate_tests(netlist, model, atpg);
+    const AtpgResult result = generate_tests(netlist, model, elab->graph, atpg);
     out << "ATPG: " << result.words.size() << " vectors, coverage " << result.detected
         << " / " << result.total_faults << " ("
         << format_double(100.0 * result.coverage(), 4) << "%)\n";

@@ -2,7 +2,7 @@
 // contract it is built on (PR 3 acceptance):
 //
 //   * WorkerPool shards an index space exactly once per index, any thread
-//     count, and propagates worker exceptions;
+//     count, and stops a sweep at the first worker exception;
 //   * Simulator::reset() + re-apply_stimulus is bit-identical to a freshly
 //     constructed Simulator (stats and histories), with and without an
 //     injected fault in between;
@@ -14,9 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "src/base/rng.hpp"
@@ -63,17 +65,31 @@ TEST(WorkerPoolTest, PoolIsReusableAcrossSweeps) {
   }
 }
 
-TEST(WorkerPoolTest, WorkerExceptionPropagatesAndSweepDrains) {
+TEST(WorkerPoolTest, WorkerExceptionStopsTheSweep) {
   WorkerPool pool(2);
-  std::atomic<int> visited{0};
+  constexpr std::size_t kCount = 1000;
+  std::vector<std::atomic<int>> started(kCount);
+  std::vector<std::atomic<int>> finished(kCount);
   EXPECT_THROW(
-      pool.for_each_index(100,
+      pool.for_each_index(kCount,
                           [&](int, std::size_t index) {
-                            visited.fetch_add(1, std::memory_order_relaxed);
-                            if (index == 7) throw std::runtime_error("boom");
+                            started[index].fetch_add(1, std::memory_order_relaxed);
+                            if (index == 0) throw std::runtime_error("boom");
+                            // Slow jobs: a sweep that kept claiming would
+                            // run for half a second.
+                            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                            finished[index].fetch_add(1, std::memory_order_relaxed);
                           }),
       std::runtime_error);
-  EXPECT_EQ(visited.load(), 100);  // the sweep drains; the error is deferred
+  // The claimed indices are a prefix of the ticket order: each ran once and
+  // to completion, and the sweep stopped short of the end.
+  std::size_t claimed = 0;
+  while (claimed < kCount && started[claimed].load() == 1) ++claimed;
+  EXPECT_LT(claimed, kCount);
+  for (std::size_t i = 1; i < claimed; ++i) EXPECT_EQ(finished[i].load(), 1) << "index " << i;
+  for (std::size_t i = claimed; i < kCount; ++i) {
+    EXPECT_EQ(started[i].load(), 0) << "index " << i;
+  }
   // The pool survives a throwing sweep.
   std::atomic<int> again{0};
   pool.for_each_index(10, [&](int, std::size_t) { ++again; });
@@ -348,9 +364,10 @@ TEST_F(CampaignTest, AtpgThreadCountInvariant) {
   options.max_candidates = 60;
   options.seed = 11;
   options.threads = 1;
-  const AtpgResult one = generate_tests(c17.netlist, ddm_, options);
+  const TimingGraph graph = TimingGraph::build(c17.netlist, ddm_.timing_policy());
+  const AtpgResult one = generate_tests(c17.netlist, ddm_, graph, options);
   options.threads = 4;
-  const AtpgResult four = generate_tests(c17.netlist, ddm_, options);
+  const AtpgResult four = generate_tests(c17.netlist, ddm_, graph, options);
   EXPECT_EQ(one.words, four.words);
   EXPECT_EQ(one.detected, four.detected);
   EXPECT_EQ(one.undetected.size(), four.undetected.size());

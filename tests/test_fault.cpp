@@ -165,7 +165,8 @@ TEST_F(FaultTest, AtpgReachesHighCoverageOnC17) {
   AtpgOptions options;
   options.max_candidates = 120;
   options.seed = 3;
-  const AtpgResult result = generate_tests(c17.netlist, ddm_, options);
+  const TimingGraph graph = TimingGraph::build(c17.netlist, ddm_.timing_policy());
+  const AtpgResult result = generate_tests(c17.netlist, ddm_, graph, options);
   EXPECT_GE(result.coverage(), 0.95);
   EXPECT_EQ(result.detected + result.undetected.size(), result.total_faults);
   // The compact set is much smaller than the candidate budget.
@@ -183,8 +184,9 @@ TEST_F(FaultTest, AtpgDeterministicPerSeed) {
   AtpgOptions options;
   options.max_candidates = 60;
   options.seed = 11;
-  const AtpgResult a = generate_tests(c17.netlist, ddm_, options);
-  const AtpgResult b = generate_tests(c17.netlist, ddm_, options);
+  const TimingGraph graph = TimingGraph::build(c17.netlist, ddm_.timing_policy());
+  const AtpgResult a = generate_tests(c17.netlist, ddm_, graph, options);
+  const AtpgResult b = generate_tests(c17.netlist, ddm_, graph, options);
   EXPECT_EQ(a.words, b.words);
   EXPECT_EQ(a.detected, b.detected);
 }

@@ -43,15 +43,6 @@ std::uint64_t oracle_hash(const Netlist& netlist, const DelayModel& model,
   return replay::hash_sim_history(sim);
 }
 
-/// One per-gate lognormal corner, like the variation engine draws.
-TimingGraph gate_corner(const TimingGraph& base, std::uint64_t seed, double sigma) {
-  TimingGraph graph = base;
-  for (std::uint32_t g = 0; g < static_cast<std::uint32_t>(graph.num_gates()); ++g) {
-    graph.scale_gate_factor(GateId{g}, variation_factor(seed, sigma, GateId{g}));
-  }
-  return graph;
-}
-
 struct OracleCounts {
   std::uint64_t replayed = 0;
   std::uint64_t fallbacks = 0;
@@ -74,7 +65,7 @@ OracleCounts run_differential(const Netlist& netlist, const DelayModel& model,
   SplitMix64 seeds(master_seed);
   for (std::size_t i = 0; i < samples; ++i) {
     const double sigma = kSigmas[i % std::size(kSigmas)];
-    const TimingGraph graph = gate_corner(engine.base_graph(), seeds.next(), sigma);
+    const TimingGraph graph = engine.base_graph().vary(sigma, seeds.next());
     const ResimSample sample = session.evaluate(graph, observed, /*want_hash=*/true);
     EXPECT_EQ(sample.history_hash, oracle_hash(netlist, model, graph, stim))
         << "sample " << i << " sigma " << sigma
@@ -350,7 +341,7 @@ TEST_F(ReplayOracleTest, EventLimitStopIsNotReplayable) {
 
   // The session still evaluates correctly -- every sample falls back.
   ResimSession session(engine);
-  const TimingGraph graph = gate_corner(engine.base_graph(), 1, 1e-8);
+  const TimingGraph graph = engine.base_graph().vary(1e-8, 1);
   const ResimSample sample = session.evaluate(graph, mult.s, /*want_hash=*/true);
   EXPECT_TRUE(sample.fallback);
   EXPECT_EQ(sample.history_hash, oracle_hash(mult.netlist, ddm_, graph, stim, config));
@@ -377,7 +368,7 @@ TEST_F(ReplayOracleTest, HorizonStopRecordsResidualsAndReplays) {
   ResimSession session(engine);
   SplitMix64 seeds(0x40412);
   for (int i = 0; i < 20; ++i) {
-    const TimingGraph graph = gate_corner(engine.base_graph(), seeds.next(), 1e-7);
+    const TimingGraph graph = engine.base_graph().vary(1e-7, seeds.next());
     const ResimSample sample = session.evaluate(graph, mult.s, /*want_hash=*/true);
     ASSERT_EQ(sample.history_hash,
               oracle_hash(mult.netlist, ddm_, graph, stim, config));
@@ -385,14 +376,23 @@ TEST_F(ReplayOracleTest, HorizonStopRecordsResidualsAndReplays) {
 }
 
 // These recordings resurrect a pair-cancelled event (an output pulse
-// collapsed after its spawn had cancelled a partner): under stimulus seed
-// 10 the resurrected event is cancelled again before it fires, under seed
-// 14 it fires.  Small per-gate corners keep the schedule, so every sample
-// replays through the kResurrect op and must equal a full run.
+// collapsed after its spawn had cancelled a partner).  On the 40x30 design,
+// under stimulus seed 10 the resurrected event is cancelled again before it
+// fires, under seed 14 it fires.  On the 20x20 design under seed 70 it
+// fires at the resurrecting instant (its partner's time is already past, so
+// the time is clamped to `now`) on a gate that is still degraded, so its
+// delay moves with that time.  Small per-gate corners keep the schedule,
+// so every sample replays through the kResurrect op and must equal a full
+// run.
 TEST_F(ReplayOracleTest, ResurrectionReplaysBitExact) {
-  LayeredCircuit dag = make_layered_circuit(lib_, 40, 30, 0xA000);
-  for (const std::uint64_t stim_seed : {10u, 14u}) {
-    const Stimulus stim = staggered_random_stimulus(dag.inputs, 8, stim_seed, 0.2);
+  struct Case {
+    int width;
+    int depth;
+    std::uint64_t stim_seed;
+  };
+  for (const Case c : {Case{40, 30, 10}, Case{40, 30, 14}, Case{20, 20, 70}}) {
+    LayeredCircuit dag = make_layered_circuit(lib_, c.width, c.depth, 0xA000);
+    const Stimulus stim = staggered_random_stimulus(dag.inputs, 8, c.stim_seed, 0.2);
     ResimEngine engine(dag.netlist, ddm_, stim, SimConfig{});
     engine.record();
     ASSERT_TRUE(engine.trace().replayable);
@@ -400,20 +400,20 @@ TEST_F(ReplayOracleTest, ResurrectionReplaysBitExact) {
     for (const replay::TraceOp& op : engine.trace().ops) {
       if (op.kind == replay::OpKind::kResurrect) ++resurrections;
     }
-    EXPECT_GE(resurrections, 1u) << "stimulus " << stim_seed;
+    EXPECT_GE(resurrections, 1u) << "stimulus " << c.stim_seed;
 
     ResimSession session(engine);
-    SplitMix64 seeds(0xA000 + stim_seed);
+    SplitMix64 seeds(0xA000 + c.stim_seed);
     for (const double sigma : {1e-9, 1e-7, 1e-5}) {
       for (int i = 0; i < 10; ++i) {
-        const TimingGraph graph = gate_corner(engine.base_graph(), seeds.next(), sigma);
+        const TimingGraph graph = engine.base_graph().vary(sigma, seeds.next());
         const ResimSample sample = session.evaluate(graph, dag.outputs, /*want_hash=*/true);
         EXPECT_FALSE(sample.fallback)
-            << "stimulus " << stim_seed << " sigma " << sigma << " sample " << i;
+            << "stimulus " << c.stim_seed << " sigma " << sigma << " sample " << i;
         EXPECT_EQ(sample.history_hash,
                   replay::full_sample(engine, graph, dag.outputs, /*want_hash=*/true)
                       .history_hash)
-            << "stimulus " << stim_seed << " sigma " << sigma << " sample " << i;
+            << "stimulus " << c.stim_seed << " sigma " << sigma << " sample " << i;
       }
     }
   }
@@ -436,7 +436,7 @@ TEST_F(ReplayOracleTest, ReplaySupervisionBudgetStops) {
   budget.deadline_s = 1e-9;
   RunSupervisor supervisor(budget);
   supervisor.arm();
-  const TimingGraph graph = gate_corner(engine.base_graph(), 3, 1e-8);
+  const TimingGraph graph = engine.base_graph().vary(1e-8, 3);
   EXPECT_THROW((void)session.evaluate(graph, mult.s, true, &supervisor), RunError);
 }
 
@@ -448,7 +448,7 @@ TEST_F(ReplayOracleTest, FallbackFailpointFires) {
   ResimSession session(engine);
 
   FailPoints::instance().arm("replay.fallback", 1);
-  const TimingGraph graph = gate_corner(engine.base_graph(), 5, 1e-3);
+  const TimingGraph graph = engine.base_graph().vary(1e-3, 5);
   EXPECT_THROW((void)session.evaluate(graph, mult.s, true), FailPointError);
   FailPoints::instance().disarm_all();
   // And after disarming, the same evaluation completes via full fallback.

@@ -6,11 +6,13 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "src/base/check.hpp"
+#include "src/base/supervision.hpp"
 #include "src/circuits/generators.hpp"
 #include "src/core/simulator.hpp"
 #include "src/repro/artifacts.hpp"
@@ -178,6 +180,34 @@ TEST(ReproRunner, ExperimentExceptionIsCapturedNotPropagated) {
   EXPECT_NE(report.outcomes[0].error.find("intentional failure"), std::string::npos);
   EXPECT_FALSE(report.ok());
   EXPECT_NE(repro::format_report_markdown(report).find("ERROR"), std::string::npos);
+}
+
+TEST(ReproRunner, CancelledSupervisorRethrowsTheOriginalRunError) {
+  ExperimentRegistry registry;
+  std::atomic<int> ran{0};
+  for (const char* id : {"a", "b", "c", "d"}) {
+    registry.add(repro::Experiment{id, id, "Fig. 0", "counts its runs",
+                                   [&](const repro::ExperimentContext&) {
+                                     ran.fetch_add(1, std::memory_order_relaxed);
+                                     return repro::ExperimentResult{};
+                                   }});
+  }
+  CancelToken token;
+  RunSupervisor supervisor(RunBudget{}, token);
+  supervisor.arm();
+  token.cancel();
+  RunOptions options;
+  options.supervisor = &supervisor;
+  for (const int threads : {1, 4}) {
+    options.threads = threads;
+    try {
+      (void)repro::run_experiments(registry, options);
+      ADD_FAILURE() << "expected RunError(kCancelled) at " << threads << " threads";
+    } catch (const RunError& e) {
+      EXPECT_EQ(e.kind(), RunErrorKind::kCancelled) << threads << " threads";
+    }
+  }
+  EXPECT_EQ(ran.load(), 0);  // the coarse check runs before every body
 }
 
 TEST(ReproRunner, UnknownOnlyIdThrows) {

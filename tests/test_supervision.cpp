@@ -7,8 +7,8 @@
 //     unsupervised one;
 //   * write_file_atomic never leaves a partial artifact, whichever io.*
 //     site the failure is injected at;
-//   * WorkerPool rethrows a single failure type-preserved and aggregates
-//     multiple failures into WorkerPoolError;
+//   * WorkerPool stops a sweep at its first failure and rethrows that
+//     exception unchanged;
 //   * the campaign retries a transient worker failure once and turns a
 //     persistent one into per-fault kVerdictError verdicts;
 //   * the CLI maps the RunError taxonomy onto the documented exit codes.
@@ -217,7 +217,6 @@ TEST_F(SupervisionTest, CompletedRunIsUnaffectedByArmedSupervisor) {
 
   RunBudget budget;  // every budget armed, none close
   budget.max_events = plain.stats().events_processed * 10 + 1000;
-  budget.max_live_transitions = 1u << 20;
   budget.max_arena_bytes = 1u << 30;
   budget.deadline_s = 3600.0;
   budget.poll_events = 16;  // poll often: checks must stay side-effect free
@@ -244,8 +243,6 @@ TEST_F(SupervisionTest, CompletedRunIsUnaffectedByArmedSupervisor) {
 TEST_F(SupervisionTest, MemoryBudgetsTripAtPolls) {
   const Library lib = Library::default_u6();
   const DdmDelayModel ddm;
-  // A circuit with real fanout: a ring carries exactly one live transition
-  // around, so only parallel activity can exceed a live-transition budget.
   MultiplierCircuit mult = make_multiplier(lib, 4);
   std::vector<SignalId> ab;
   for (SignalId s : mult.a) ab.push_back(s);
@@ -270,11 +267,6 @@ TEST_F(SupervisionTest, MemoryBudgetsTripAtPolls) {
           << e.what();
     }
   };
-
-  RunBudget live;
-  live.max_live_transitions = 1;
-  live.poll_events = 16;
-  expect_trip(live, "live-transition");
 
   RunBudget arena;
   arena.max_arena_bytes = 1;
@@ -382,7 +374,7 @@ TEST_F(FileIoTest, EveryInjectedIoFailureLeavesNoPartialArtifact) {
   }
 }
 
-// ---- WorkerPool failure aggregation -----------------------------------------
+// ---- WorkerPool failure contract --------------------------------------------
 
 TEST(WorkerPoolFailureTest, SingleFailureRethrownTypePreserved) {
   WorkerPool pool(2);
@@ -397,36 +389,25 @@ TEST(WorkerPoolFailureTest, SingleFailureRethrownTypePreserved) {
   }
 }
 
-TEST(WorkerPoolFailureTest, MultipleFailuresAggregateWithCountAndFirstMessage) {
-  WorkerPool pool(1);  // inline: deterministic failure order
+TEST(WorkerPoolFailureTest, FirstFailureStopsTheSweepAndIsRethrownUnchanged) {
+  WorkerPool pool(1);  // inline: indices are claimed in order
+  std::vector<std::size_t> ran;
   try {
-    pool.for_each_index(6, [](int, std::size_t index) {
-      if (index % 2 == 0) {
-        throw std::runtime_error("job " + std::to_string(index) + " failed");
-      }
+    pool.for_each_index(10, [&](int, std::size_t index) {
+      ran.push_back(index);
+      if (index == 5) throw RunError(RunErrorKind::kBudgetExceeded, "job 5 over budget");
     });
-    FAIL() << "expected WorkerPoolError";
-  } catch (const WorkerPoolError& e) {
-    EXPECT_EQ(e.failures(), 3u);
-    EXPECT_EQ(e.first_message(), "job 0 failed");
-    EXPECT_NE(std::string(e.what()).find("3 worker jobs failed"), std::string::npos);
+    FAIL() << "expected RunError";
+  } catch (const RunError& e) {
+    EXPECT_EQ(e.kind(), RunErrorKind::kBudgetExceeded);
+    EXPECT_STREQ(e.what(), "job 5 over budget");
   }
-}
+  EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
 
-TEST(WorkerPoolFailureTest, AllIndicesStillAttemptedWhenSomeFail) {
-  WorkerPool pool(2);
-  std::vector<std::atomic<int>> hits(64);
-  try {
-    pool.for_each_index(64, [&](int, std::size_t index) {
-      hits[index].fetch_add(1, std::memory_order_relaxed);
-      if (index == 0) throw std::runtime_error("first job failed");
-    });
-    FAIL() << "expected a rethrow";
-  } catch (const std::runtime_error&) {
-  }
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
+  // The pool is reusable: the next sweep runs every index.
+  ran.clear();
+  pool.for_each_index(4, [&](int, std::size_t index) { ran.push_back(index); });
+  EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
 // ---- campaign failure semantics ---------------------------------------------
@@ -502,7 +483,7 @@ TEST_F(CampaignFailureTest, CancelledCampaignRethrowsTheOriginalRunError) {
     (void)run_fault_campaign(c17.netlist, stim, ddm, {}, options);
     FAIL() << "expected RunError(kCancelled)";
   } catch (const RunError& e) {
-    // Never a WorkerPoolError wrapper: the taxonomy survives the pool.
+    // The taxonomy survives the pool.
     EXPECT_EQ(e.kind(), RunErrorKind::kCancelled);
   }
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/base/mathfit.hpp"
+#include "src/base/supervision.hpp"
 #include "src/circuits/generators.hpp"
 #include "src/circuits/stimuli.hpp"
 #include "src/core/simulator.hpp"
@@ -25,15 +26,20 @@ class VariationTest : public ::testing::Test {
 
 TEST_F(VariationTest, FactorsAreDeterministicPerSeedAndGate) {
   // Two graphs elaborated from the same variation policy fold the same
-  // factor into every arc; a different seed draws a different corner.
+  // factor into every arc, and so does varying the plain elaboration (the
+  // corner each variation sample runs); a different seed draws a different
+  // corner.
   const ChainCircuit chain = make_chain(lib_, 50);
   const TimingPolicy& ddm = ddm_.timing_policy();
   const TimingGraph a = TimingGraph::build(chain.netlist, with_variation(ddm, 0.1, 42));
   const TimingGraph b = TimingGraph::build(chain.netlist, with_variation(ddm, 0.1, 42));
   const TimingGraph c = TimingGraph::build(chain.netlist, with_variation(ddm, 0.1, 43));
+  const TimingGraph varied = TimingGraph::build(chain.netlist, ddm).vary(0.1, 42);
   ASSERT_EQ(a.num_arcs(), b.num_arcs());
+  ASSERT_EQ(a.num_arcs(), varied.num_arcs());
   for (std::size_t i = 0; i < a.num_arcs(); ++i) {
     EXPECT_DOUBLE_EQ(a.arcs()[i].factor, b.arcs()[i].factor) << "arc " << i;
+    EXPECT_EQ(varied.arcs()[i].factor, a.arcs()[i].factor) << "arc " << i;
   }
   int differing = 0;
   for (unsigned g = 0; g < 50; ++g) {
@@ -187,6 +193,44 @@ TEST_F(VariationTest, ReplayRateTracksSigma) {
   ASSERT_EQ(coarse.rows.size(), oracle.rows.size());
   for (std::size_t i = 0; i < oracle.rows.size(); ++i) {
     EXPECT_EQ(coarse.rows[i].history_hash, oracle.rows[i].history_hash) << i;
+  }
+}
+
+/// A sample that trips the run budget ends the sweep as that RunError (the
+/// CLI's exit 3), at any thread count and on both paths.
+TEST_F(VariationTest, BudgetTripInASampleThrowsTheRunError) {
+  MultiplierCircuit mult = make_multiplier(lib_, 4);
+  std::vector<SignalId> inputs = mult.a;
+  inputs.insert(inputs.end(), mult.b.begin(), mult.b.end());
+  Stimulus stim = staggered_random_stimulus(inputs, 12, 5);
+  stim.set_initial(mult.tie0, false);
+
+  // The budget is the nominal run's exact event count (1 622): the nominal
+  // run fits, and the perturbed samples that need more events trip it.
+  Simulator nominal(mult.netlist, ddm_);
+  nominal.apply_stimulus(stim);
+  (void)nominal.run();
+  RunBudget budget;
+  budget.max_events = nominal.stats().events_processed;
+  RunSupervisor supervisor(budget);
+  supervisor.arm();
+
+  replay::VariationConfig config;
+  config.sigma = 0.2;
+  config.seed = 3;
+  config.samples = 40;
+  for (const bool use_replay : {false, true}) {
+    for (const int threads : {1, 4}) {
+      config.use_replay = use_replay;
+      config.threads = threads;
+      try {
+        (void)replay::run_variation(mult.netlist, ddm_, stim, mult.s, config, &supervisor);
+        ADD_FAILURE() << "expected RunError(kBudgetExceeded)";
+      } catch (const RunError& e) {
+        EXPECT_EQ(e.kind(), RunErrorKind::kBudgetExceeded)
+            << (use_replay ? "replay, " : "full, ") << threads << " threads: " << e.what();
+      }
+    }
   }
 }
 
