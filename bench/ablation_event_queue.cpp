@@ -75,13 +75,14 @@ void BM_IndexedHeapQueue(benchmark::State& state) {
       if (action < 0.45 || q.empty()) {
         last[in] = std::max(last[in], t + rng.next_double_in(0.0, 3.0));
         live.push_back(q.append(in, last[in], TransitionId{0}, pin(in)));
-      } else if (action < 0.65 && !live.empty() &&
-                 q.state(live.back()) == EventState::kPending) {
+      } else if (action < 0.65 && !live.empty() && q.pending(live.back())) {
+        // Slots are recycled, but a reuse is pushed after the handle it
+        // reuses: a pending back() still names the youngest event.
         (void)q.cancel(live.back());
         live.pop_back();
       } else {
-        const EventId id = q.pop();
-        benchmark::DoNotOptimize(id);
+        const EventId id = q.peek();
+        benchmark::DoNotOptimize(q.pop());
         if (!live.empty() && live.front() == id) live.erase(live.begin());
       }
       t += 0.001;

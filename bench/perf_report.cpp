@@ -943,6 +943,17 @@ int main(int argc, char** argv) {
                                    cdm, [&] { return stim; }, quick ? 2 : 3));
   }
 
+  // Resurrection at scale: a 6k-gate layered DDM design whose slow-slew
+  // stimulus makes output-pulse annihilations restore pair-cancelled
+  // events (the sorted re-insert path), which no other workload reaches.
+  // CI fails the quick report if this row's events_resurrected reads 0.
+  {
+    LayeredCircuit circuit = make_layered_circuit(lib, 100, 60, 0xA000);
+    const Stimulus stim = staggered_random_stimulus(circuit.inputs, 32, 2, 0.2);
+    results.push_back(run_workload("layered_resurrect", circuit.netlist, ddm,
+                                   [&] { return stim; }, quick ? 2 : 3));
+  }
+
   // Fault-campaign workload: the campaign at 1 and 4 threads.
   const FaultCampaignResult fault = run_fault_campaign_workload(lib, quick);
 

@@ -5,30 +5,41 @@
 // treatment erases a pending event Ej-1 whenever the following transition's
 // crossing Ej on the same input does not come after it (paper Fig. 4).  The
 // queue owns the whole structure: an event arena whose records thread one
-// doubly-linked, (time, id)-ordered pending list per input, and a 4-ary
+// doubly-linked, (time, seq)-ordered pending list per input, and a 4-ary
 // min-heap that holds exactly the head of each non-empty list.  The heap
 // arbitrates one event per active input, so mid-list events never pay heap
 // maintenance.  Appending to an empty list schedules the event; a popped or
 // cancelled head, or a head displaced by a sorted insert, hands its heap
 // slot to its successor or displacer in place.  Every operation leaves the
 // heap holding exactly the non-empty lists' heads, so pops follow the
-// (time, id) order of all pending events.
+// (time, seq) order of all pending events.
+//
+// Events are short-lived: each is read once when it fires or erased by the
+// pair rule or an annihilation.  A popped or cancelled event's record goes
+// onto a LIFO free list at once, and the next creation reuses it -- usually
+// the slot the loop just popped, still in cache -- so the arena holds the
+// pending high-water mark, not every event ever created.  An EventId is
+// therefore a handle to a *pending* event that is recycled once the event
+// is gone; the event's identity for all time is its creation sequence, a
+// 32-bit counter (0, 1, 2, ... since the last clear()) that is never reused.
+// It is the paper's (time, seq) tie-break and the replay trace's event id.
+// The queue creates at most 2^32 - 1 events per run (2^32 - 1 itself is the
+// trace's "no event"); the next creation throws RunError(kBudgetExceeded)
+// rather than wrap the order.
 //
 // Hot-path layout: each 16-byte heap slot holds its sort key inline -- the
-// event time as an order-preserving 64-bit integer plus the event id -- so
-// sift operations compare contiguous slots instead of chasing the event
-// arena (the seed kernel's dominant cost -- 43 % of run time was sift_down
-// cache misses), and a comparison is integer flag arithmetic with no
-// data-dependent branch.  The id doubles as the FIFO tie-break: ids are
-// assigned in creation order, so (time, id) ordering is identical to the
-// paper's (time, seq) ordering.
+// event time as an order-preserving 64-bit integer and the creation
+// sequence, beside the slot id -- so sift operations compare contiguous
+// slots instead of chasing the event arena (the seed kernel's dominant
+// cost -- 43 % of run time was sift_down cache misses), and a comparison
+// is integer flag arithmetic with no data-dependent branch.
 //
 // The heap is 4-ary: a shallower tree than a binary heap, and the four
 // children of a node share one cache line.  A pop whose list empties is
 // bottom-up: the hole left at the root walks down to a leaf along the
 // smaller children and the heap's last slot, which almost always belongs
 // near the bottom, sifts up from there.  Pop order is a deterministic total
-// order on (time, id).
+// order on (time, seq).
 #pragma once
 
 #include <bit>
@@ -38,14 +49,13 @@
 
 #include "src/base/check.hpp"
 #include "src/base/ids.hpp"
+#include "src/base/supervision.hpp"
 #include "src/base/units.hpp"
 #include "src/netlist/netlist.hpp"
 
 namespace halotis {
 
-/// One threshold-crossing event at a gate input.  Ids are assigned in
-/// creation order, so the id doubles as the FIFO tie-break for equal times
-/// (the paper's seq ordering) -- no separate sequence field needed.
+/// One threshold-crossing event at a gate input.
 struct Event {
   TimeNs time = 0.0;
   TransitionId transition;   ///< the transition that produced the event
@@ -53,52 +63,57 @@ struct Event {
   std::uint32_t input = 0;   ///< pending list (flat input index of `target`; fills padding)
 };
 
-enum class EventState : std::uint8_t { kPending, kFired, kCancelled };
+/// An event's creation sequence: its ordinal among the events created since
+/// the last EventQueue::clear().  Never reused, unlike the EventId slot.
+using EventSeq = std::uint32_t;
 
 class EventQueue {
  public:
+  /// Most events one run may create: sequences 0 .. kMaxEvents - 1.
+  static constexpr std::uint64_t kMaxEvents = EventId::kInvalid;
+
   /// An empty queue over `num_inputs` pending lists.
   explicit EventQueue(std::size_t num_inputs = 0) : lists_(num_inputs) {}
 
-  /// Drops every event, leaves `num_inputs` empty pending lists and resets
-  /// the heap high-water mark, keeping the arena and heap capacity -- the
-  /// Simulator::reset() re-arm path recycles the queue instead of
-  /// reallocating it.
+  /// Drops every event, restarts the creation sequence at 0, leaves
+  /// `num_inputs` empty pending lists and resets the heap high-water mark,
+  /// keeping the arena and heap capacity -- the Simulator::reset() re-arm
+  /// path recycles the queue instead of reallocating it.
   void clear(std::size_t num_inputs) {
     nodes_.clear();
+    free_ = kNil;
+    next_seq_ = 0;
     heap_.clear();
     lists_.assign(num_inputs, ListEnds{});
     peak_size_ = 0;
   }
 
-  /// Pre-sizes the event arena for `expected_events` creations.  The heap
-  /// is not reserved: it holds one event per active input, grows to its
-  /// high-water mark once and keeps that capacity across clear().
-  void reserve(std::size_t expected_events) { nodes_.reserve(expected_events); }
-
   /// Creates an event at the tail of `input`'s pending list.  Requires a
-  /// time no earlier than the tail's (ids grow with creation, so the event
-  /// then comes after it) and not NaN.  An event appended to an empty list
-  /// is scheduled.
+  /// time no earlier than the tail's (the new sequence is the newest, so
+  /// the event then comes after it) and not NaN.  An event appended to an
+  /// empty list is scheduled.  Throws RunError(kBudgetExceeded) when the
+  /// run has already created kMaxEvents events.
   EventId append(std::uint32_t input, TimeNs time, TransitionId transition, PinRef target);
 
-  /// Creates an event and links it into `input`'s pending list in (time, id)
-  /// order, scanning from the tail (O(k); resurrection).  A new head takes
-  /// over the displaced head's heap slot.
+  /// Creates an event and links it into `input`'s pending list in
+  /// (time, seq) order, scanning from the tail (O(k); resurrection).  A new
+  /// head takes over the displaced head's heap slot.  Throws as append().
   EventId insert_sorted(std::uint32_t input, TimeNs time, TransitionId transition,
                         PinRef target);
 
-  /// Cancels a pending event and unlinks it from its list.  Returns whether
-  /// it was the list's head (the scheduled one); a cancelled head hands its
-  /// heap slot to its successor.  Requires state(id) == kPending.
+  /// Cancels a pending event, unlinks it from its list and recycles its
+  /// slot.  Returns whether it was the list's head (the scheduled one); a
+  /// cancelled head hands its heap slot to its successor.  Requires
+  /// pending(id).
   bool cancel(EventId id);
 
   /// Earliest scheduled event without removing it.  Requires !empty().
   [[nodiscard]] EventId peek() const;
 
-  /// Removes the earliest event, marks it fired and returns it.  Its
-  /// successor on the same list takes over the vacated root in one sift.
-  EventId pop();
+  /// Removes the earliest event, recycles its slot and returns its creation
+  /// sequence (the slot's EventId no longer names it).  Its successor on
+  /// the same list takes over the vacated root in one sift.
+  EventSeq pop();
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   /// Scheduled events: one per non-empty pending list.
@@ -107,42 +122,56 @@ class EventQueue {
   [[nodiscard]] std::size_t peak_size() const { return peak_size_; }
   [[nodiscard]] std::size_t num_inputs() const { return lists_.size(); }
 
+  /// Whether `id` names a pending event: false once it fired or was
+  /// cancelled, until a later creation reuses the slot.
+  [[nodiscard]] bool pending(EventId id) const {
+    return id.valid() && id.value() < nodes_.size() && nodes_[id.value()].seq != kNil;
+  }
+
   /// Pending-list ends and links, earliest first; the invalid id past
-  /// either end.  A fired or cancelled event has no neighbours.
+  /// either end.  prev(), next(), event() and seq() take pending events.
   [[nodiscard]] EventId head(std::uint32_t input) const { return EventId{lists_[input].head}; }
   [[nodiscard]] EventId tail(std::uint32_t input) const { return EventId{lists_[input].tail}; }
   [[nodiscard]] EventId prev(EventId id) const { return EventId{node(id).prev}; }
   [[nodiscard]] EventId next(EventId id) const { return EventId{node(id).next}; }
 
   [[nodiscard]] const Event& event(EventId id) const { return node(id).ev; }
-  [[nodiscard]] EventState state(EventId id) const { return node(id).state; }
+  /// Creation sequence of a pending event; the invalid id maps to
+  /// 2^32 - 1, which no event ever gets (the trace's "no event").
+  [[nodiscard]] EventSeq seq(EventId id) const { return id.valid() ? node(id).seq : kNil; }
 
-  [[nodiscard]] std::uint64_t created_count() const { return nodes_.size(); }
+  /// Events created since the last clear(): the next creation sequence.
+  [[nodiscard]] std::uint64_t created_count() const { return next_seq_; }
 
-  /// Approximate byte footprint of the event arena and heap (capacity).
+  /// Approximate byte footprint of the event arena and heap (capacity):
+  /// bounded by the most events pending at once, not by events created.
   [[nodiscard]] std::uint64_t arena_bytes() const {
     return nodes_.capacity() * sizeof(Node) + heap_.capacity() * sizeof(HeapSlot);
   }
 
  private:
+  friend struct EventQueueTestPeer;  // seeds the sequence near its limit
+
   static constexpr std::size_t kArity = 4;
   static constexpr std::uint32_t kNil = EventId::kInvalid;
 
   /// Heap node: the sort key, stored inline so comparisons stay in-cache.
   struct HeapSlot {
     std::uint64_t key;  ///< time_key(event time)
-    std::uint32_t id;
+    EventSeq seq;       ///< tie-break: creation order
+    std::uint32_t id;   ///< the event's slot
   };
   /// One event record: POD event + pending-list links + heap bookkeeping.
+  /// A recycled slot has seq == kNil and threads the free list via `next`.
   struct Node {
     Event ev;
     std::uint32_t prev = kNil;
     std::uint32_t next = kNil;
     std::uint32_t heap_pos = kNil;
-    EventState state = EventState::kPending;
+    EventSeq seq = kNil;
   };
-  static_assert(sizeof(HeapSlot) == 16, "heap slot: 64-bit key + id");
-  static_assert(sizeof(Node) == 40, "event record: Event.input must fit its padding");
+  static_assert(sizeof(HeapSlot) == 16, "heap slot: 64-bit key + sequence + slot id");
+  static_assert(sizeof(Node) <= 40, "event record: Event.input must fit its padding");
 
   struct ListEnds {
     std::uint32_t head = kNil;
@@ -158,29 +187,42 @@ class EventQueue {
     const std::uint64_t flip = (std::uint64_t{0} - (bits >> 63)) | (std::uint64_t{1} << 63);
     return bits ^ flip;
   }
-  /// (key, id) lexicographic order -- id is creation order, identical to
-  /// seq ordering -- as one compare with the id order as a carry, so it
-  /// compiles to flag arithmetic with no branch.  The largest non-NaN key
-  /// (+infinity's) is far below 2^64 - 1, so the carry never wraps.
+  /// (key, seq) lexicographic order as one compare with the sequence order
+  /// as a carry, so it compiles to flag arithmetic with no branch.  The
+  /// largest non-NaN key (+infinity's) is far below 2^64 - 1, so the carry
+  /// never wraps.
   [[nodiscard]] static bool before(const HeapSlot& a, const HeapSlot& b) {
-    return a.key < b.key + static_cast<std::uint64_t>(a.id < b.id);
+    return a.key < b.key + static_cast<std::uint64_t>(a.seq < b.seq);
   }
   [[nodiscard]] HeapSlot slot_of(std::uint32_t raw) const {
-    return HeapSlot{time_key(nodes_[raw].ev.time), raw};
+    const Node& n = nodes_[raw];
+    return HeapSlot{time_key(n.ev.time), n.seq, raw};
   }
   [[nodiscard]] const Node& node(EventId id) const {
-    debug_ensure(id.value() < nodes_.size(), "EventQueue: invalid event id");
+    debug_ensure(pending(id), "EventQueue: id does not name a pending event");
     return nodes_[id.value()];
   }
-  /// Appends an unlinked, unscheduled event record; returns its id.
+  /// Takes a free slot (or grows the arena) for an unlinked, unscheduled
+  /// event with the next creation sequence; returns the slot.
   std::uint32_t new_node(std::uint32_t input, TimeNs time, TransitionId transition,
                          PinRef target);
+  /// Pushes an unlinked, unscheduled slot onto the free list.
+  void release(std::uint32_t raw) {
+    Node& gone = nodes_[raw];
+    gone.seq = kNil;
+    gone.next = free_;
+    free_ = raw;
+  }
   /// Schedules `raw` into a new heap slot.
   void schedule(std::uint32_t raw);
   /// Index of the earliest of the children [first, min(first + kArity, n)).
   [[nodiscard]] std::size_t min_child(std::size_t first, std::size_t n) const;
-  void sift_up(std::size_t index);
-  void sift_down(std::size_t index);
+  /// Moves `moving` from the hole at `index` toward the root (sift_up) or
+  /// the leaves (sift_down) and places it.  The slot is passed in, not
+  /// read back from the hole: a slot stored and reloaded at once stalls on
+  /// store forwarding.
+  void sift_up(std::size_t index, HeapSlot moving);
+  void sift_down(std::size_t index, HeapSlot moving);
   /// Removes the heap entry at `pos`.
   void remove_at(std::size_t pos);
   void place(std::size_t index, HeapSlot slot) {
@@ -188,7 +230,9 @@ class EventQueue {
     nodes_[slot.id].heap_pos = static_cast<std::uint32_t>(index);
   }
 
-  std::vector<Node> nodes_;      // arena, indexed by EventId
+  std::vector<Node> nodes_;      // arena of pending events and free slots
+  std::uint32_t free_ = kNil;    // LIFO free list through Node::next
+  EventSeq next_seq_ = 0;        // creation sequence of the next event
   std::vector<ListEnds> lists_;  // per-input pending-list ends
   std::vector<HeapSlot> heap_;   // 4-ary min-heap of the lists' heads
   std::size_t peak_size_ = 0;    // heap high-water mark
@@ -203,20 +247,33 @@ inline std::uint32_t EventQueue::new_node(std::uint32_t input, TimeNs time,
                                           TransitionId transition, PinRef target) {
   debug_ensure(!std::isnan(time), "EventQueue: event time is NaN");
   debug_ensure(input < lists_.size(), "EventQueue: input out of range");
-  const auto raw = static_cast<std::uint32_t>(nodes_.size());
-  Node node;
+  if (next_seq_ == kMaxEvents) [[unlikely]] {
+    throw RunError(RunErrorKind::kBudgetExceeded,
+                   "simulator: event creation sequence exhausted (4294967295 events)");
+  }
+  std::uint32_t raw = free_;
+  if (raw != kNil) {
+    free_ = nodes_[raw].next;
+  } else {
+    raw = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.emplace_back();
+  }
+  Node& node = nodes_[raw];
   node.ev.time = time;
   node.ev.transition = transition;
   node.ev.target = target;
   node.ev.input = input;
-  nodes_.push_back(node);
+  node.prev = kNil;
+  node.next = kNil;
+  node.heap_pos = kNil;
+  node.seq = next_seq_++;
   return raw;
 }
 
 inline void EventQueue::schedule(std::uint32_t raw) {
-  heap_.push_back(slot_of(raw));
+  heap_.emplace_back();
   if (heap_.size() > peak_size_) peak_size_ = heap_.size();
-  sift_up(heap_.size() - 1);
+  sift_up(heap_.size() - 1, slot_of(raw));
 }
 
 inline EventId EventQueue::append(std::uint32_t input, TimeNs time, TransitionId transition,
@@ -240,7 +297,7 @@ inline EventId EventQueue::insert_sorted(std::uint32_t input, TimeNs time,
                                          TransitionId transition, PinRef target) {
   const std::uint32_t raw = new_node(input, time, transition, target);
   ListEnds& list = lists_[input];
-  // The new id is the newest, so it goes after every event not later.
+  // The new sequence is the newest, so it goes after every event not later.
   std::uint32_t after = list.tail;
   while (after != kNil && time < nodes_[after].ev.time) after = nodes_[after].prev;
   const std::uint32_t next = after == kNil ? list.head : nodes_[after].next;
@@ -263,8 +320,7 @@ inline EventId EventQueue::insert_sorted(std::uint32_t input, TimeNs time,
     // that head: only the way up can be out of order.
     const std::uint32_t pos = nodes_[next].heap_pos;
     nodes_[next].heap_pos = kNil;
-    heap_[pos] = slot_of(raw);
-    sift_up(pos);
+    sift_up(pos, slot_of(raw));
   }
   return EventId{raw};
 }
@@ -274,25 +330,23 @@ inline EventId EventQueue::peek() const {
   return EventId{heap_.front().id};
 }
 
-inline EventId EventQueue::pop() {
+inline EventSeq EventQueue::pop() {
   require(!heap_.empty(), "EventQueue::pop(): queue is empty");
-  const std::uint32_t raw = heap_.front().id;
-  Node& fired = nodes_[raw];
-  debug_ensure(fired.prev == kNil && lists_[fired.ev.input].head == raw,
+  const HeapSlot top = heap_.front();
+  Node& fired = nodes_[top.id];
+  debug_ensure(fired.prev == kNil && lists_[fired.ev.input].head == top.id,
                "EventQueue::pop(): scheduled event is not its list's head");
-  fired.heap_pos = kNil;
-  fired.state = EventState::kFired;
   const std::uint32_t next = fired.next;
-  fired.next = kNil;
   ListEnds& list = lists_[fired.ev.input];
+  fired.heap_pos = kNil;
+  release(top.id);
   list.head = next;
   if (next != kNil) {
     // The successor is usually close to the minimum: one top-down sift from
     // the root instead of a full pop plus a sift back up.
     nodes_[next].prev = kNil;
-    heap_[0] = slot_of(next);
-    sift_down(0);
-    return EventId{raw};
+    sift_down(0, slot_of(next));
+    return top.seq;
   }
   list.tail = kNil;
   const HeapSlot last = heap_.back();
@@ -308,22 +362,21 @@ inline EventId EventQueue::pop() {
       place(hole, heap_[child]);
       hole = child;
     }
-    heap_[hole] = last;
-    sift_up(hole);
+    sift_up(hole, last);
   }
-  return EventId{raw};
+  return top.seq;
 }
 
 inline bool EventQueue::cancel(EventId id) {
-  require(id.valid() && id.value() < nodes_.size(), "EventQueue::cancel(): invalid id");
+  require(pending(id), "EventQueue::cancel(): event is not pending");
   const std::uint32_t raw = id.value();
   Node& gone = nodes_[raw];
-  require(gone.state == EventState::kPending, "EventQueue::cancel(): event is not pending");
-  gone.state = EventState::kCancelled;
   const std::uint32_t prev = gone.prev;
   const std::uint32_t next = gone.next;
-  gone.prev = gone.next = kNil;
+  const std::uint32_t pos = gone.heap_pos;
   ListEnds& list = lists_[gone.ev.input];
+  gone.prev = gone.heap_pos = kNil;
+  release(raw);
   if (next == kNil) {
     list.tail = prev;
   } else {
@@ -334,17 +387,14 @@ inline bool EventQueue::cancel(EventId id) {
     return false;
   }
   list.head = next;
-  const std::uint32_t pos = gone.heap_pos;
   ensure(pos < heap_.size() && heap_[pos].id == raw,
          "EventQueue::cancel(): heap position corrupt");
-  gone.heap_pos = kNil;
   if (next == kNil) {
     remove_at(pos);
   } else {
     // The successor comes after the head it replaces, whose parent comes
     // before it: only the way down can be out of order.
-    heap_[pos] = slot_of(next);
-    sift_down(pos);
+    sift_down(pos, slot_of(next));
   }
   return true;
 }
@@ -353,15 +403,14 @@ inline void EventQueue::remove_at(std::size_t pos) {
   const HeapSlot last = heap_.back();
   heap_.pop_back();
   if (pos < heap_.size()) {
-    place(pos, last);
     // The replacement may need to move either direction.
-    sift_down(pos);
-    sift_up(nodes_[last.id].heap_pos);
+    sift_down(pos, last);
+    const std::size_t at = nodes_[last.id].heap_pos;
+    sift_up(at, last);
   }
 }
 
-inline void EventQueue::sift_up(std::size_t index) {
-  const HeapSlot moving = heap_[index];
+inline void EventQueue::sift_up(std::size_t index, HeapSlot moving) {
   while (index > 0) {
     const std::size_t parent = (index - 1) / kArity;
     if (!before(moving, heap_[parent])) break;
@@ -387,9 +436,8 @@ inline std::size_t EventQueue::min_child(std::size_t first, std::size_t n) const
   return smallest;
 }
 
-inline void EventQueue::sift_down(std::size_t index) {
+inline void EventQueue::sift_down(std::size_t index, HeapSlot moving) {
   const std::size_t n = heap_.size();
-  const HeapSlot moving = heap_[index];
   for (std::size_t first = kArity * index + 1; first < n; first = kArity * index + 1) {
     const std::size_t smallest = min_child(first, n);
     if (!before(heap_[smallest], moving)) break;

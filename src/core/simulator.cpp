@@ -184,23 +184,24 @@ void Simulator::apply_stimulus(const Stimulus& stimulus) {
     gates_[g].output_value = initial_values_[gate.output.value()];
   }
 
-  // 2. Pre-size the arenas from the stimulus and netlist so the run does
-  // not pay growth reallocations mid-flight.  The estimate is a heuristic
-  // (edges ripple through at most `depth` gate levels), capped so a huge
-  // stimulus cannot demand a huge up-front allocation.
+  // 2. Pre-size the transition arena from the stimulus and netlist so the
+  // run does not pay growth reallocations mid-flight.  The estimate is a
+  // heuristic (edges ripple through at most `depth` gate levels), capped so
+  // a huge stimulus cannot demand a huge up-front allocation.  The event
+  // arena needs no estimate: it recycles slots and holds only the pending
+  // high-water mark.
   std::size_t num_edges = 0;
   for (SignalId pi : pis) num_edges += stimulus.edges(pi).size();
   {
     constexpr std::size_t kReserveCap = std::size_t{1} << 21;
     const auto depth = static_cast<std::size_t>(std::max(depth_, 1));
     const std::size_t est_transitions = std::min(64 + num_edges * (depth + 1), kReserveCap);
-    // Deterministic OOM injection: the arena pre-reserve is the simulator's
-    // one big up-front allocation, so the fail-point models allocation
+    // Deterministic OOM injection: the transition-arena pre-reserve is the
+    // simulator's one big up-front allocation (transitions are the waveform
+    // history and grow with the run), so the fail-point models allocation
     // failure exactly where a constrained host would actually hit it.
     if (failpoint("alloc.simulator.arena")) throw std::bad_alloc();
     transitions_.reserve(est_transitions);
-    const std::size_t est_events = std::min(2 * est_transitions, kReserveCap);
-    queue_.reserve(est_events);
     for (SignalId pi : pis) {
       signal_history_[pi.value()].reserve(stimulus.edges(pi).size());
     }
@@ -268,13 +269,13 @@ void Simulator::spawn_events(TransitionId tr_id) {
         SuppressedPair pair;
         pair.target = target;
         pair.partner_cause = prev_ev.transition;
-        pair.partner_event = prev_tail;
+        pair.partner_event = queue_.seq(prev_tail);
         pair.partner_time = prev_ev.time;
         append_pair(rec, pair);
         const bool was_head = queue_.cancel(prev_tail);
         ++stats_.events_cancelled;
         if (recorder_ != nullptr) {
-          recorder_->on_pair_cancel(prev_tail, tr_id, frac, fo.input, was_head);
+          recorder_->on_pair_cancel(pair.partner_event, tr_id, frac, fo.input, was_head);
         }
         ++stats_.pair_cancellations;
         ++stats_.events_suppressed;
@@ -284,7 +285,7 @@ void Simulator::spawn_events(TransitionId tr_id) {
     if (ej < now_) ej = now_;  // causality clamp for extreme slope ratios
     const EventId id = queue_.append(fo.input, ej, tr_id, target);
     if (recorder_ != nullptr) {
-      recorder_->on_spawn(id, tr_id, frac, prev_tail.value(), fo.input);
+      recorder_->on_spawn(queue_.seq(id), tr_id, frac, queue_.seq(prev_tail), fo.input);
     }
     ++stats_.events_created;
   }
@@ -311,12 +312,14 @@ void Simulator::finish_recording(const RunResult& result) {
 
   // Residual pending events, in creation order: the replayer verifies each
   // stays beyond the horizon under perturbation.
-  std::vector<EventId> residual;
+  std::vector<EventSeq> residual;
   for (std::uint32_t in = 0; in < queue_.num_inputs(); ++in) {
-    for (EventId e = queue_.head(in); e.valid(); e = queue_.next(e)) residual.push_back(e);
+    for (EventId e = queue_.head(in); e.valid(); e = queue_.next(e)) {
+      residual.push_back(queue_.seq(e));
+    }
   }
   std::sort(residual.begin(), residual.end());
-  for (const EventId id : residual) recorder_->on_residual(id);
+  for (const EventSeq seq : residual) recorder_->on_residual(seq);
 
   // Surviving-history snapshot, identical membership to history().
   std::vector<std::vector<replay::TraceHistoryEntry>> history(signal_history_.size());
@@ -339,7 +342,7 @@ RunResult Simulator::run_impl(TimeNs horizon) {
   RunResult result;
   while (!queue_.empty()) {
     const EventId eid = queue_.peek();
-    const Event ev = queue_.event(eid);  // copy: the arena may grow below
+    const Event ev = queue_.event(eid);  // copy: pop() recycles the slot
     // The two random-access records this event will touch; issue the loads
     // early so the pop/list maintenance below covers their latency.
     __builtin_prefetch(&transitions_[ev.transition.value()], 0);
@@ -354,7 +357,7 @@ RunResult Simulator::run_impl(TimeNs horizon) {
       result.end_time = now_;
       return result;
     }
-    (void)queue_.pop();
+    const EventSeq fired = queue_.pop();
     now_ = std::max(now_, ev.time);
     ++stats_.events_processed;
     if (supervisor_ != nullptr && --sup_countdown_ == 0) {
@@ -374,7 +377,7 @@ RunResult Simulator::run_impl(TimeNs horizon) {
     if (cause.sup_head != kNil) consume_pair_chain(cause, /*resurrect=*/false);
 
     if (recorder_ != nullptr) {
-      recorder_->on_fire(eid, ev.input, ev.target.gate.value());
+      recorder_->on_fire(fired, ev.input, ev.target.gate.value());
     }
     handle_event(ev);
   }
@@ -510,9 +513,10 @@ void Simulator::annihilate(GateId gate_id, TransitionId tr_id) {
       mine = e;
     }
     if (!mine.valid()) continue;
+    const EventSeq seq = queue_.seq(mine);
     const bool was_head = queue_.cancel(mine);
     ++stats_.events_cancelled;
-    if (recorder_ != nullptr) recorder_->on_cancel(mine, input, was_head);
+    if (recorder_ != nullptr) recorder_->on_cancel(seq, input, was_head);
   }
 
   // The annihilated pulse never existed at the output, so pair
@@ -573,8 +577,9 @@ void Simulator::consume_pair_chain(TransitionRec& rec, bool resurrect) {
     ++stats_.events_created;
     ++stats_.events_resurrected;
     if (recorder_ != nullptr) {
-      recorder_->on_resurrect(id, node.pair.partner_event, queue_.prev(id).value(),
-                              queue_.next(id).value(), input);
+      recorder_->on_resurrect(queue_.seq(id), node.pair.partner_event,
+                              queue_.seq(queue_.prev(id)), queue_.seq(queue_.next(id)),
+                              input);
     }
   }
 }

@@ -50,11 +50,15 @@
 //     list's head scheduled.  The simulator only decides: which event the
 //     pair rule cancels, which events an annihilation removes, which ones
 //     it resurrects.  Each event carries its input's flat index, so firing
-//     or cancelling it indexes its pending list directly.
+//     or cancelling it indexes its pending list directly.  The queue
+//     recycles a fired or cancelled event's slot at once, so the kernel
+//     never holds an EventId past the event's end: the trace and the
+//     suppressed pairs name events by creation sequence.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -198,6 +202,15 @@ class Simulator {
   [[nodiscard]] bool final_value(SignalId signal) const;
   /// Surviving transitions on `signal`, time-ordered.
   [[nodiscard]] std::vector<Transition> history(SignalId signal) const;
+  /// The same history in place: surviving transition ids, time-ordered,
+  /// each resolved by transition().  No copy; valid until the next run,
+  /// reset() or rebind().
+  [[nodiscard]] std::span<const TransitionId> history_ids(SignalId signal) const {
+    return signal_history_[signal.value()];
+  }
+  [[nodiscard]] const Transition& transition(TransitionId id) const {
+    return transitions_[id.value()].tr;
+  }
   /// Logic value of `signal` at time `t`, midswing-referenced -- identical
   /// to DigitalWaveform::value_at over the surviving history, but
   /// allocation-free (backward scan).  Valid for any `t` not later than the
@@ -274,7 +287,7 @@ class Simulator {
   struct SuppressedPair {
     PinRef target;
     TransitionId partner_cause;  ///< transition whose event was deleted
-    EventId partner_event;       ///< the deleted event (trace identity)
+    EventSeq partner_event = 0;  ///< the deleted event's creation sequence (trace id)
     TimeNs partner_time = 0.0;
   };
 

@@ -84,7 +84,8 @@ ReplayOutcome TraceReplayer::replay(std::span<const TimingArc> arcs,
       if (bx.seq == kPreRun) return false;           // pre-run precedes fires
       if (by.seq == kPreRun) return true;
       // The creating fire's pop time is its event's own recomputed time
-      // (event slots are written once, before the creator pops).
+      // (ev_ is indexed by creation sequence, which is never reused, and
+      // written before the creator pops).
       const TimeNs btx = ev_[bx.born_of];
       const TimeNs bty = ev_[by.born_of];
       if (btx != bty) return btx > bty;
@@ -236,9 +237,9 @@ ReplayOutcome TraceReplayer::replay(std::span<const TimingArc> arcs,
           return {false, i};
         }
         // The sorted re-insert must land between the same neighbours.  The
-        // new event's id is globally newest, so EventQueue::insert_sorted places
-        // it after the last node with time <= when: the recorded neighbours
-        // are kept iff prev <= when < next.
+        // new event's sequence is globally newest, so EventQueue::insert_sorted
+        // places it after the last node with time <= when: the recorded
+        // neighbours are kept iff prev <= when < next.
         if (op.c != kNone && !(ev_[op.c] <= when)) {
           return {false, i};
         }

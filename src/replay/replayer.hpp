@@ -23,7 +23,7 @@
 // their recorded relative order in the perturbed run.  Strictly increasing
 // times certify themselves; equal times are certified through the kernel's
 // (time, creation id) tie-break using each event's *birth record* -- ids
-// are assigned in creation order, so "created during a later-popping fire"
+// are creation sequences, so "created during a later-popping fire"
 // or "created later within the same fire" proves the larger id.  Anything
 // not certifiable fails the replay (sound, conservative).
 //
@@ -81,8 +81,9 @@ class TraceReplayer {
   };
   /// Delay-independent creation record (precomputed once per trace): which
   /// fire created the event and at which in-fire creation index.  The
-  /// creating fire's perturbed pop time needs no separate storage: event
-  /// slots are written once and never reused, so it is simply the creator
+  /// creating fire's perturbed pop time needs no separate storage: trace
+  /// event ids are creation sequences, never reused (the kernel recycles
+  /// only the storage slots behind them), so it is simply the creator
   /// event's own recomputed time.  Together these order creation ids --
   /// the kernel's equal-time (time, creation id) tie-break.
   struct BirthMeta {

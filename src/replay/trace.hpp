@@ -45,6 +45,10 @@ namespace halotis::replay {
 /// Sentinel for "no event / no transition" operand slots.
 inline constexpr std::uint32_t kNone = 0xFFFFFFFFu;
 
+// An "event id" below is the event's creation sequence (EventSeq): its
+// ordinal among the run's created events, never reused, even though the
+// kernel recycles the event's storage slot once it fires or is cancelled.
+
 enum class OpKind : std::uint8_t {
   /// Gate output evaluation at the instant of the last kFire event:
   /// a = new transition id (kNone when the annihilate branch ran),
@@ -128,7 +132,7 @@ struct Trace {
   /// every check; only the times differ).
   std::vector<std::vector<TraceHistoryEntry>> history;
   std::size_t num_transitions = 0;
-  std::size_t num_events = 0;
+  std::size_t num_events = 0;  ///< events created: every event id is below it
   std::size_t num_arcs = 0;
   std::size_t num_inputs = 0;  ///< pending-list count (serialization domains)
   std::size_t num_gates = 0;   ///< gate count (serialization domains)
@@ -171,11 +175,11 @@ class TraceRecorder {
     trace_.ops.push_back(op);
   }
 
-  void on_spawn(EventId id, TransitionId cause, double frac, std::uint32_t prev_tail,
+  void on_spawn(std::uint32_t event, TransitionId cause, double frac, std::uint32_t prev_tail,
                 std::uint32_t input) {
     TraceOp op;
     op.kind = OpKind::kSpawn;
-    op.a = id.value();
+    op.a = event;
     op.b = cause.value();
     op.c = prev_tail;
     op.d = input;
@@ -183,52 +187,53 @@ class TraceRecorder {
     trace_.ops.push_back(op);
   }
 
-  void on_pair_cancel(EventId prev, TransitionId cause, double frac,
+  void on_pair_cancel(std::uint32_t prev, TransitionId cause, double frac,
                       std::uint32_t input, bool was_head) {
     TraceOp op;
     op.kind = OpKind::kPairCancel;
     op.flags = was_head ? kOpWasHead : 0;
-    op.a = prev.value();
+    op.a = prev;
     op.b = cause.value();
     op.c = input;
     op.x = frac;
     trace_.ops.push_back(op);
   }
 
-  void on_fire(EventId id, std::uint32_t input, std::uint32_t gate) {
+  void on_fire(std::uint32_t event, std::uint32_t input, std::uint32_t gate) {
     TraceOp op;
     op.kind = OpKind::kFire;
-    op.a = id.value();
+    op.a = event;
     op.b = input;
     op.c = gate;
     trace_.ops.push_back(op);
   }
 
-  void on_cancel(EventId id, std::uint32_t input, bool was_head) {
+  void on_cancel(std::uint32_t event, std::uint32_t input, bool was_head) {
     TraceOp op;
     op.kind = OpKind::kCancel;
     op.flags = was_head ? kOpWasHead : 0;
-    op.a = id.value();
+    op.a = event;
     op.b = input;
     trace_.ops.push_back(op);
   }
 
-  void on_resurrect(EventId id, EventId partner, std::uint32_t prev_neighbour,
-                    std::uint32_t next_neighbour, std::uint32_t input) {
+  void on_resurrect(std::uint32_t event, std::uint32_t partner,
+                    std::uint32_t prev_neighbour, std::uint32_t next_neighbour,
+                    std::uint32_t input) {
     TraceOp op;
     op.kind = OpKind::kResurrect;
-    op.a = id.value();
-    op.b = partner.value();
+    op.a = event;
+    op.b = partner;
     op.c = prev_neighbour;
     op.d = next_neighbour;
     op.x = static_cast<double>(input);
     trace_.ops.push_back(op);
   }
 
-  void on_residual(EventId id) {
+  void on_residual(std::uint32_t event) {
     TraceOp op;
     op.kind = OpKind::kResidual;
-    op.a = id.value();
+    op.a = event;
     trace_.ops.push_back(op);
   }
 

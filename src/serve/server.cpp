@@ -117,7 +117,9 @@ void Server::serve_connection(int conn, SimulatorLease& lease) {
       return;
     }
     failpoint_throw("serve.frame.write");
-    write_frame(conn, encode_response(response), &options_.stop);
+    // No drain token: a request the drain interrupted still gets its
+    // (cancelled, exit-5) response.  The idle limit bounds a stalled peer.
+    write_frame(conn, encode_response(response), nullptr, options_.idle_timeout_ms);
   }
 }
 
@@ -128,7 +130,7 @@ void Server::send_error_response(int conn, const std::string& diagnostic) {
   response.exit_code = 2;
   response.err = "error: " + diagnostic + "\n";
   try {
-    write_frame(conn, encode_response(response), &options_.stop);
+    write_frame(conn, encode_response(response), nullptr, options_.idle_timeout_ms);
   } catch (...) {  // NOLINT(bugprone-empty-catch)
   }
 }

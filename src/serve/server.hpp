@@ -30,7 +30,7 @@ struct ServeOptions {
   std::string socket_path;
   int threads = 0;                        ///< WorkerPool semantics: 0 = hardware
   std::size_t cache_bytes = 256u << 20;   ///< elaboration-cache budget
-  int idle_timeout_ms = 30000;            ///< per-connection mid-frame idle limit
+  int idle_timeout_ms = 30000;            ///< per-connection limit on a stalled frame, either way
   CancelToken stop;                       ///< trip to drain and return from run()
 };
 

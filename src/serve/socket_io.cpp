@@ -167,7 +167,8 @@ UnixFd accept_connection(int listen_fd) {
 
 bool wait_readable(int fd, int timeout_ms) { return wait_io(fd, POLLIN, timeout_ms); }
 
-void write_frame(int fd, std::string_view payload, const CancelToken* cancel) {
+void write_frame(int fd, std::string_view payload, const CancelToken* cancel,
+                 int idle_timeout_ms) {
   std::string frame;
   frame.reserve(payload.size() + 4);
   const auto len = static_cast<std::uint32_t>(payload.size());
@@ -177,15 +178,23 @@ void write_frame(int fd, std::string_view payload, const CancelToken* cancel) {
   frame.push_back(static_cast<char>((len >> 24) & 0xFF));
   frame.append(payload);
   std::size_t sent = 0;
+  int idle_ms = 0;
   while (sent < frame.size()) {
     check_cancel(cancel);
     const ssize_t w = ::send(fd, frame.data() + sent, frame.size() - sent, MSG_NOSIGNAL);
     if (w >= 0) {
       sent += static_cast<std::size_t>(w);
+      idle_ms = 0;
       continue;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-      (void)wait_io(fd, POLLOUT, kPollSliceMs);
+      if (!wait_io(fd, POLLOUT, kPollSliceMs)) {
+        idle_ms += kPollSliceMs;
+        if (idle_timeout_ms > 0 && idle_ms >= idle_timeout_ms) {
+          throw RunError(RunErrorKind::kIoError,
+                         "peer stopped reading for " + std::to_string(idle_ms) + " ms");
+        }
+      }
       continue;
     }
     throw_io("send");

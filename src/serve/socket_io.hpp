@@ -62,7 +62,11 @@ class UnixFd {
 [[nodiscard]] bool wait_readable(int fd, int timeout_ms);
 
 /// Sends one length-prefixed frame, honouring `cancel` while blocked.
-void write_frame(int fd, std::string_view payload, const CancelToken* cancel);
+/// Throws RunError(kIoError) when the peer stops reading for
+/// `idle_timeout_ms` (0 = no limit).  The daemon answers with no token and
+/// this timeout, so a drain never drops a computed response.
+void write_frame(int fd, std::string_view payload, const CancelToken* cancel,
+                 int idle_timeout_ms = 0);
 
 /// Receives one frame payload.  nullopt = the connection ended at a frame
 /// boundary: clean EOF, or `cancel` tripped before the frame's first byte

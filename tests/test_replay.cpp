@@ -10,8 +10,10 @@
 // randomized layered DAGs with per-arc perturbations up to +/-50%.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/base/failpoint.hpp"
@@ -417,6 +419,91 @@ TEST_F(ReplayOracleTest, ResurrectionReplaysBitExact) {
       }
     }
   }
+}
+
+// The kernel recycles an event's storage slot once the event fires or is
+// cancelled, but the trace names events by creation sequence: on the
+// resurrection designs above, run in full and cut by a horizon (leaving
+// residual events), the n-th kSpawn or kResurrect op creates event n,
+// num_events equals both the creations and SimStats::events_created, and
+// every other op names an event that was created and is still pending.
+// The last case is perf_report's layered_resurrect design cut at 60 ns:
+// its resurrections include sorted re-inserts behind a pending neighbour,
+// which the small designs never reach.
+TEST_F(ReplayOracleTest, TraceEventIdsAreCreationOrdinals) {
+  struct Case {
+    int width;
+    int depth;
+    std::size_t edges;
+    std::uint64_t stim_seed;
+    TimeNs t_end;
+  };
+  constexpr std::uint32_t kNone = replay::kNone;
+  std::size_t neighbours = 0;
+  for (const Case c : {Case{40, 30, 8, 10, kNeverNs}, Case{40, 30, 8, 14, kNeverNs},
+                       Case{20, 20, 8, 70, kNeverNs}, Case{40, 30, 8, 14, 20.0},
+                       Case{100, 60, 32, 2, 60.0}}) {
+    LayeredCircuit dag = make_layered_circuit(lib_, c.width, c.depth, 0xA000);
+    const Stimulus stim = staggered_random_stimulus(dag.inputs, c.edges, c.stim_seed, 0.2);
+    SimConfig config;
+    config.t_end = c.t_end;
+    Simulator sim(dag.netlist, ddm_, config);
+    replay::TraceRecorder recorder;
+    sim.record_into(&recorder);
+    sim.apply_stimulus(stim);
+    sim.finish_recording(sim.run());
+    const replay::Trace& trace = recorder.trace();
+    SCOPED_TRACE("stimulus " + std::to_string(c.stim_seed) + ", t_end " +
+                 std::to_string(c.t_end));
+
+    std::vector<bool> pending;  // by event id
+    const auto live = [&](std::uint32_t id) { return id < pending.size() && pending[id]; };
+    std::size_t resurrections = 0;
+    std::size_t residuals = 0;
+    std::uint32_t last_residual = 0;
+    for (const replay::TraceOp& op : trace.ops) {
+      switch (op.kind) {
+        case replay::OpKind::kSpawn:
+          ASSERT_EQ(op.a, pending.size());
+          ASSERT_TRUE(op.c == kNone || live(op.c));
+          pending.push_back(true);
+          break;
+        case replay::OpKind::kResurrect:
+          ASSERT_EQ(op.a, pending.size());
+          ASSERT_LT(op.b, pending.size());
+          ASSERT_FALSE(live(op.b)) << "the partner was cancelled";
+          ASSERT_TRUE(op.c == kNone || live(op.c));
+          ASSERT_TRUE(op.d == kNone || live(op.d));
+          neighbours += (op.c != kNone ? 1 : 0) + (op.d != kNone ? 1 : 0);
+          pending.push_back(true);
+          ++resurrections;
+          break;
+        case replay::OpKind::kPairCancel:
+        case replay::OpKind::kCancel:
+        case replay::OpKind::kFire:
+          ASSERT_TRUE(live(op.a));
+          pending[op.a] = false;
+          break;
+        case replay::OpKind::kResidual:
+          ASSERT_TRUE(live(op.a));
+          ASSERT_TRUE(residuals == 0 || op.a > last_residual) << "creation order";
+          last_residual = op.a;
+          ++residuals;
+          break;
+        case replay::OpKind::kGateTr:
+          break;
+      }
+    }
+    EXPECT_EQ(trace.num_events, pending.size());
+    EXPECT_EQ(trace.num_events, sim.stats().events_created);
+    EXPECT_EQ(residuals, static_cast<std::size_t>(
+                             std::count(pending.begin(), pending.end(), true)));
+    EXPECT_GE(resurrections, 1u);
+    if (c.t_end != kNeverNs) {
+      EXPECT_GT(residuals, 0u);
+    }
+  }
+  EXPECT_GT(neighbours, 0u);
 }
 
 TEST_F(ReplayOracleTest, ReplaySupervisionBudgetStops) {

@@ -93,13 +93,15 @@ edge b 14.0 0
 )";
 
 /// A generated design as the files a client ships: a SplitMix64-seeded
-/// layered netlist written with write_bench, and a staggered random
-/// stimulus over its inputs in the stimulus file format.
-std::pair<std::string, std::string> generated_design(std::uint64_t seed) {
+/// `width` x `depth` layered netlist written with write_bench, and a
+/// staggered random stimulus of `edges` cycles over its inputs in the
+/// stimulus file format.
+std::pair<std::string, std::string> generated_design(std::uint64_t seed, int width = 6,
+                                                     int depth = 5, std::size_t edges = 6) {
   static const Library lib = Library::default_u6();
   SplitMix64 rng(seed);
-  const LayeredCircuit circuit = make_layered_circuit(lib, 6, 5, rng.next());
-  const Stimulus stim = staggered_random_stimulus(circuit.inputs, 6, rng.next());
+  const LayeredCircuit circuit = make_layered_circuit(lib, width, depth, rng.next());
+  const Stimulus stim = staggered_random_stimulus(circuit.inputs, edges, rng.next());
   std::string text = "slew 0.5\n";
   for (const SignalId in : circuit.inputs) {
     const std::string& name = circuit.netlist.signal(in).name;
@@ -293,12 +295,13 @@ class ServeTest : public ::testing::Test {
     return path;
   }
 
-  void start_daemon(int threads, std::size_t cache_bytes = 64u << 20) {
+  void start_daemon(int threads, std::size_t cache_bytes = 64u << 20,
+                    int idle_timeout_ms = 10000) {
     serve::ServeOptions options;
     options.socket_path = socket_;
     options.threads = threads;
     options.cache_bytes = cache_bytes;
-    options.idle_timeout_ms = 10000;
+    options.idle_timeout_ms = idle_timeout_ms;
     options.stop = stop_;
     server_ = std::make_unique<serve::Server>(
         options, [](const std::vector<std::string>& args, serve::ServeContext& context,
@@ -634,6 +637,61 @@ TEST_F(ServeTest, DrainBetweenFramesIsCleanMidFrameIsAnAbort) {
   thread_.join();
   EXPECT_EQ(server_->stats().requests, 1u);
   EXPECT_EQ(server_->stats().aborted_connections, 1u);
+}
+
+/// A drain that lands while a sweep runs still answers it: the sweep stops
+/// at its next supervision poll and the client gets the cancelled request's
+/// response -- exit 5 and the cancellation diagnostic -- not a dropped
+/// connection (exit 6, "daemon closed the connection without a response").
+TEST_F(ServeTest, DrainDuringAVariationSweepStillSendsItsResponse) {
+  const auto [bench, stim] = generated_design(0xD5A1, 40, 30, 40);
+  const std::string netlist = write("big.bench", bench);
+  const std::string stimulus = write("big.stim", stim);
+  start_daemon(1);
+  Capture drained;
+  std::thread client([&] {
+    drained = run_daemon({"variation", "--netlist", netlist, "--stim", stimulus,
+                          "--samples", "1000000", "--sigma", "0.05"});
+  });
+  for (int attempt = 0; attempt < 2500 && server_->stats().requests == 0; ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(server_->stats().requests, 1u) << "the sweep never started";
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // samples are running
+  stop_.cancel();
+  client.join();
+  thread_.join();
+  EXPECT_EQ(drained.code, 5) << drained.err;
+  EXPECT_NE(drained.err.find("error (cancelled): "), std::string::npos) << drained.err;
+  EXPECT_EQ(drained.out, "");
+  EXPECT_EQ(server_->stats().aborted_connections, 0u);
+}
+
+/// With no drain token on the response, the idle limit is what bounds a
+/// peer that stops reading: a response larger than the socket buffer, sent
+/// to a client that never reads it, aborts that connection once the limit
+/// passes, and the daemon keeps serving.
+TEST_F(ServeTest, PeerThatStopsReadingIsCutOffAtTheIdleLimit) {
+  const auto [bench, stim] = generated_design(0x57A11, 80, 60, 2);
+  (void)stim;
+  const std::string netlist = write("wide.bench", bench);
+  const std::vector<std::string> args{"sta", "--netlist", netlist, "--per-arc"};
+  ASSERT_GT(run_args(args).out.size(), 1u << 20) << "response must outgrow the socket buffer";
+
+  start_daemon(1, 64u << 20, /*idle_timeout_ms=*/300);
+  const serve::RequestFrame request{{"sta", "--netlist", "wide.bench", "--per-arc"},
+                                    {{"wide.bench", bench}}};
+  const serve::UnixFd stalled = serve::connect_unix(socket_);
+  serve::write_frame(stalled.get(), serve::encode_request(request), nullptr);
+  for (int attempt = 0; attempt < 5000 && server_->stats().aborted_connections == 0;
+       ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(server_->stats().aborted_connections, 1u);
+  EXPECT_EQ(run_daemon({"sim", "--netlist", write("a.bench", kBenchA), "--stim",
+                        write("a.stim", kStimA)})
+                .code,
+            0);
 }
 
 TEST_F(ServeTest, StaleSocketFileIsReboundLiveOneRefused) {
