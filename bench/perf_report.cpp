@@ -204,7 +204,9 @@ std::string cold_path_json(const std::vector<ColdPathDeck>& decks) {
 
 /// The event loop alone, warm: one Simulator held on the 500 x 200 layered
 /// design under DDM, re-armed with reset() + apply_stimulus() and timed
-/// over run() only, for three staggered stimuli.  Full mode only.
+/// over run() only, for three staggered stimuli.  Each run's history hash
+/// is timed on its own (hash_ms: the histories() layout plus the walk).
+/// Full mode only.
 struct KernelLoopSeed {
   std::uint64_t seed = 0;
   std::uint64_t events = 0;
@@ -218,6 +220,7 @@ struct KernelLoopResult {
   std::size_t distinct_arcs = 0;  ///< arcs the kernel evaluates (interned)
   int rounds = 0;
   std::array<double, 3> ns_per_event{};  ///< q1, median, q3 over every run
+  double hash_ms = 0.0;                  ///< median hash_sim_history() over every run
   std::vector<KernelLoopSeed> seeds;
 };
 
@@ -233,6 +236,7 @@ KernelLoopResult run_kernel_loop(const Library& lib, int rounds) {
   result.distinct_arcs = sim.distinct_arcs();
   result.rounds = rounds;
   std::vector<double> ns_per_event;
+  std::vector<double> hash_ms;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const Stimulus stim = staggered_random_stimulus(circuit.inputs, 4, seed);
     KernelLoopSeed row;
@@ -245,15 +249,19 @@ KernelLoopResult run_kernel_loop(const Library& lib, int rounds) {
       const double wall_s = seconds_since(start);
       const std::uint64_t events = sim.stats().events_processed;
       ns_per_event.push_back(1e9 * wall_s / static_cast<double>(events));
+      const auto hash_start = std::chrono::steady_clock::now();
+      const std::uint64_t hash = replay::hash_sim_history(sim);
+      hash_ms.push_back(1e3 * seconds_since(hash_start));
       if (round == 0) {
         row.events = events;
         row.peak_scheduled_events = sim.peak_scheduled_events();
-        row.history_hash = replay::hash_sim_history(sim);
+        row.history_hash = hash;
       }
     }
     result.seeds.push_back(row);
   }
   result.ns_per_event = quartiles(ns_per_event);
+  result.hash_ms = quartiles(hash_ms)[1];
   return result;
 }
 
@@ -263,10 +271,11 @@ std::string kernel_loop_json(const KernelLoopResult& k) {
                 "   \"kernel_loop\": {\"workload\": \"layered100k\", \"model\": \"%s\","
                 " \"gates\": %zu, \"graph_arcs\": %zu, \"distinct_arcs\": %zu,"
                 " \"rounds\": %d,\n"
-                "    \"ns_per_event\": {\"q1\": %.1f, \"median\": %.1f, \"q3\": %.1f},\n"
+                "    \"ns_per_event\": {\"q1\": %.1f, \"median\": %.1f, \"q3\": %.1f},"
+                " \"hash_ms\": {\"median\": %.2f},\n"
                 "    \"seeds\": [\n",
                 k.model.c_str(), k.gates, k.graph_arcs, k.distinct_arcs, k.rounds,
-                k.ns_per_event[0], k.ns_per_event[1], k.ns_per_event[2]);
+                k.ns_per_event[0], k.ns_per_event[1], k.ns_per_event[2], k.hash_ms);
   std::string json = head;
   for (std::size_t i = 0; i < k.seeds.size(); ++i) {
     const KernelLoopSeed& row = k.seeds[i];
@@ -1055,10 +1064,10 @@ int main(int argc, char** argv) {
   if (!quick) {
     std::printf(
         "\nkernel_loop: layered100k %s, %zu of %zu arcs distinct, %d rounds x %zu seeds:"
-        " %.1f ns/event [%.1f, %.1f]\n",
+        " %.1f ns/event [%.1f, %.1f], hash %.2f ms\n",
         kernel_loop.model.c_str(), kernel_loop.distinct_arcs, kernel_loop.graph_arcs,
         kernel_loop.rounds, kernel_loop.seeds.size(), kernel_loop.ns_per_event[1],
-        kernel_loop.ns_per_event[0], kernel_loop.ns_per_event[2]);
+        kernel_loop.ns_per_event[0], kernel_loop.ns_per_event[2], kernel_loop.hash_ms);
     for (const KernelLoopSeed& row : kernel_loop.seeds) {
       std::printf("  seed %llu: %llu events, peak %llu scheduled, hash %016llx\n",
                   static_cast<unsigned long long>(row.seed),

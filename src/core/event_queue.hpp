@@ -6,9 +6,12 @@
 // crossing Ej on the same input does not come after it (paper Fig. 4).  The
 // queue owns the whole structure: an event arena whose records thread one
 // doubly-linked, (time, seq)-ordered pending list per input, and a 4-ary
-// min-heap that holds exactly the head of each non-empty list.  The heap
-// arbitrates one event per active input, so mid-list events never pay heap
-// maintenance.  Appending to an empty list schedules the event; a popped or
+// min-heap that holds exactly the head of each non-empty list.  The queue
+// does not interpret list numbers; the simulator numbers an input's list by
+// the input's slot in its flattened fanout table, so the lists one
+// transition appends to are adjacent and prefetch_list() can warm them.
+// The heap arbitrates one event per active input, so mid-list events never
+// pay heap maintenance.  Appending to an empty list schedules the event; a popped or
 // cancelled head, or a head displaced by a sorted insert, hands its heap
 // slot to its successor or displacer in place.  Every operation leaves the
 // heap holding exactly the non-empty lists' heads, so pops follow the
@@ -60,7 +63,7 @@ struct Event {
   TimeNs time = 0.0;
   TransitionId transition;   ///< the transition that produced the event
   PinRef target;             ///< receiving gate input
-  std::uint32_t input = 0;   ///< pending list (flat input index of `target`; fills padding)
+  std::uint32_t input = 0;   ///< pending list (the fanout slot of `target`; fills padding)
 };
 
 /// An event's creation sequence: its ordinal among the events created since
@@ -127,6 +130,10 @@ class EventQueue {
   [[nodiscard]] bool pending(EventId id) const {
     return id.valid() && id.value() < nodes_.size() && nodes_[id.value()].seq != kNil;
   }
+
+  /// Hints that `input`'s list ends are about to be read and written (an
+  /// append is coming): one cache line holds eight lists' ends.
+  void prefetch_list(std::uint32_t input) const { __builtin_prefetch(lists_.data() + input, 1); }
 
   /// Pending-list ends and links, earliest first; the invalid id past
   /// either end.  prev(), next(), event() and seq() take pending events.

@@ -51,7 +51,7 @@ void Simulator::build_static_tables() {
 
   const std::size_t num_signals = netlist_->num_signals();
   const std::size_t num_gates = netlist_->num_gates();
-  signal_history_.resize(num_signals);
+  heads_.assign(num_signals, SignalHead{});
   initial_values_.assign(num_signals, false);
   gates_.assign(num_gates, GateRec{});
 
@@ -69,28 +69,24 @@ void Simulator::build_static_tables() {
   // cell, compiled on first use.
   std::vector<std::int32_t> cell_truth(netlist_->library().size(), -1);
 
-  std::size_t total_pins = 0;
   for (std::size_t g = 0; g < num_gates; ++g) {
     const GateId gid{static_cast<GateId::underlying_type>(g)};
     const Gate& gate = netlist_->gate(gid);
     GateRec& gi = gates_[g];
     gi.output = gate.output;
-    gi.input_base = static_cast<std::uint32_t>(total_pins);
     const std::uint32_t twin = blocks.insert(arc_block(gid.value()), gid.value(), arc_block);
     if (twin == gid.value()) distinct_arcs_ += 2 * gate.inputs.size();
     gi.arc_base = timing_->arc_base(GateId{twin});
     gi.num_inputs = static_cast<std::uint8_t>(gate.inputs.size());
-    total_pins += gate.inputs.size();
 
     std::int32_t& truth = cell_truth[gate.cell.value()];
     if (truth < 0) truth = truth_table(netlist_->cell_of(gid).kind);
     gi.truth = static_cast<std::uint16_t>(truth);
   }
-  queue_.clear(total_pins);
 
   // Flattened fanout table: resolve, once, everything spawn_events() needs
-  // per (signal, receiving pin) -- the receiving pin's flattened input index
-  // and its TimingGraph threshold crossing fractions.
+  // per (signal, receiving pin) -- the receiving pin and its TimingGraph
+  // threshold crossing fractions.
   std::size_t total_fanout = 0;
   for (std::size_t s = 0; s < num_signals; ++s) {
     total_fanout +=
@@ -106,12 +102,31 @@ void Simulator::build_static_tables() {
       FanoutEntry entry;
       entry.gate = target.gate;
       entry.pin = static_cast<std::uint16_t>(target.pin);
-      entry.input = static_cast<std::uint32_t>(input_index(target));
       entry.vt_frac = timing_->threshold_fraction(target.gate, target.pin);
       fanout_.push_back(entry);
     }
   }
   fanout_base_[num_signals] = static_cast<std::uint32_t>(fanout_.size());
+  for (GateRec& gi : gates_) {
+    gi.fanout_begin = fanout_base_[gi.output.value()];
+    gi.fanout_end = fanout_base_[gi.output.value() + 1];
+  }
+
+  // A fanout slot numbers its input's pending list, so the slots must cover
+  // every gate input exactly once (Netlist::check() verifies only that each
+  // fanout entry points back at its signal).
+  std::vector<std::uint8_t> covered(num_gates, 0);  // pin bit mask; fan-in <= 4
+  for (const FanoutEntry& fo : fanout_) {
+    const auto bit = static_cast<std::uint8_t>(1u << fo.pin);
+    require((covered[fo.gate.value()] & bit) == 0,
+            "Simulator: a gate input appears twice in the fanout table");
+    covered[fo.gate.value()] |= bit;
+  }
+  for (std::size_t g = 0; g < num_gates; ++g) {
+    require(covered[g] == (1u << gates_[g].num_inputs) - 1u,
+            "Simulator: a gate input is missing from its signal's fanout");
+  }
+  queue_.clear(fanout_.size());  // one pending list per slot
 
   // Cached once for the reset()/re-arm path: apply_stimulus runs once per
   // fault in a campaign, and these are all O(gates + signals) walks with
@@ -129,12 +144,11 @@ void Simulator::reset() {
   pair_free_ = kNil;
   live_transitions_ = 0;
   peak_live_transitions_ = 0;
-  for (auto& history : signal_history_) history.clear();
+  heads_.assign(heads_.size(), SignalHead{});
   initial_values_.assign(initial_values_.size(), false);
   for (GateRec& gate : gates_) {
     gate.word = 0;
     gate.output_value = false;
-    gate.last_out = TransitionId{};
     gate.last_out50 = 0.0;
   }
   now_ = 0.0;
@@ -202,64 +216,58 @@ void Simulator::apply_stimulus(const Stimulus& stimulus) {
     // failure exactly where a constrained host would actually hit it.
     if (failpoint("alloc.simulator.arena")) throw std::bad_alloc();
     transitions_.reserve(est_transitions);
-    for (SignalId pi : pis) {
-      signal_history_[pi.value()].reserve(stimulus.edges(pi).size());
-    }
   }
 
   // 3. Schedule every stimulus edge as a transition on its primary input.
   for (SignalId pi : pis) {
     bool value = stimulus.initial_value(pi);
-    TransitionId prev;
     for (const StimulusEdge& edge : stimulus.edges(pi)) {
       if (edge.value == value) continue;
       value = edge.value;
       const TimeNs tau = edge.tau > 0.0 ? edge.tau : stimulus.default_slew();
       const Edge sense = edge.value ? Edge::kRise : Edge::kFall;
       const TimeNs t_start = edge.time - 0.5 * tau;
-      const TransitionId id = create_transition(pi, sense, t_start, tau, prev);
+      const TransitionId id = create_transition(pi, sense, t_start, tau);
       if (recorder_ != nullptr) recorder_->on_stim_transition(id, t_start, tau);
-      spawn_events(id);
-      prev = id;
+      spawn_events(id, fanout_base_[pi.value()], fanout_base_[pi.value() + 1]);
     }
   }
 }
 
 TransitionId Simulator::create_transition(SignalId signal, Edge edge, TimeNs t_start,
-                                          TimeNs tau, TransitionId prev) {
+                                          TimeNs tau) {
   require(tau > 0.0, "Simulator: transition tau must be positive");
   const TransitionId id{static_cast<TransitionId::underlying_type>(transitions_.size())};
+  SignalHead& head = heads_[signal.value()];
   TransitionRec rec;
   rec.tr.signal = signal;
   rec.tr.edge = edge;
   rec.tr.t_start = t_start;
   rec.tr.tau = tau;
-  rec.tr.prev = prev;
+  rec.tr.prev = head.newest;
   transitions_.push_back(rec);
-  signal_history_[signal.value()].push_back(id);
+  head.newest = id;
+  ++head.count;
   ++stats_.transitions_created;
   return id;
 }
 
-void Simulator::spawn_events(TransitionId tr_id) {
+void Simulator::spawn_events(TransitionId tr_id, std::uint32_t first, std::uint32_t last) {
   // The loop never grows transitions_, so one lookup serves every fanout;
   // the POD copy keeps the loop's arena writes from forcing reloads of it.
   TransitionRec& rec = transitions_[tr_id.value()];
   const Transition tr = rec.tr;
-  const std::uint32_t sig = tr.signal.value();
-  const std::uint32_t begin = fanout_base_[sig];
   // A transition on the stuck-at site is gagged: receivers perceive the
   // injected constant, so the line's ramps generate no events (rewiring the
   // receivers to a constant net, without the netlist copy).
-  const std::uint32_t end =
-      tr.signal == fault_signal_ ? begin : fanout_base_[sig + 1];
+  if (tr.signal == fault_signal_) return;
   const bool rising = tr.edge == Edge::kRise;
-  for (std::uint32_t i = begin; i < end; ++i) {
-    const FanoutEntry& fo = fanout_[i];
+  for (std::uint32_t slot = first; slot < last; ++slot) {
+    const FanoutEntry& fo = fanout_[slot];
     const PinRef target{fo.gate, fo.pin};
     const double frac = rising ? fo.vt_frac : 1.0 - fo.vt_frac;
     TimeNs ej = tr.t_start + tr.tau * frac;
-    const EventId prev_tail = queue_.tail(fo.input);
+    const EventId prev_tail = queue_.tail(slot);
 
     if (prev_tail.valid()) {
       const Event& prev_ev = queue_.event(prev_tail);
@@ -267,7 +275,7 @@ void Simulator::spawn_events(TransitionId tr_id) {
         // Paper Fig. 4: the pulse never crosses this input's threshold.
         // Delete Ej-1, do not insert Ej.
         SuppressedPair pair;
-        pair.target = target;
+        pair.slot = slot;
         pair.partner_cause = prev_ev.transition;
         pair.partner_event = queue_.seq(prev_tail);
         pair.partner_time = prev_ev.time;
@@ -275,7 +283,7 @@ void Simulator::spawn_events(TransitionId tr_id) {
         const bool was_head = queue_.cancel(prev_tail);
         ++stats_.events_cancelled;
         if (recorder_ != nullptr) {
-          recorder_->on_pair_cancel(pair.partner_event, tr_id, frac, fo.input, was_head);
+          recorder_->on_pair_cancel(pair.partner_event, tr_id, frac, slot, was_head);
         }
         ++stats_.pair_cancellations;
         ++stats_.events_suppressed;
@@ -283,9 +291,9 @@ void Simulator::spawn_events(TransitionId tr_id) {
       }
     }
     if (ej < now_) ej = now_;  // causality clamp for extreme slope ratios
-    const EventId id = queue_.append(fo.input, ej, tr_id, target);
+    const EventId id = queue_.append(slot, ej, tr_id, target);
     if (recorder_ != nullptr) {
-      recorder_->on_spawn(queue_.seq(id), tr_id, frac, queue_.seq(prev_tail), fo.input);
+      recorder_->on_spawn(queue_.seq(id), tr_id, frac, queue_.seq(prev_tail), slot);
     }
     ++stats_.events_created;
   }
@@ -322,10 +330,12 @@ void Simulator::finish_recording(const RunResult& result) {
   for (const EventSeq seq : residual) recorder_->on_residual(seq);
 
   // Surviving-history snapshot, identical membership to history().
-  std::vector<std::vector<replay::TraceHistoryEntry>> history(signal_history_.size());
-  for (std::size_t s = 0; s < signal_history_.size(); ++s) {
-    history[s].reserve(signal_history_[s].size());
-    for (const TransitionId id : signal_history_[s]) {
+  const SignalHistories all = histories();
+  std::vector<std::vector<replay::TraceHistoryEntry>> history(heads_.size());
+  for (std::size_t s = 0; s < heads_.size(); ++s) {
+    const auto line = all.of(SignalId{static_cast<SignalId::underlying_type>(s)});
+    history[s].reserve(line.size());
+    for (const TransitionId id : line) {
       const Transition& tr = transitions_[id.value()].tr;
       history[s].push_back(replay::TraceHistoryEntry{
           id.value(), static_cast<std::uint8_t>(tr.edge == Edge::kRise ? 1 : 0)});
@@ -393,6 +403,11 @@ void Simulator::handle_event(const Event& ev) {
 
   const std::size_t g = ev.target.gate.value();
   GateRec& gi = gates_[g];
+  // Should the output change, spawn_events() reads the output's first
+  // fanout entry and its pending-list ends: scattered over a large design,
+  // so start their loads before the evaluation and delay computation.
+  __builtin_prefetch(fanout_.data() + gi.fanout_begin);
+  queue_.prefetch_list(gi.fanout_begin);
   const auto pin = static_cast<std::uint32_t>(ev.target.pin);
   const std::uint8_t bit = static_cast<std::uint8_t>(1u << pin);
   const std::uint8_t old_word = gi.word;
@@ -420,7 +435,7 @@ void Simulator::schedule_output(GateId gate_id, int pin, const Event& ev, bool n
   const TimeNs tau_in = transitions_[ev.transition.value()].tr.tau;
   const TimeNs in50 = transitions_[ev.transition.value()].tr.t50();
 
-  const TransitionId prev_id = gate.last_out;
+  const TransitionId prev_id = heads_[gate.output.value()].newest;
   const bool has_prev = prev_id.valid();
   const TimeNs prev50 = has_prev ? gate.last_out50 : 0.0;
 
@@ -477,16 +492,15 @@ void Simulator::schedule_output(GateId gate_id, int pin, const Event& ev, bool n
 
   const Edge out_edge = new_output ? Edge::kRise : Edge::kFall;
   const TimeNs tau_out = std::max(delay.tau_out, kMinPulseWidth);
-  const TransitionId id = create_transition(gate.output, out_edge,
-                                            t_out50 - 0.5 * tau_out, tau_out, prev_id);
+  const TransitionId id =
+      create_transition(gate.output, out_edge, t_out50 - 0.5 * tau_out, tau_out);
   if (recorder_ != nullptr) {
     recorder_->on_gate_transition(id.value(), graph_arc(), ev.transition,
                                   has_prev ? prev_id.value() : replay::kNone, rflags);
   }
-  gate.last_out = id;
   gate.last_out50 = transitions_[id.value()].tr.t50();
   gate.output_value = new_output;
-  spawn_events(id);
+  spawn_events(id, gate.fanout_begin, gate.fanout_end);
 }
 
 bool Simulator::can_annihilate(TransitionId tr_id) const {
@@ -498,15 +512,14 @@ void Simulator::annihilate(GateId gate_id, TransitionId tr_id) {
   ensure(!rec.tr.cancelled, "Simulator::annihilate(): transition already cancelled");
 
   // Remove the transition's still-pending fanout events.  Each targets a
-  // fanout input of its line, at most one per input, and an input's list
-  // holds only that line's events.
-  const std::uint32_t sig = rec.tr.signal.value();
-  for (std::uint32_t i = fanout_base_[sig]; i < fanout_base_[sig + 1]; ++i) {
-    const std::uint32_t input = fanout_[i].input;
+  // fanout slot of its line, at most one per slot, and a slot's list holds
+  // only that line's events.
+  GateRec& gate = gates_[gate_id.value()];
+  for (std::uint32_t slot = gate.fanout_begin; slot < gate.fanout_end; ++slot) {
     // The transition is its line's latest, so its event is normally the
     // tail; a resurrected one may sit further up the list.
     EventId mine;
-    for (EventId e = queue_.tail(input); e.valid(); e = queue_.prev(e)) {
+    for (EventId e = queue_.tail(slot); e.valid(); e = queue_.prev(e)) {
       if (queue_.event(e).transition != tr_id) continue;
       debug_ensure(!mine.valid(),
                    "Simulator::annihilate(): two pending events of one transition on an input");
@@ -516,7 +529,7 @@ void Simulator::annihilate(GateId gate_id, TransitionId tr_id) {
     const EventSeq seq = queue_.seq(mine);
     const bool was_head = queue_.cancel(mine);
     ++stats_.events_cancelled;
-    if (recorder_ != nullptr) recorder_->on_cancel(seq, input, was_head);
+    if (recorder_ != nullptr) recorder_->on_cancel(seq, slot, was_head);
   }
 
   // The annihilated pulse never existed at the output, so pair
@@ -525,12 +538,11 @@ void Simulator::annihilate(GateId gate_id, TransitionId tr_id) {
   if (rec.sup_head != kNil) consume_pair_chain(rec, /*resurrect=*/true);
 
   rec.tr.cancelled = true;
-  auto& history = signal_history_[rec.tr.signal.value()];
-  ensure(!history.empty() && history.back() == tr_id,
+  SignalHead& head = heads_[rec.tr.signal.value()];
+  ensure(head.newest == tr_id,
          "Simulator::annihilate(): not the most recent transition on the line");
-  history.pop_back();
-  GateRec& gate = gates_[gate_id.value()];
-  gate.last_out = rec.tr.prev;
+  head.newest = rec.tr.prev;
+  --head.count;
   gate.last_out50 = rec.tr.prev.valid() ? transitions_[rec.tr.prev.value()].tr.t50() : 0.0;
   ++stats_.transitions_annihilated;
   ++stats_.annihilations;
@@ -572,14 +584,15 @@ void Simulator::consume_pair_chain(TransitionRec& rec, bool resurrect) {
     const TransitionId partner = node.pair.partner_cause;
     if (!resurrect || transitions_[partner.value()].tr.cancelled) continue;
     const TimeNs when = std::max(node.pair.partner_time, now_);
-    const auto input = static_cast<std::uint32_t>(input_index(node.pair.target));
-    const EventId id = queue_.insert_sorted(input, when, partner, node.pair.target);
+    const std::uint32_t slot = node.pair.slot;
+    const FanoutEntry& fo = fanout_[slot];
+    const EventId id = queue_.insert_sorted(slot, when, partner, PinRef{fo.gate, fo.pin});
     ++stats_.events_created;
     ++stats_.events_resurrected;
     if (recorder_ != nullptr) {
       recorder_->on_resurrect(queue_.seq(id), node.pair.partner_event,
                               queue_.seq(queue_.prev(id)), queue_.seq(queue_.next(id)),
-                              input);
+                              slot);
     }
   }
 }
@@ -591,30 +604,55 @@ bool Simulator::initial_value(SignalId signal) const {
 }
 
 bool Simulator::final_value(SignalId signal) const {
-  const auto& history = signal_history_.at(signal.value());
-  if (history.empty()) return initial_values_[signal.value()];
-  return transitions_[history.back().value()].tr.final_value();
+  const TransitionId newest = heads_.at(signal.value()).newest;
+  if (!newest.valid()) return initial_values_[signal.value()];
+  return transitions_[newest.value()].tr.final_value();
 }
 
 std::vector<Transition> Simulator::history(SignalId signal) const {
-  std::vector<Transition> out;
-  for (TransitionId id : signal_history_.at(signal.value())) {
-    out.push_back(transitions_[id.value()].tr);
+  const SignalHead& head = heads_.at(signal.value());
+  std::vector<Transition> out(head.count);
+  TransitionId id = head.newest;
+  for (std::size_t k = out.size(); k-- > 0;) {
+    out[k] = transitions_[id.value()].tr;
+    id = out[k].prev;
+  }
+  return out;
+}
+
+SignalHistories Simulator::histories() const {
+  // offsets[s + 1] starts as signal s's first position and serves as its
+  // cursor: after the placing pass it is one past s's last, as a CSR wants.
+  SignalHistories out;
+  out.offsets.resize(heads_.size() + 1);
+  std::uint32_t total = 0;
+  for (std::size_t s = 0; s < heads_.size(); ++s) {
+    out.offsets[s + 1] = total;
+    total += heads_[s].count;
+  }
+  out.ids.resize(total);
+  // Creation order is chain order, so one forward pass places each
+  // signal's surviving transitions oldest first.
+  for (std::size_t t = 0; t < transitions_.size(); ++t) {
+    const Transition& tr = transitions_[t].tr;
+    if (tr.cancelled) continue;
+    out.ids[out.offsets[tr.signal.value() + 1]++] =
+        TransitionId{static_cast<TransitionId::underlying_type>(t)};
   }
   return out;
 }
 
 bool Simulator::value_at(SignalId signal, TimeNs t) const {
-  const auto& history = signal_history_.at(signal.value());
-  for (auto it = history.rbegin(); it != history.rend(); ++it) {
-    const Transition& tr = transitions_[it->value()].tr;
+  for (TransitionId id = heads_.at(signal.value()).newest; id.valid();) {
+    const Transition& tr = transitions_[id.value()].tr;
     if (tr.t50() <= t) return tr.final_value();
+    id = tr.prev;
   }
   return initial_values_[signal.value()];
 }
 
 std::size_t Simulator::toggle_count(SignalId signal) const {
-  return signal_history_.at(signal.value()).size();
+  return heads_.at(signal.value()).count;
 }
 
 bool Simulator::perceived_value(const PinRef& pin) const {
@@ -633,13 +671,13 @@ std::uint64_t Simulator::transition_arena_bytes() const {
 
 std::vector<SignalId> Simulator::most_active_signals(std::size_t n) const {
   std::vector<SignalId> ids;
-  ids.reserve(signal_history_.size());
-  for (std::size_t s = 0; s < signal_history_.size(); ++s) {
+  ids.reserve(heads_.size());
+  for (std::size_t s = 0; s < heads_.size(); ++s) {
     ids.push_back(SignalId{static_cast<SignalId::underlying_type>(s)});
   }
   std::sort(ids.begin(), ids.end(), [this](SignalId a, SignalId b) {
-    const auto ta = signal_history_[a.value()].size();
-    const auto tb = signal_history_[b.value()].size();
+    const auto ta = heads_[a.value()].count;
+    const auto tb = heads_[b.value()].count;
     return ta != tb ? ta > tb : a < b;
   });
   if (ids.size() > n) ids.resize(n);

@@ -33,27 +33,38 @@
 //     the output is one shift -- no per-event input-array walk, no
 //     `eval_cell` call.
 //   * A flattened fanout table built at construction stores, per
-//     (signal, fanout pin): the receiving pin, its flattened input index
-//     and the precomputed threshold crossing fractions VT/VDD -- so
-//     spawn_events() walks one contiguous array with no threshold or cell
-//     lookups.
-//   * A transition is one 48-byte record (the waveform history) plus the
-//     suppressed pairs its spawn recorded, chained through a recycled pool.
-//     A chain is released when the transition's first event fires (it can
-//     then never be annihilated) and consumed when it is annihilated, so
-//     live chains are bounded by circuit activity, not by stimulus length.
-//     Annihilation finds the transition's pending events through the
-//     per-input pending lists below: no second per-transition index.
-//   * The EventQueue owns the per-input pending lists and the heads-only
+//     (signal, fanout pin): the receiving pin and the precomputed threshold
+//     crossing fractions VT/VDD -- so spawn_events() walks one contiguous
+//     array with no threshold or cell lookups.  Each gate input is exactly
+//     one entry of the table, and that entry's index (its fanout slot)
+//     numbers the input's pending list: a transition's receiver lists sit
+//     side by side, as its fanout entries do.
+//   * A transition is one 48-byte record plus the suppressed pairs its
+//     spawn recorded, chained through a recycled pool.  A chain is released
+//     when the transition's first event fires (it can then never be
+//     annihilated) and consumed when it is annihilated, so live chains are
+//     bounded by circuit activity, not by stimulus length.  Annihilation
+//     finds the transition's pending events through the per-slot pending
+//     lists below: no second per-transition index.
+//   * A signal's waveform history is the Transition::prev chain back from
+//     its 8-byte head {newest surviving transition, count}; creating a
+//     transition writes the head, annihilating the newest moves it back.
+//     No per-signal list is kept, so an event writes no history beyond the
+//     transition record itself.  histories() lays every chain out at once.
+//   * The EventQueue owns the per-slot pending lists and the heads-only
 //     heap over them (event_queue.hpp): O(1) pop-front and unlink, O(k)
 //     ordered insert on resurrection, and the queue keeps each non-empty
 //     list's head scheduled.  The simulator only decides: which event the
 //     pair rule cancels, which events an annihilation removes, which ones
-//     it resurrects.  Each event carries its input's flat index, so firing
-//     or cancelling it indexes its pending list directly.  The queue
-//     recycles a fired or cancelled event's slot at once, so the kernel
-//     never holds an EventId past the event's end: the trace and the
-//     suppressed pairs name events by creation sequence.
+//     it resurrects.  Each event carries its input's slot, so firing or
+//     cancelling it indexes its pending list directly.  The queue recycles
+//     a fired or cancelled event's slot at once, so the kernel never holds
+//     an EventId past the event's end: the trace and the suppressed pairs
+//     name events by creation sequence.
+//   * A gate record holds its output's fanout range, so an event that
+//     reaches a gate prefetches the first fanout entry and its pending-list
+//     ends before the gate is evaluated: when the output changes, the
+//     spawn finds them in cache.
 #pragma once
 
 #include <cstdint>
@@ -96,6 +107,21 @@ enum class StopReason { kQueueExhausted, kHorizonReached, kEventLimit };
 struct RunResult {
   StopReason reason = StopReason::kQueueExhausted;
   TimeNs end_time = 0.0;
+};
+
+/// Every signal's surviving history at once, as one CSR over transition
+/// ids: signal s owns ids[offsets[s], offsets[s + 1]), oldest first.  The
+/// whole-waveform readers (the history hash, VCD export, activity, the
+/// trace snapshot) walk it instead of one history() copy per signal.
+struct SignalHistories {
+  std::vector<std::uint32_t> offsets;  ///< num_signals + 1 prefix sums
+  std::vector<TransitionId> ids;
+
+  [[nodiscard]] std::span<const TransitionId> of(SignalId signal) const {
+    const std::uint32_t begin = offsets[signal.value()];
+    return std::span<const TransitionId>(ids).subspan(begin,
+                                                     offsets[signal.value() + 1] - begin);
+  }
 };
 
 class Simulator {
@@ -200,21 +226,24 @@ class Simulator {
   [[nodiscard]] bool initial_value(SignalId signal) const;
   /// Scheduled driver value after all surviving transitions.
   [[nodiscard]] bool final_value(SignalId signal) const;
-  /// Surviving transitions on `signal`, time-ordered.
+  /// Surviving transitions on `signal`, time-ordered (a copy of its chain).
   [[nodiscard]] std::vector<Transition> history(SignalId signal) const;
-  /// The same history in place: surviving transition ids, time-ordered,
-  /// each resolved by transition().  No copy; valid until the next run,
-  /// reset() or rebind().
-  [[nodiscard]] std::span<const TransitionId> history_ids(SignalId signal) const {
-    return signal_history_[signal.value()];
+  /// Every signal's surviving history as one CSR: one pass over the
+  /// transition arena, placed by the heads' counts.  A snapshot: it does not
+  /// follow later runs, reset() or rebind().
+  [[nodiscard]] SignalHistories histories() const;
+  /// The newest surviving transition on `signal` (invalid when none): the
+  /// head of its history chain, O(1).
+  [[nodiscard]] TransitionId newest_transition(SignalId signal) const {
+    return heads_.at(signal.value()).newest;
   }
   [[nodiscard]] const Transition& transition(TransitionId id) const {
     return transitions_[id.value()].tr;
   }
   /// Logic value of `signal` at time `t`, midswing-referenced -- identical
   /// to DigitalWaveform::value_at over the surviving history, but
-  /// allocation-free (backward scan).  Valid for any `t` not later than the
-  /// horizon already simulated.
+  /// allocation-free (walks the chain back from the newest transition).
+  /// Valid for any `t` not later than the horizon already simulated.
   [[nodiscard]] bool value_at(SignalId signal, TimeNs t) const;
   /// Number of surviving transitions (toggle count) on `signal`.
   [[nodiscard]] std::size_t toggle_count(SignalId signal) const;
@@ -248,44 +277,54 @@ class Simulator {
   // ---- static tables (built once in the constructor) ----------------------
 
   /// One receiving pin of a signal, with everything spawn_events() needs
-  /// resolved: the flattened input index and the precomputed crossing
+  /// resolved: the receiving (gate, pin) and the precomputed crossing
   /// fractions (VT/VDD for rising ramps, 1 - VT/VDD for falling ones; read
-  /// once from TimingGraph::threshold_fraction).
+  /// once from TimingGraph::threshold_fraction).  The entry's index in
+  /// fanout_ is its slot: the receiving input's pending list.
   struct FanoutEntry {
     GateId gate;               ///< receiving gate
     std::uint16_t pin = 0;     ///< receiving input pin of `gate`
-    std::uint32_t input = 0;   ///< pending list: flattened (gate, pin) index
     double vt_frac = 0.5;      ///< rising crossing = t_start + tau * vt_frac;
                                ///< falling uses (1 - vt_frac), computed inline
   };
+  static_assert(sizeof(FanoutEntry) == 16, "FanoutEntry: four to a cache line");
 
-  /// One per-gate record holding both the static tables (flattened-pin
-  /// range, interned TimingArc block, the boolean function compiled to a
-  /// truth table indexed by the packed input word; fan-in <= 4 by CellKind)
-  /// and the dynamic state (packed perceived-input word, scheduled output
-  /// value, last surviving output transition and its midswing instant) --
-  /// 32 bytes, so an event touches one cache line of gate state instead of
-  /// three parallel arrays and never loads the previous output transition.
+  /// One per-gate record holding both the static tables (the output's
+  /// fanout slots, interned TimingArc block, the boolean function compiled
+  /// to a truth table indexed by the packed input word; fan-in <= 4 by
+  /// CellKind) and the dynamic state (packed perceived-input word,
+  /// scheduled output value, the newest surviving output transition's
+  /// midswing instant) -- 32 bytes, so an event touches one cache line of
+  /// gate state instead of three parallel arrays and never loads the
+  /// previous output transition.
   struct GateRec {
-    TimeNs last_out50 = 0.0;       ///< dynamic: last_out's t50(), when valid
-    std::uint32_t input_base = 0;  ///< first flattened input index
+    TimeNs last_out50 = 0.0;         ///< dynamic: the output head's t50(), when valid
+    std::uint32_t fanout_begin = 0;  ///< first fanout slot of `output`
     /// First arc of the first gate whose arc block is bitwise identical to
     /// this gate's (the graph's own arc_base when none precedes it).
     std::uint32_t arc_base = 0;
     SignalId output;
-    TransitionId last_out;         ///< dynamic: last surviving output transition
-    std::uint16_t truth = 0;       ///< bit w = output for input word w
+    std::uint32_t fanout_end = 0;    ///< one past the last fanout slot of `output`
+    std::uint16_t truth = 0;         ///< bit w = output for input word w
     std::uint8_t num_inputs = 0;
-    std::uint8_t word = 0;         ///< dynamic: packed perceived-input word
-    bool output_value = false;     ///< dynamic: scheduled output value
+    std::uint8_t word = 0;           ///< dynamic: packed perceived-input word
+    bool output_value = false;       ///< dynamic: scheduled output value
   };
   static_assert(sizeof(GateRec) == 32, "GateRec: half a cache line");
+
+  /// A signal's history head: the newest surviving transition (its chain
+  /// runs back through Transition::prev) and the chain's length.
+  struct SignalHead {
+    TransitionId newest;
+    std::uint32_t count = 0;
+  };
+  static_assert(sizeof(SignalHead) == 8, "SignalHead: eight to a cache line");
 
   // ---- dynamic state -------------------------------------------------------
 
   /// Snapshot allowing resurrection of a pair-cancelled event.
   struct SuppressedPair {
-    PinRef target;
+    std::uint32_t slot = 0;      ///< the receiving input's fanout slot (pending list)
     TransitionId partner_cause;  ///< transition whose event was deleted
     EventSeq partner_event = 0;  ///< the deleted event's creation sequence (trace id)
     TimeNs partner_time = 0.0;
@@ -295,7 +334,8 @@ class Simulator {
 
   /// Per-transition record: the waveform POD plus the chain of pairs its
   /// spawn cancelled.  Grows with the history (that is the waveform
-  /// output); the chain nodes live in the recycled pair_pool_.
+  /// output, chained per signal through tr.prev); the chain nodes live in
+  /// the recycled pair_pool_.
   struct TransitionRec {
     Transition tr;
     std::uint32_t sup_head = kNil;  ///< suppressed-pair chain, append order
@@ -309,15 +349,12 @@ class Simulator {
     std::uint32_t next = kNil;
   };
 
-  [[nodiscard]] std::size_t input_index(const PinRef& pin) const {
-    return gates_[pin.gate.value()].input_base + static_cast<std::size_t>(pin.pin);
-  }
-
   RunResult run_impl(TimeNs horizon);
-  TransitionId create_transition(SignalId signal, Edge edge, TimeNs t_start, TimeNs tau,
-                                 TransitionId prev);
-  /// Generates fanout events for a fresh transition, applying the pair rule.
-  void spawn_events(TransitionId tr_id);
+  /// Appends a transition on `signal` behind its history head.
+  TransitionId create_transition(SignalId signal, Edge edge, TimeNs t_start, TimeNs tau);
+  /// Generates a fresh transition's events on the fanout slots
+  /// [first, last) of its signal, applying the pair rule.
+  void spawn_events(TransitionId tr_id, std::uint32_t first, std::uint32_t last);
   void handle_event(const Event& ev);
   void schedule_output(GateId gate_id, int pin, const Event& ev, bool new_output);
   [[nodiscard]] bool can_annihilate(TransitionId tr_id) const;
@@ -343,22 +380,23 @@ class Simulator {
   const TimingArc* arcs_ = nullptr;  ///< timing_->arcs().data(), cached
   std::vector<GateRec> gates_;  ///< static + dynamic per-gate record
   std::size_t distinct_arcs_ = 0;            // arcs in non-interned blocks
-  std::vector<FanoutEntry> fanout_;          // flattened over signals
-  std::vector<std::uint32_t> fanout_base_;   // signal -> first index; size+1
+  std::vector<FanoutEntry> fanout_;          // flattened over signals; index = slot
+  std::vector<std::uint32_t> fanout_base_;   // signal -> first slot; size+1
   std::vector<GateId> topo_order_;           // cached: steady-state sweep order
   int depth_ = 0;                            // cached: arena reserve estimate
   bool has_cycles_ = false;                  // cached: steady-state sweep bound
 
   // dynamic state
-  EventQueue queue_;  ///< events, per-input pending lists, heads-only heap
+  EventQueue queue_;  ///< events, per-slot pending lists, heads-only heap
   std::vector<TransitionRec> transitions_;
   std::vector<PairNode> pair_pool_;
   std::uint32_t pair_free_ = kNil;
   std::uint64_t live_transitions_ = 0;  ///< transitions holding a pair chain
   std::uint64_t peak_live_transitions_ = 0;
-  /// Per signal, its surviving transitions: annihilate() pops the one it
-  /// cancels, so no entry is ever cancelled.
-  std::vector<std::vector<TransitionId>> signal_history_;
+  /// Per signal, its history head: create_transition() pushes onto the
+  /// chain, annihilate() pops the newest, so the chain never holds a
+  /// cancelled transition.
+  std::vector<SignalHead> heads_;
   std::vector<bool> initial_values_;
   TimeNs now_ = 0.0;
   bool stimulus_applied_ = false;

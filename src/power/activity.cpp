@@ -13,9 +13,11 @@ ActivityReport compute_activity(const Simulator& sim, TimeNs glitch_width) {
   ActivityReport report;
   report.window = sim.now();
 
+  const SignalHistories all = sim.histories();
   for (std::size_t s = 0; s < netlist.num_signals(); ++s) {
     const SignalId sid{static_cast<SignalId::underlying_type>(s)};
-    const auto history = sim.history(sid);
+    const auto history = all.of(sid);
+    const auto t50 = [&](std::size_t i) { return sim.transition(history[i]).t50(); };
     SignalActivity activity;
     activity.signal = sid;
     activity.name = netlist.signal(sid).name;
@@ -24,10 +26,9 @@ ActivityReport compute_activity(const Simulator& sim, TimeNs glitch_width) {
     activity.energy_pj =
         0.5 * activity.load * vdd * vdd * static_cast<double>(history.size());
     for (std::size_t i = 1; i < history.size(); ++i) {
-      if (history[i].t50() - history[i - 1].t50() < glitch_width) {
+      if (t50(i) - t50(i - 1) < glitch_width) {
         activity.glitch_transitions += 2;  // both edges of the narrow pulse
-        if (i >= 2 &&
-            history[i - 1].t50() - history[i - 2].t50() < glitch_width) {
+        if (i >= 2 && t50(i - 1) - t50(i - 2) < glitch_width) {
           --activity.glitch_transitions;  // shared edge counted once
         }
       }
@@ -56,15 +57,17 @@ std::vector<std::uint64_t> pulse_width_histogram(const Simulator& sim,
   }
   std::vector<std::uint64_t> counts(bin_edges.size() + 1, 0);
   const Netlist& netlist = sim.netlist();
+  const SignalHistories all = sim.histories();
   for (std::size_t s = 0; s < netlist.num_signals(); ++s) {
     const SignalId sid{static_cast<SignalId::underlying_type>(s)};
-    const auto history = sim.history(sid);
+    const auto history = all.of(sid);
+    const auto t50 = [&](std::size_t i) { return sim.transition(history[i]).t50(); };
     // A pulse is an excursion from the signal's resting value: edge 0
     // leaves it, edge 1 returns, so pairs (0,1), (2,3), ... are pulses and
     // the odd->even intervals are quiescent gaps (counting those would
     // drown the wide bins in inter-vector idle time).
     for (std::size_t i = 1; i < history.size(); i += 2) {
-      const TimeNs width = history[i].t50() - history[i - 1].t50();
+      const TimeNs width = t50(i) - t50(i - 1);
       const auto it = std::upper_bound(bin_edges.begin(), bin_edges.end(), width);
       ++counts[static_cast<std::size_t>(it - bin_edges.begin())];
     }

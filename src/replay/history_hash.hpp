@@ -41,27 +41,23 @@ inline constexpr std::uint64_t kFnvOffset = kFnv1aOffset;
 
 /// Hash of all surviving transitions of a finished (or stopped) run: the
 /// CLI's `--hash`, perf_report's history_hash and the replay oracle.  The
-/// walk reads each history in place and prefetches the transition records
-/// of the signal kHashPrefetchAhead places on: a signal's records are
-/// scattered over the transition arena, so the walk is bound by their
-/// cache misses, not by the hash arithmetic.
+/// walk reads every history from one Simulator::histories() layout and
+/// prefetches the transition record kHashPrefetchAhead ids on: a signal's
+/// records are scattered over the transition arena, so the walk is bound
+/// by their cache misses, not by the hash arithmetic.
 [[nodiscard]] inline std::uint64_t hash_sim_history(const Simulator& sim) {
-  constexpr std::size_t kHashPrefetchAhead = 4;
-  const auto signal = [](std::size_t s) {
-    return SignalId{static_cast<SignalId::underlying_type>(s)};
-  };
+  constexpr std::size_t kHashPrefetchAhead = 16;
+  const SignalHistories all = sim.histories();
+  const std::size_t num_ids = all.ids.size();
   std::uint64_t hash = kFnvOffset;
   const std::size_t num_signals = sim.netlist().num_signals();
   for (std::size_t s = 0; s < num_signals; ++s) {
-    if (s + kHashPrefetchAhead < num_signals) {
-      for (const TransitionId ahead : sim.history_ids(signal(s + kHashPrefetchAhead))) {
-        __builtin_prefetch(&sim.transition(ahead));
+    hash = hash_signal_header(hash, SignalId{static_cast<SignalId::underlying_type>(s)});
+    for (std::size_t k = all.offsets[s]; k < all.offsets[s + 1]; ++k) {
+      if (k + kHashPrefetchAhead < num_ids) {
+        __builtin_prefetch(&sim.transition(all.ids[k + kHashPrefetchAhead]));
       }
-    }
-    const SignalId id = signal(s);
-    hash = hash_signal_header(hash, id);
-    for (const TransitionId t : sim.history_ids(id)) {
-      const Transition& tr = sim.transition(t);
+      const Transition& tr = sim.transition(all.ids[k]);
       hash = hash_transition(hash, tr.edge, tr.t_start, tr.tau);
     }
   }

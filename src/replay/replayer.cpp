@@ -229,11 +229,11 @@ ReplayOutcome TraceReplayer::replay(std::span<const TimingArc> arcs,
         break;
 
       case OpKind::kResurrect: {
-        const auto input = static_cast<std::uint32_t>(op.x);
+        const auto list = static_cast<std::uint32_t>(op.x);
         // Same expression as consume_pair_chain: when = max(partner, now).
         const TimeNs when = std::max(ev_[op.b], now);
         ev_[op.a] = when;
-        if (!touch(last_list_[input])) {
+        if (!touch(last_list_[list])) {
           return {false, i};
         }
         // The sorted re-insert must land between the same neighbours.  The

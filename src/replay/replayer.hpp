@@ -102,7 +102,7 @@ class TraceReplayer {
   std::vector<Ramp> tr_;          ///< recomputed ramps, per transition
   std::vector<TimeNs> ev_;        ///< recomputed (clamped) event times
   std::vector<BirthMeta> birth_;  ///< static creation records, per event
-  std::vector<Touch> last_list_;  ///< per-input serialization clocks
+  std::vector<Touch> last_list_;  ///< per-list (fanout slot) serialization clocks
   std::vector<Touch> last_gate_;  ///< per-gate serialization clocks
   bool have_times_ = false;
 };

@@ -15,9 +15,9 @@ namespace {
 TimeNs latest_t50(const Simulator& sim, std::span<const SignalId> signals) {
   TimeNs latest = 0.0;
   for (const SignalId s : signals) {
-    const std::vector<Transition> history = sim.history(s);
-    if (history.empty()) continue;
-    latest = std::max(latest, history.back().t50());
+    const TransitionId newest = sim.newest_transition(s);
+    if (!newest.valid()) continue;
+    latest = std::max(latest, sim.transition(newest).t50());
   }
   return latest;
 }

@@ -48,6 +48,9 @@ inline constexpr std::uint32_t kNone = 0xFFFFFFFFu;
 // An "event id" below is the event's creation sequence (EventSeq): its
 // ordinal among the run's created events, never reused, even though the
 // kernel recycles the event's storage slot once it fires or is cancelled.
+// A "list" is a pending list, named by the receiving input's fanout slot
+// (its entry in the simulator's flattened fanout table); the replayer uses
+// it only as a serialization domain.
 
 enum class OpKind : std::uint8_t {
   /// Gate output evaluation at the instant of the last kFire event:
@@ -57,25 +60,25 @@ enum class OpKind : std::uint8_t {
   kGateTr,
   /// Fanout event inserted at the tail of an input's pending list:
   /// a = event id, b = causing transition, c = previous tail event
-  /// (kNone if the list was empty), d = input index,
+  /// (kNone if the list was empty), d = list,
   /// x = applied threshold fraction.
   kSpawn,
   /// Pair rule fired (paper Fig. 4): the new crossing did not come after
   /// the pending previous event, which was cancelled and the new one
   /// suppressed.  a = cancelled event, b = causing transition,
-  /// c = input index, x = applied threshold fraction; kOpWasHead set when
+  /// c = list, x = applied threshold fraction; kOpWasHead set when
   /// the cancelled event was the list head (i.e. live in the heap).
   kPairCancel,
-  /// Event popped and processed: a = event id, b = input index,
+  /// Event popped and processed: a = event id, b = list,
   /// c = target gate.
   kFire,
   /// Annihilation-path cancellation of a still-pending spawned event:
-  /// a = event id, b = input index; kOpWasHead as for kPairCancel.
+  /// a = event id, b = list; kOpWasHead as for kPairCancel.
   kCancel,
   /// Pair-cancelled partner event restored by an output-pulse
   /// annihilation: a = new event id, b = the cancelled partner event it
   /// recreates, c / d = pending-list neighbours after the sorted insert
-  /// (kNone at either end), x = input index (the integer slots are full).
+  /// (kNone at either end), x = list (the integer slots are full).
   kResurrect,
   /// Event still pending when the run stopped: a = event id.  Emitted by
   /// finish_recording() so the replayer can verify the perturbed times
@@ -134,7 +137,7 @@ struct Trace {
   std::size_t num_transitions = 0;
   std::size_t num_events = 0;  ///< events created: every event id is below it
   std::size_t num_arcs = 0;
-  std::size_t num_inputs = 0;  ///< pending-list count (serialization domains)
+  std::size_t num_inputs = 0;  ///< pending-list (fanout slot) count: serialization domains
   std::size_t num_gates = 0;   ///< gate count (serialization domains)
   TimeNs horizon = kNeverNs;
   /// Sealed by finish_recording() and re-timeable.  A run stopped by the
@@ -176,57 +179,57 @@ class TraceRecorder {
   }
 
   void on_spawn(std::uint32_t event, TransitionId cause, double frac, std::uint32_t prev_tail,
-                std::uint32_t input) {
+                std::uint32_t list) {
     TraceOp op;
     op.kind = OpKind::kSpawn;
     op.a = event;
     op.b = cause.value();
     op.c = prev_tail;
-    op.d = input;
+    op.d = list;
     op.x = frac;
     trace_.ops.push_back(op);
   }
 
   void on_pair_cancel(std::uint32_t prev, TransitionId cause, double frac,
-                      std::uint32_t input, bool was_head) {
+                      std::uint32_t list, bool was_head) {
     TraceOp op;
     op.kind = OpKind::kPairCancel;
     op.flags = was_head ? kOpWasHead : 0;
     op.a = prev;
     op.b = cause.value();
-    op.c = input;
+    op.c = list;
     op.x = frac;
     trace_.ops.push_back(op);
   }
 
-  void on_fire(std::uint32_t event, std::uint32_t input, std::uint32_t gate) {
+  void on_fire(std::uint32_t event, std::uint32_t list, std::uint32_t gate) {
     TraceOp op;
     op.kind = OpKind::kFire;
     op.a = event;
-    op.b = input;
+    op.b = list;
     op.c = gate;
     trace_.ops.push_back(op);
   }
 
-  void on_cancel(std::uint32_t event, std::uint32_t input, bool was_head) {
+  void on_cancel(std::uint32_t event, std::uint32_t list, bool was_head) {
     TraceOp op;
     op.kind = OpKind::kCancel;
     op.flags = was_head ? kOpWasHead : 0;
     op.a = event;
-    op.b = input;
+    op.b = list;
     trace_.ops.push_back(op);
   }
 
   void on_resurrect(std::uint32_t event, std::uint32_t partner,
                     std::uint32_t prev_neighbour, std::uint32_t next_neighbour,
-                    std::uint32_t input) {
+                    std::uint32_t list) {
     TraceOp op;
     op.kind = OpKind::kResurrect;
     op.a = event;
     op.b = partner;
     op.c = prev_neighbour;
     op.d = next_neighbour;
-    op.x = static_cast<double>(input);
+    op.x = static_cast<double>(list);
     trace_.ops.push_back(op);
   }
 

@@ -69,10 +69,14 @@ VcdWriter vcd_from_simulator(const Simulator& sim, std::span<const SignalId> sig
                              std::string module_name) {
   VcdWriter vcd(std::move(module_name));
   const Netlist& netlist = sim.netlist();
+  const SignalHistories all = sim.histories();
   const auto add = [&](SignalId id) {
-    vcd.add_signal(netlist.signal(id).name,
-                   DigitalWaveform::from_transitions(sim.initial_value(id),
-                                                     sim.history(id)));
+    DigitalWaveform wave(sim.initial_value(id));
+    for (const TransitionId t : all.of(id)) {
+      const Transition& tr = sim.transition(t);
+      wave.append(tr.t50(), tr.edge, tr.tau);
+    }
+    vcd.add_signal(netlist.signal(id).name, wave);
   };
   if (signals.empty()) {
     for (std::size_t s = 0; s < netlist.num_signals(); ++s) {

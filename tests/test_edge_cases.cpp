@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <set>
+#include <span>
+#include <vector>
 
 #include "src/circuits/generators.hpp"
 #include "src/core/simulator.hpp"
+#include "src/replay/trace.hpp"
 
 namespace halotis {
 namespace {
@@ -31,21 +35,91 @@ TEST_F(EdgeCases, GatelessNetlistSimulates) {
 }
 
 TEST_F(EdgeCases, SameSignalOnTwoPinsOfOneGate) {
-  // AND2(a, a) == BUF(a): both pins receive events from the same line.
+  // AND2(a, a) == BUF(a): both pins receive events from the same line, so
+  // `a`'s two fanout slots are g's two pending lists, side by side.
   Netlist nl(lib_);
-  const SignalId a = nl.add_primary_input("a");
+  const SignalId x = nl.add_primary_input("x");
+  const SignalId a = nl.add_signal("a");
   const SignalId y = nl.add_signal("y");
   nl.mark_primary_output(y);
+  (void)nl.add_gate("d", CellKind::kBuf, std::array<SignalId, 1>{x}, a);
   const std::array<SignalId, 2> ins{a, a};
   (void)nl.add_gate("g", CellKind::kAnd2, ins, y);
 
   Stimulus stim(0.4);
-  stim.add_edge(a, 2.0, true);
-  stim.add_edge(a, 8.0, false);
+  stim.add_edge(x, 2.0, true);
+  stim.add_edge(x, 8.0, false);
+  // A 50 ps pulse: the buffer d collapses it after `a`'s rise has
+  // scheduled both of g's inputs, so the annihilation cancels an event on
+  // each of g's lists.
+  stim.add_edge(x, 14.0, true);
+  stim.add_edge(x, 14.05, false);
+  // A 177 ps low pulse: it crosses the buffer d, but on `a` it is too
+  // narrow to cross g's input threshold, so the pair rule cancels it on
+  // each of g's lists.
+  stim.add_edge(x, 17.0, true);
+  stim.add_edge(x, 20.0, false);
+  stim.add_edge(x, 20.177, true);
+  stim.add_edge(x, 26.0, false);
   Simulator sim(nl, ddm_);
+  replay::TraceRecorder recorder;
+  sim.record_into(&recorder);
   sim.apply_stimulus(stim);
-  (void)sim.run();
-  EXPECT_EQ(sim.history(y).size(), 2u);
+  sim.finish_recording(sim.run());
+
+  // g's lists are the slots of `a`'s fanout entries, after x's one entry.
+  const std::set<std::uint32_t> g_lists{1, 2};
+  std::set<std::uint32_t> cancelled_on, pair_cancelled_on;
+  for (const replay::TraceOp& op : recorder.trace().ops) {
+    if (op.kind == replay::OpKind::kCancel) cancelled_on.insert(op.b);
+    if (op.kind == replay::OpKind::kPairCancel) pair_cancelled_on.insert(op.c);
+  }
+  EXPECT_EQ(cancelled_on, g_lists);
+  EXPECT_EQ(pair_cancelled_on, g_lists);
+
+  // Values taken from the kernel that numbered pending lists by flat gate
+  // input: numbering them by fanout slot must not move any of them.
+  const SimStats& st = sim.stats();
+  EXPECT_EQ(st.events_created, 20u);
+  EXPECT_EQ(st.events_processed, 16u);
+  EXPECT_EQ(st.events_cancelled, 4u);
+  EXPECT_EQ(st.events_suppressed, 2u);
+  EXPECT_EQ(st.events_resurrected, 0u);
+  EXPECT_EQ(st.pair_cancellations, 2u);
+  EXPECT_EQ(st.annihilations, 1u);
+  EXPECT_EQ(st.ddm_collapses, 1u);
+  EXPECT_EQ(st.cdm_inertial_filtered, 0u);
+  EXPECT_EQ(st.clamped_pulses, 0u);
+  EXPECT_EQ(st.transitions_created, 19u);
+  EXPECT_EQ(st.transitions_annihilated, 1u);
+  EXPECT_EQ(st.gate_evaluations, 16u);
+
+  struct Ramp {
+    Edge edge;
+    TimeNs t_start;
+    TimeNs tau;
+  };
+  const auto expect_history = [&](SignalId sig, std::span<const Ramp> want) {
+    const std::vector<Transition> got = sim.history(sig);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(got[k].edge, want[k].edge) << k;
+      EXPECT_EQ(got[k].t_start, want[k].t_start) << k;
+      EXPECT_EQ(got[k].tau, want[k].tau) << k;
+    }
+  };
+  const std::array<Ramp, 6> a_history{{{Edge::kRise, 2.1068349999999998, 0.31864000000000003},
+                                       {Edge::kFall, 8.1279649999999997, 0.27292000000000005},
+                                       {Edge::kRise, 17.106835, 0.31864000000000003},
+                                       {Edge::kFall, 20.127965, 0.27292000000000005},
+                                       {Edge::kRise, 20.120928836885742, 0.31864000000000003},
+                                       {Edge::kFall, 26.127965, 0.27292000000000005}}};
+  const std::array<Ramp, 4> y_history{{{Edge::kRise, 2.3413195999999998, 0.16311999999999999},
+                                       {Edge::kFall, 8.386353999999999, 0.13036},
+                                       {Edge::kRise, 17.341319600000002, 0.16311999999999999},
+                                       {Edge::kFall, 26.386353999999997, 0.13036}}};
+  expect_history(a, a_history);
+  expect_history(y, y_history);
   EXPECT_FALSE(sim.final_value(y));
 }
 

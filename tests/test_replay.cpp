@@ -180,16 +180,17 @@ TEST_F(ReplayOracleTest, IdentityReplayMatchesRecordingBitForBit) {
 
 /// Every gate-evaluation op of `trace` must name the graph's own arc of
 /// (fired gate, fired pin, output edge) -- never the interned twin the
-/// kernel evaluated.  The pin comes from the preceding kFire's flat input
-/// index; the edge from the surviving history where the transition is in
-/// it, otherwise the op must name one of the pin's two arcs.
+/// kernel evaluated.  The pin comes from the preceding kFire's list id, a
+/// fanout slot: the position of (gate, pin) in the netlist's fanout lists
+/// taken signal by signal; the edge from the surviving history where the
+/// transition is in it, otherwise the op must name one of the pin's two arcs.
 void expect_graph_arc_ids(const replay::Trace& trace, const Netlist& netlist,
                           const TimingGraph& graph) {
-  std::vector<std::uint32_t> input_base(netlist.num_gates() + 1, 0);
-  for (std::uint32_t g = 0; g < netlist.num_gates(); ++g) {
-    input_base[g + 1] =
-        input_base[g] + static_cast<std::uint32_t>(netlist.gate(GateId{g}).inputs.size());
+  std::vector<PinRef> slot_pin;
+  for (std::uint32_t s = 0; s < netlist.num_signals(); ++s) {
+    for (const PinRef& ref : netlist.signal(SignalId{s}).fanout) slot_pin.push_back(ref);
   }
+  ASSERT_EQ(slot_pin.size(), trace.num_inputs);
   std::vector<int> rise(trace.num_transitions, -1);
   for (const auto& line : trace.history) {
     for (const replay::TraceHistoryEntry& entry : line) rise[entry.transition] = entry.rise;
@@ -200,7 +201,8 @@ void expect_graph_arc_ids(const replay::Trace& trace, const Netlist& netlist,
   for (const replay::TraceOp& op : trace.ops) {
     if (op.kind == replay::OpKind::kFire) {
       gate = op.c;
-      pin = static_cast<int>(op.b - input_base[gate]);
+      ASSERT_EQ(slot_pin[op.b].gate.value(), gate);
+      pin = slot_pin[op.b].pin;
       continue;
     }
     if (op.kind != replay::OpKind::kGateTr) continue;

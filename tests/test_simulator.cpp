@@ -3,11 +3,14 @@
 // CDM classical filtering, stop conditions and global consistency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <string>
 #include <vector>
 
+#include "src/circuits/generators.hpp"
+#include "src/circuits/stimuli.hpp"
 #include "src/core/simulator.hpp"
 #include "src/replay/history_hash.hpp"
 #include "src/replay/trace.hpp"
@@ -646,6 +649,177 @@ TEST_F(SimulatorTest, RebindRejectsGraphFromAnotherNetlist) {
   const TimingGraph graph_other = TimingGraph::build(other.nl, ddm_.timing_policy());
   Simulator sim(a.nl, ddm_, graph_a);
   EXPECT_THROW(sim.rebind(a.nl, ddm_, graph_other), ContractViolation);
+}
+
+// ---- the history chains against a brute-force filter of the arena -------
+
+/// Every history reader -- history(), the histories() slice,
+/// newest_transition(), toggle_count(), final_value() and value_at() at each
+/// surviving t50 and 1 ps either side, and the most_active_signals() ranking
+/// -- must equal a brute-force filter of the transition arena: each
+/// signal's non-cancelled records in creation order.
+void expect_chains_match_arena(const Simulator& sim) {
+  const Netlist& nl = sim.netlist();
+  std::vector<std::vector<std::uint32_t>> want(nl.num_signals());
+  for (std::uint64_t t = 0; t < sim.stats().transitions_created; ++t) {
+    const TransitionId id{static_cast<TransitionId::underlying_type>(t)};
+    const Transition& tr = sim.transition(id);
+    if (!tr.cancelled) want[tr.signal.value()].push_back(id.value());
+  }
+  const SignalHistories all = sim.histories();
+  ASSERT_EQ(all.offsets.size(), nl.num_signals() + 1);
+  ASSERT_EQ(all.offsets.back(), all.ids.size());
+  for (std::uint32_t s = 0; s < nl.num_signals(); ++s) {
+    const SignalId sid{s};
+    const std::vector<std::uint32_t>& line = want[s];
+    SCOPED_TRACE("signal " + nl.signal(sid).name);
+
+    std::vector<std::uint32_t> slice;
+    for (const TransitionId id : all.of(sid)) slice.push_back(id.value());
+    EXPECT_EQ(slice, line);
+
+    const std::vector<Transition> copy = sim.history(sid);
+    ASSERT_EQ(copy.size(), line.size());
+    for (std::size_t k = 0; k < line.size(); ++k) {
+      const Transition& tr = sim.transition(TransitionId{line[k]});
+      EXPECT_EQ(copy[k].signal, tr.signal);
+      EXPECT_EQ(copy[k].edge, tr.edge);
+      EXPECT_EQ(copy[k].t_start, tr.t_start);
+      EXPECT_EQ(copy[k].tau, tr.tau);
+      EXPECT_EQ(copy[k].prev, tr.prev);
+      EXPECT_FALSE(copy[k].cancelled);
+    }
+
+    EXPECT_EQ(sim.toggle_count(sid), line.size());
+    EXPECT_EQ(sim.newest_transition(sid).valid(), !line.empty());
+    if (!line.empty()) {
+      EXPECT_EQ(sim.newest_transition(sid).value(), line.back());
+    }
+    const bool initial = sim.initial_value(sid);
+    EXPECT_EQ(sim.final_value(sid),
+              line.empty() ? initial : sim.transition(TransitionId{line.back()}).final_value());
+
+    // Forward scan over the filtered records: the last one with t50 <= t.
+    const auto oracle_at = [&](TimeNs t) {
+      bool value = initial;
+      for (const std::uint32_t id : line) {
+        const Transition& tr = sim.transition(TransitionId{id});
+        if (tr.t50() > t) break;
+        value = tr.final_value();
+      }
+      return value;
+    };
+    for (const std::uint32_t id : line) {
+      const TimeNs t50 = sim.transition(TransitionId{id}).t50();
+      for (const TimeNs t : {t50 - 0.001, t50, t50 + 0.001}) {
+        EXPECT_EQ(sim.value_at(sid, t), oracle_at(t)) << "t = " << t;
+      }
+    }
+  }
+
+  // Most transitions first, ties by signal id.
+  std::vector<std::uint32_t> ranking(nl.num_signals());
+  for (std::uint32_t s = 0; s < ranking.size(); ++s) ranking[s] = s;
+  std::stable_sort(ranking.begin(), ranking.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return want[a].size() > want[b].size();
+  });
+  ranking.resize(std::min<std::size_t>(ranking.size(), 8));
+  std::vector<std::uint32_t> got;
+  for (const SignalId s : sim.most_active_signals(8)) got.push_back(s.value());
+  EXPECT_EQ(got, ranking);
+}
+
+TEST_F(SimulatorTest, ChainsMatchTheArenaUnderAnnihilations) {
+  const LayeredCircuit dag = make_layered_circuit(lib_, 30, 20, 0xC4A1);
+  const Stimulus stim = staggered_random_stimulus(dag.inputs, 10, 3, 0.2);
+  for (const DelayModel* model : {static_cast<const DelayModel*>(&ddm_),
+                                  static_cast<const DelayModel*>(&cdm_)}) {
+    SCOPED_TRACE(std::string(model->name()));
+    Simulator sim(dag.netlist, *model);
+    sim.apply_stimulus(stim);
+    (void)sim.run();
+    EXPECT_GT(sim.stats().transitions_annihilated, 0u);
+    expect_chains_match_arena(sim);
+  }
+}
+
+TEST_F(SimulatorTest, ChainsMatchTheArenaOnResurrectionDesigns) {
+  // The replay suite's resurrection recordings (ResurrectionReplaysBitExact).
+  struct Case {
+    int width;
+    int depth;
+    std::uint64_t stim_seed;
+  };
+  for (const Case c : {Case{40, 30, 10}, Case{40, 30, 14}, Case{20, 20, 70}}) {
+    SCOPED_TRACE("stimulus " + std::to_string(c.stim_seed));
+    const LayeredCircuit dag = make_layered_circuit(lib_, c.width, c.depth, 0xA000);
+    const Stimulus stim = staggered_random_stimulus(dag.inputs, 8, c.stim_seed, 0.2);
+    Simulator sim(dag.netlist, ddm_);
+    sim.apply_stimulus(stim);
+    (void)sim.run();
+    EXPECT_GE(sim.stats().events_resurrected, 1u);
+    expect_chains_match_arena(sim);
+  }
+}
+
+TEST_F(SimulatorTest, ChainsMatchTheArenaUnderAStuckAtFault) {
+  const LayeredCircuit dag = make_layered_circuit(lib_, 30, 20, 0xC4A1);
+  const Stimulus stim = staggered_random_stimulus(dag.inputs, 10, 3, 0.2);
+  Simulator sim(dag.netlist, ddm_);
+  // A first-layer gate output: the gate's own transitions stay in the
+  // history, its receivers see the constant.
+  const SignalId site = dag.netlist.gate(GateId{0}).output;
+  sim.inject_stuck_at(site, true);
+  sim.apply_stimulus(stim);
+  (void)sim.run();
+  EXPECT_GT(sim.toggle_count(site), 0u);
+  expect_chains_match_arena(sim);
+}
+
+TEST_F(SimulatorTest, ChainsMatchTheArenaAtAnEventLimitStop) {
+  const LayeredCircuit dag = make_layered_circuit(lib_, 30, 20, 0xC4A1);
+  const Stimulus stim = staggered_random_stimulus(dag.inputs, 10, 3, 0.2);
+  SimConfig config;
+  config.max_events = 2500;
+  Simulator sim(dag.netlist, ddm_, config);
+  sim.apply_stimulus(stim);
+  EXPECT_EQ(sim.run().reason, StopReason::kEventLimit);
+  expect_chains_match_arena(sim);
+}
+
+TEST_F(SimulatorTest, ChainsMatchTheArenaBetweenRunUntilSegments) {
+  const LayeredCircuit dag = make_layered_circuit(lib_, 30, 20, 0xC4A1);
+  const Stimulus stim = staggered_random_stimulus(dag.inputs, 10, 3, 0.2);
+  Simulator sim(dag.netlist, ddm_);
+  sim.apply_stimulus(stim);
+  for (const TimeNs t : {6.0, 12.5, 25.0}) {
+    SCOPED_TRACE("run_until " + std::to_string(t));
+    EXPECT_EQ(sim.run_until(t).reason, StopReason::kHorizonReached);
+    expect_chains_match_arena(sim);
+  }
+  EXPECT_EQ(sim.run().reason, StopReason::kQueueExhausted);
+  expect_chains_match_arena(sim);
+}
+
+TEST_F(SimulatorTest, ChainsMatchTheArenaAcrossARebind) {
+  const LayeredCircuit wide = make_layered_circuit(lib_, 30, 20, 0xC4A1);
+  const LayeredCircuit small = make_layered_circuit(lib_, 8, 6, 0x5EED);
+  const Stimulus wide_stim = staggered_random_stimulus(wide.inputs, 10, 3, 0.2);
+  const Stimulus small_stim = staggered_random_stimulus(small.inputs, 10, 4, 0.2);
+  const TimingGraph wide_graph = TimingGraph::build(wide.netlist, ddm_.timing_policy());
+  const TimingGraph small_graph = TimingGraph::build(small.netlist, ddm_.timing_policy());
+  Simulator sim(wide.netlist, ddm_, wide_graph);
+  sim.apply_stimulus(wide_stim);
+  (void)sim.run();
+  expect_chains_match_arena(sim);
+  sim.rebind(small.netlist, ddm_, small_graph);
+  sim.apply_stimulus(small_stim);
+  (void)sim.run();
+  expect_chains_match_arena(sim);
+  sim.rebind(wide.netlist, ddm_, wide_graph);
+  sim.apply_stimulus(wide_stim);
+  (void)sim.run();
+  expect_chains_match_arena(sim);
 }
 
 }  // namespace
