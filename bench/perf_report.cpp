@@ -561,7 +561,8 @@ ReplayThroughputResult run_replay_throughput(const Library& lib, bool quick) {
   SplitMix64 seed_rng(0x5EEDBA5EULL);
   for (std::uint64_t& s : seeds) s = seed_rng.next();
 
-  replay::ResimEngine engine(mult.netlist, ddm, stim, SimConfig{});
+  replay::ResimEngine engine(TimingGraph::build(mult.netlist, ddm.timing_policy()), ddm, stim,
+                             SimConfig{});
   auto start = std::chrono::steady_clock::now();
   engine.record();
   result.record_wall_s = seconds_since(start);

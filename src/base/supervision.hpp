@@ -87,7 +87,8 @@ struct RunBudget {
   /// reset()s).  Unlike SimConfig::max_events -- which *stops* the run
   /// with StopReason::kEventLimit -- exceeding a budget is an error.
   std::uint64_t max_events = 0;
-  /// Transition + event arena byte footprint.
+  /// Transition + event arena bytes this run has written (record counts
+  /// and high-water marks, not reserved capacity).
   std::uint64_t max_arena_bytes = 0;
   /// Wall-clock deadline in seconds, measured from RunSupervisor::arm().
   double deadline_s = 0.0;

@@ -5,8 +5,8 @@
 // elaborates its TimingPolicy into per-instance arcs, and the kernel, STA
 // and the replayer evaluate those arcs with eval_arc()
 // (timing/timing_arc.hpp).  The event thresholds live in the graph too
-// (TimingGraph::threshold_fraction).  Per-instance process variation is two
-// policy fields (variation_sigma, variation_seed) on either model.
+// (TimingGraph::threshold_fraction).  Per-instance process variation is not
+// a model: TimingGraph::vary() derates an elaborated graph of either one.
 #pragma once
 
 #include <string_view>

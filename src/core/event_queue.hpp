@@ -150,10 +150,12 @@ class EventQueue {
   /// Events created since the last clear(): the next creation sequence.
   [[nodiscard]] std::uint64_t created_count() const { return next_seq_; }
 
-  /// Approximate byte footprint of the event arena and heap (capacity):
-  /// bounded by the most events pending at once, not by events created.
+  /// Byte footprint of the event arena and heap at their high-water marks
+  /// since the last clear() -- the slots this run has used, not the
+  /// capacity an earlier run left behind: bounded by the most events
+  /// pending at once, not by events created.
   [[nodiscard]] std::uint64_t arena_bytes() const {
-    return nodes_.capacity() * sizeof(Node) + heap_.capacity() * sizeof(HeapSlot);
+    return nodes_.size() * sizeof(Node) + peak_size_ * sizeof(HeapSlot);
   }
 
  private:

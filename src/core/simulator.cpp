@@ -376,7 +376,7 @@ RunResult Simulator::run_impl(TimeNs horizon) {
       // in), so the event-budget stop point stays bit-deterministic while
       // the hot path only decrements.
       supervisor_->check_events(stats_.events_processed, "simulator");
-      supervisor_->check_poll(transition_arena_bytes() + queue_.arena_bytes(), "simulator");
+      supervisor_->check_poll(transition_arena_bytes() + event_arena_bytes(), "simulator");
       sup_countdown_ = sup_reload();
     }
 
@@ -665,8 +665,9 @@ bool Simulator::perceived_value(const PinRef& pin) const {
 }
 
 std::uint64_t Simulator::transition_arena_bytes() const {
-  return transitions_.capacity() * sizeof(TransitionRec) +
-         pair_pool_.capacity() * sizeof(PairNode);
+  // The pair pool recycles nodes through a free list, so its size is this
+  // run's high-water mark; transitions are never freed within a run.
+  return transitions_.size() * sizeof(TransitionRec) + pair_pool_.size() * sizeof(PairNode);
 }
 
 std::vector<SignalId> Simulator::most_active_signals(std::size_t n) const {

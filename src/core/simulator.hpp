@@ -182,7 +182,10 @@ class Simulator {
   /// events,
   /// throwing RunError from run() when a limit trips; the simulator itself
   /// stays valid and inspectable (history, stats) at the stop point, which
-  /// is bit-deterministic for the budget checks.  `supervisor` must
+  /// is bit-deterministic for the budget checks.  The memory budget charges
+  /// transition_arena_bytes() + event_arena_bytes(): this run's records
+  /// only, so a fresh, a reset() and a rebind()-ed simulator trip at the
+  /// same event ordinal whatever they ran before.  `supervisor` must
   /// outlive the runs; survives reset() (it is configuration, not state).
   void supervise(const RunSupervisor* supervisor) {
     supervisor_ = supervisor;
@@ -261,9 +264,12 @@ class Simulator {
   /// Transitions holding a suppressed-pair chain right now: still
   /// annihilatable (no event fired yet) with at least one pair to restore.
   [[nodiscard]] std::uint64_t live_transitions() const { return live_transitions_; }
-  /// Approximate byte footprint of the transition arena and the pair pool.
+  /// Bytes of transition records and suppressed-pair nodes this run has
+  /// written (sizes, not the capacity an earlier run on a recycled
+  /// simulator reserved).  Grows with run length.
   [[nodiscard]] std::uint64_t transition_arena_bytes() const;
-  /// Approximate byte footprint of the event arena and heap.
+  /// Bytes of event slots and heap slots at this run's high-water marks
+  /// (see EventQueue::arena_bytes).
   [[nodiscard]] std::uint64_t event_arena_bytes() const { return queue_.arena_bytes(); }
   /// Arcs the kernel evaluates: the graph's arcs less the blocks interned
   /// onto an identical earlier gate's (see build_static_tables()).

@@ -32,6 +32,7 @@ void Stimulus::add_edge(SignalId input, TimeNs time, bool value, TimeNs tau) {
 
 void Stimulus::apply_word(std::span<const SignalId> inputs, std::uint64_t word, TimeNs time,
                           TimeNs tau) {
+  require(inputs.size() <= 64, "Stimulus::apply_word(): at most 64 inputs per word");
   for (std::size_t bit = 0; bit < inputs.size(); ++bit) {
     add_edge(inputs[bit], time, ((word >> bit) & 1u) != 0, tau);
   }
@@ -41,6 +42,7 @@ void Stimulus::apply_sequence(std::span<const SignalId> inputs,
                               std::span<const std::uint64_t> words, TimeNs start,
                               TimeNs period, TimeNs tau) {
   require(period > 0.0, "Stimulus::apply_sequence(): period must be positive");
+  require(inputs.size() <= 64, "Stimulus::apply_sequence(): at most 64 inputs per word");
   if (words.empty()) return;
   for (std::size_t bit = 0; bit < inputs.size(); ++bit) {
     set_initial(inputs[bit], ((words[0] >> bit) & 1u) != 0);

@@ -32,11 +32,13 @@ class Stimulus {
   void add_edge(SignalId input, TimeNs time, bool value, TimeNs tau = 0.0);
 
   /// Applies an integer pattern across `inputs` (inputs[0] = LSB) at `time`.
+  /// A word has 64 bits: requires at most 64 inputs.
   void apply_word(std::span<const SignalId> inputs, std::uint64_t word, TimeNs time,
                   TimeNs tau = 0.0);
 
   /// Applies `words` across `inputs` at times start, start+period, ...
-  /// The first word also defines the initial values.
+  /// The first word also defines the initial values.  Requires at most 64
+  /// inputs, as apply_word().
   void apply_sequence(std::span<const SignalId> inputs, std::span<const std::uint64_t> words,
                       TimeNs start, TimeNs period, TimeNs tau = 0.0);
 

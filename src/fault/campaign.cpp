@@ -90,26 +90,10 @@ bool simulate_fault(Simulator& sim, const CampaignPlan& plan, std::size_t index,
 }  // namespace
 
 CampaignEngine::CampaignEngine(const Netlist& netlist, const DelayModel& model,
-                               int threads)
-    : netlist_(&netlist),
-      owned_timing_(std::make_unique<TimingGraph>(
-          TimingGraph::build(netlist, model.timing_policy()))),
-      timing_(owned_timing_.get()),
-      pool_(threads),
-      good_(netlist, model, *timing_) {
+                               const TimingGraph& timing, int threads)
+    : netlist_(&netlist), pool_(threads), good_(netlist, model, timing) {
   // One timing elaboration serves the good machine and every worker: the
   // campaign's thousands of faulty runs all read the same arc table.
-  sims_.reserve(static_cast<std::size_t>(pool_.size()));
-  for (int w = 0; w < pool_.size(); ++w) {
-    sims_.push_back(std::make_unique<Simulator>(netlist, model, *timing_));
-  }
-}
-
-CampaignEngine::CampaignEngine(const Netlist& netlist, const DelayModel& model,
-                               const TimingGraph& timing, int threads)
-    : netlist_(&netlist), timing_(&timing), pool_(threads), good_(netlist, model, timing) {
-  require(&timing.netlist() == &netlist,
-          "CampaignEngine: TimingGraph was elaborated over a different netlist");
   sims_.reserve(static_cast<std::size_t>(pool_.size()));
   for (int w = 0; w < pool_.size(); ++w) {
     sims_.push_back(std::make_unique<Simulator>(netlist, model, timing));
@@ -222,7 +206,8 @@ CampaignResult CampaignEngine::run(const Stimulus& stimulus, std::vector<Fault> 
 CampaignResult run_fault_campaign(const Netlist& netlist, const Stimulus& stimulus,
                                   const DelayModel& model, std::vector<Fault> faults,
                                   CampaignOptions options) {
-  CampaignEngine engine(netlist, model, options.threads);
+  const TimingGraph timing = TimingGraph::build(netlist, model.timing_policy());
+  CampaignEngine engine(netlist, model, timing, options.threads);
   engine.supervise(options.supervisor);
   return engine.run(stimulus, std::move(faults), options.sampling, options.early_exit);
 }

@@ -88,16 +88,14 @@ struct CampaignResult {
 /// Simulator (static tables built once, dynamic state recycled per run).
 /// ATPG constructs one engine and evaluates every candidate vector through
 /// it; one-shot callers can use the run_fault_campaign() convenience
-/// wrapper.  `netlist` must outlive the engine; `model` is copied.  Not
-/// thread-safe: one run() at a time.
+/// wrapper.  Not thread-safe: one run() at a time.
 class CampaignEngine {
  public:
-  CampaignEngine(const Netlist& netlist, const DelayModel& model, int threads = 0);
-
-  /// Runs on an externally elaborated TimingGraph (the daemon's cached
-  /// elaboration path): `timing` must be built over this same `netlist`
-  /// under the model's policy and must outlive the engine.  Verdicts are
-  /// bit-identical to the internally-elaborating constructor.
+  /// Runs on the caller's TimingGraph (the `fault` command passes its
+  /// elaboration, the daemon's cached one on a warm hit), shared read-only
+  /// by the good machine and every worker.  `timing` must be built over
+  /// `netlist` under the model's policy; both must outlive the engine.
+  /// `model` is copied.
   CampaignEngine(const Netlist& netlist, const DelayModel& model, const TimingGraph& timing,
                  int threads = 0);
   /// A temporary graph would dangle: bind it to a variable first.
@@ -127,18 +125,14 @@ class CampaignEngine {
 
  private:
   const Netlist* netlist_;
-  /// The one elaborated timing database shared (read-only) by the good
-  /// machine and every worker Simulator.  Owned when this engine elaborated
-  /// it; borrowed (null `owned_timing_`) on the external-graph path.
-  std::unique_ptr<TimingGraph> owned_timing_;
-  const TimingGraph* timing_;
   WorkerPool pool_;
   Simulator good_;
   std::vector<std::unique_ptr<Simulator>> sims_;  ///< one per worker
   const RunSupervisor* supervisor_ = nullptr;
 };
 
-/// One-shot convenience wrapper: builds a CampaignEngine for this call.
+/// One-shot convenience wrapper: elaborates `netlist` under the model's
+/// policy and runs one CampaignEngine on that graph.
 [[nodiscard]] CampaignResult run_fault_campaign(const Netlist& netlist,
                                                 const Stimulus& stimulus,
                                                 const DelayModel& model,

@@ -1,7 +1,6 @@
 #include "src/fault/fault.hpp"
 
 #include <algorithm>
-#include <span>
 
 #include "src/base/check.hpp"
 #include "src/base/rng.hpp"
@@ -60,15 +59,6 @@ std::string fault_name(const Netlist& netlist, const Fault& fault) {
   return netlist.signal(fault.signal).name + (fault.stuck_value ? "/SA1" : "/SA0");
 }
 
-Stimulus make_vector_stimulus(const Netlist& netlist, std::span<const std::uint64_t> words,
-                              TimeNs period, TimeNs slew) {
-  require(netlist.primary_inputs().size() <= 64,
-          "make_vector_stimulus(): at most 64 primary inputs");
-  Stimulus stim(slew);
-  stim.apply_sequence(netlist.primary_inputs(), words, period, period);
-  return stim;
-}
-
 AtpgResult generate_tests(const Netlist& netlist, const DelayModel& model,
                           const TimingGraph& timing, AtpgOptions options) {
   require(options.max_candidates > 0, "generate_tests(): need at least one candidate");
@@ -107,8 +97,8 @@ AtpgResult generate_tests(const Netlist& netlist, const DelayModel& model,
     }
     const std::uint64_t word = rng.next() & mask;
     const std::uint64_t trial[2] = {settled_word, word};
-    const Stimulus stim =
-        make_vector_stimulus(netlist, trial, options.period, options.slew);
+    Stimulus stim(options.slew);
+    stim.apply_sequence(netlist.primary_inputs(), trial, options.period, options.period);
     const CampaignResult sim_result = engine.run(stim, remaining, sampling);
     if (sim_result.detected == 0) continue;  // useless vector, discard
 

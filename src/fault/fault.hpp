@@ -10,7 +10,6 @@
 // delay model yet undetectable in silicon -- the IDDM filters it.
 #pragma once
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -59,13 +58,6 @@ struct FaultSimOptions {
 /// Human-readable fault name, e.g. "n3/SA0".
 [[nodiscard]] std::string fault_name(const Netlist& netlist, const Fault& fault);
 
-/// Builds a stimulus applying integer `words` across the primary inputs
-/// (bit i drives primary_inputs()[i]), one word per `period`, first word
-/// as the initial state.
-[[nodiscard]] Stimulus make_vector_stimulus(const Netlist& netlist,
-                                            std::span<const std::uint64_t> words,
-                                            TimeNs period = 5.0, TimeNs slew = 0.5);
-
 // ---- ATPG (random-search test generation) ----------------------------------
 
 struct AtpgOptions {
@@ -108,7 +100,9 @@ struct AtpgResult {
 /// only -- equivalent to replaying the whole accepted prefix, because
 /// detection compares settled samples and the survivors already survived
 /// every prefix vector.  Running the returned `words` as one stimulus
-/// through a CampaignEngine reproduces `detected` exactly.
+/// through a CampaignEngine reproduces `detected` exactly.  Bit i of a word
+/// drives primary_inputs()[i], so the netlist may have at most 64 primary
+/// inputs (Stimulus::apply_sequence requires it).
 ///
 /// `timing` is the caller's elaboration of `netlist` under the model's
 /// policy (the CLI passes its shared one, the daemon's cached copy under

@@ -113,6 +113,10 @@ Stimulus read_stimulus(std::string_view text, const Netlist& netlist) {
         ++i;
       }
       require(!msb_first.empty(), [&] { return where(line_number) + ": seq needs signals"; });
+      require(msb_first.size() <= 64, [&] {
+        return where(line_number) + ": seq drives " + std::to_string(msb_first.size()) +
+               " signals; a word has 64 bits";
+      });
       require(i + 1 < tokens.size() && tokens[i] == "start",
               [&] { return where(line_number) + ": expected 'start'"; });
       const TimeNs start = parse_time(tokens[i + 1], line_number, "start");

@@ -8,6 +8,7 @@
 //   seq   <sig_msb..sig_lsb> start <t0> period <dt> words <w0> <w1> ...
 // `seq` applies integer words (hex with 0x, else decimal) across the named
 // signals, MSB first, at t0, t0+dt, ...; the first word sets initial values.
+// A word has 64 bits, so a `seq` line names at most 64 signals.
 #pragma once
 
 #include <string_view>

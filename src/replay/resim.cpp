@@ -1,6 +1,7 @@
 #include "src/replay/resim.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/base/check.hpp"
 #include "src/base/failpoint.hpp"
@@ -24,23 +25,14 @@ TimeNs latest_t50(const Simulator& sim, std::span<const SignalId> signals) {
 
 }  // namespace
 
-ResimEngine::ResimEngine(const Netlist& netlist, const DelayModel& model,
+ResimEngine::ResimEngine(TimingGraph base, const DelayModel& model,
                          const Stimulus& stimulus, SimConfig config)
-    : netlist_(&netlist),
-      model_(model),
-      stimulus_(&stimulus),
-      config_(config),
-      base_graph_(TimingGraph::build(netlist, model.timing_policy())) {}
-
-TimingGraph& ResimEngine::base_graph_mutable() {
-  require(!recorded_, "ResimEngine::base_graph_mutable(): trace already recorded");
-  return base_graph_;
-}
+    : model_(model), stimulus_(&stimulus), config_(config), base_graph_(std::move(base)) {}
 
 TimeNs ResimEngine::record(const RunSupervisor* supervisor,
                           std::span<const SignalId> observed) {
   require(!recorded_, "ResimEngine::record(): already recorded");
-  Simulator sim(*netlist_, model_, base_graph_, config_);
+  Simulator sim(netlist(), model_, base_graph_, config_);
   sim.record_into(&recorder_);
   sim.supervise(supervisor);
   sim.apply_stimulus(*stimulus_);

@@ -1,8 +1,12 @@
 // Record-once / re-time-many driver (ROADMAP item 3, the LightningSim /
 // OmniSim structure from PAPERS.md adapted to gate-level timing).
 //
-// ResimEngine records ONE full event simulation of (netlist, model,
-// stimulus) over the base TimingGraph and seals the causal trace.
+// ResimEngine records ONE full event simulation of (model, stimulus) over
+// the caller's base TimingGraph and seals the causal trace.  The caller
+// builds that graph -- a variation run's plain elaboration, or an SDF
+// corner sweep's copy of the command's elaboration annotated with the
+// first corner -- so the trace is recorded on the graph the sessions
+// re-time, not on a second elaboration beside it.
 // ResimSession then evaluates arbitrarily many *perturbed* TimingGraphs --
 // variation samples, SDF corners -- through the TraceReplayer, falling
 // back to a from-scratch full event simulation whenever a recorded
@@ -29,9 +33,9 @@ namespace halotis::replay {
 
 class ResimEngine {
  public:
-  /// `netlist` and `stimulus` must outlive the engine; `model` is copied.
-  /// The base graph is elaborated internally under the model's policy.
-  ResimEngine(const Netlist& netlist, const DelayModel& model, const Stimulus& stimulus,
+  /// Records on `base` (elaborated under the model's policy); its netlist
+  /// and `stimulus` must outlive the engine.  `model` is copied.
+  ResimEngine(TimingGraph base, const DelayModel& model, const Stimulus& stimulus,
               SimConfig config = {});
 
   /// Runs and records the base simulation (serial; supervised when
@@ -43,19 +47,14 @@ class ResimEngine {
 
   [[nodiscard]] bool recorded() const { return recorded_; }
   [[nodiscard]] const Trace& trace() const { return recorder_.trace(); }
-  /// The unperturbed elaboration sessions copy and perturb.
+  /// The recording graph, which variation samples copy and derate.
   [[nodiscard]] const TimingGraph& base_graph() const { return base_graph_; }
-  /// Mutable only before record(): lets the caller annotate the recording
-  /// graph (e.g. apply a reference SDF corner) so the trace is recorded at
-  /// an elaboration close to the graphs it will re-time.
-  [[nodiscard]] TimingGraph& base_graph_mutable();
-  [[nodiscard]] const Netlist& netlist() const { return *netlist_; }
+  [[nodiscard]] const Netlist& netlist() const { return base_graph_.netlist(); }
   [[nodiscard]] const DelayModel& model() const { return model_; }
   [[nodiscard]] const Stimulus& stimulus() const { return *stimulus_; }
   [[nodiscard]] const SimConfig& config() const { return config_; }
 
  private:
-  const Netlist* netlist_;
   DelayModel model_;
   const Stimulus* stimulus_;
   SimConfig config_;

@@ -32,7 +32,8 @@ VariationResult run_variation(const Netlist& netlist, const DelayModel& model,
   require(config.samples >= 1, "run_variation(): samples must be >= 1");
   require(config.sigma >= 0.0, "run_variation(): sigma must be >= 0");
 
-  ResimEngine engine(netlist, model, stimulus, config.sim);
+  ResimEngine engine(TimingGraph::build(netlist, model.timing_policy()), model, stimulus,
+                     config.sim);
 
   VariationResult result;
   result.replay_used = config.use_replay;

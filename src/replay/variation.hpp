@@ -1,8 +1,8 @@
 // Monte-Carlo variation analysis over the replay engine.
 //
-// Each sample s draws one per-gate lognormal derating corner (the same
-// variation_factor stream a variation policy elaborates, seeded per sample)
-// applied to a copy of the base elaboration, and evaluates the critical
+// Each sample s draws one per-gate lognormal derating corner
+// (TimingGraph::vary() with the sample's seed) applied to a copy of the
+// base elaboration, and evaluates the critical
 // (latest) observed t50 plus the canonical waveform hash.  With
 // use_replay set, samples go through a ResimSession (trace replay with
 // full-simulation fallback); otherwise every sample is an independent

@@ -64,8 +64,6 @@ std::uint64_t elaboration_key(const std::string& format, std::string_view netlis
   hash = fnv1a(hash, &window, sizeof window);
   hash = fnv1a(hash, &policy.fixed_window, sizeof policy.fixed_window);
   hash = fnv1a(hash, &threshold, sizeof threshold);
-  hash = fnv1a(hash, &policy.variation_sigma, sizeof policy.variation_sigma);
-  hash = fnv1a(hash, &policy.variation_seed, sizeof policy.variation_seed);
   const std::uint8_t has_sdf = sdf_text != nullptr ? 1 : 0;
   hash = fnv1a(hash, &has_sdf, sizeof has_sdf);
   if (sdf_text != nullptr) fold_str(*sdf_text);

@@ -19,15 +19,6 @@ std::vector<GateId> acyclic_order(const Netlist& netlist) {
 
 }  // namespace
 
-StaticTimingAnalyzer::StaticTimingAnalyzer(const Netlist& netlist, TimeNs input_slew)
-    : netlist_(&netlist), input_slew_(input_slew) {
-  require(input_slew > 0.0, "StaticTimingAnalyzer: input slew must be positive");
-  order_ = acyclic_order(netlist);
-  owned_timing_ =
-      std::make_unique<TimingGraph>(TimingGraph::build(netlist, TimingPolicy{}));
-  timing_ = owned_timing_.get();
-}
-
 StaticTimingAnalyzer::StaticTimingAnalyzer(const Netlist& netlist,
                                            const TimingGraph& timing, TimeNs input_slew)
     : netlist_(&netlist), input_slew_(input_slew), timing_(&timing) {

@@ -13,7 +13,6 @@
 // so the undegraded arc evaluation used here stays the worst case.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,16 +48,13 @@ struct TimingReport {
 
 class StaticTimingAnalyzer {
  public:
+  /// Analyzes the caller's TimingGraph -- the shared database: pass the
+  /// simulator's graph (possibly SDF-annotated or derated) and the bounds
+  /// are computed from the very same arcs the kernel evaluates; the `sta`
+  /// command passes a conventional elaboration (TimingPolicy{}).
+  /// `timing` must be built over `netlist` and outlive the analyzer.
   /// `netlist` must be combinationally acyclic (STA rejects latch loops).
-  /// `input_slew` is the assumed primary-input ramp duration.  Elaborates a
-  /// conventional TimingGraph internally.
-  explicit StaticTimingAnalyzer(const Netlist& netlist, TimeNs input_slew = 0.5);
-
-  /// Analyzes an externally elaborated TimingGraph -- the shared-database
-  /// path: pass the simulator's graph (possibly SDF-annotated or derated)
-  /// and the bounds are computed from the very same arcs the kernel
-  /// evaluates.  `timing` must be built over `netlist` and outlive the
-  /// analyzer.
+  /// `input_slew` is the assumed primary-input ramp duration.
   StaticTimingAnalyzer(const Netlist& netlist, const TimingGraph& timing,
                        TimeNs input_slew = 0.5);
   /// A temporary graph would dangle: bind it to a variable first.
@@ -78,8 +74,7 @@ class StaticTimingAnalyzer {
  private:
   const Netlist* netlist_;
   TimeNs input_slew_;
-  std::unique_ptr<TimingGraph> owned_timing_;  ///< set by the internal-build ctor
-  const TimingGraph* timing_ = nullptr;
+  const TimingGraph* timing_;
   std::vector<GateId> order_;  ///< topological order, checked acyclic at construction
 };
 

@@ -9,13 +9,15 @@
 //   T0(eq. 3)     = t0_slope * tau_in                  t0_slope = 1/2 - C/VDD
 //   tau_out       = tau_out                            s0 + s_load*CL
 //
-// and the model policy (degradation on/off, classical inertial window,
-// per-instance variation derating) encoded in flags, so one non-virtual
-// eval_arc() serves the event kernel, STA, the SDF exporter and every other
-// consumer.  Each partial sum keeps the exact association order of the
-// macro-model expressions (EdgeTiming::tp0, deg_tau, deg_t0), and the
-// derating factor multiplies last, after the full model computation (x * 1.0
-// is exact, so unconditional multiplication costs nothing in accuracy).
+// and the model policy (degradation on/off, classical inertial window)
+// encoded in flags, so one non-virtual eval_arc() serves the event kernel,
+// STA, the SDF exporter and every other consumer.  Each partial sum keeps
+// the exact association order of the macro-model expressions
+// (EdgeTiming::tp0, deg_tau, deg_t0).  Elaboration leaves every arc's
+// per-instance derating factor at 1; TimingGraph::vary() derates a copy of
+// the graph, and the factor multiplies last, after the full model
+// computation (x * 1.0 is exact, so unconditional multiplication costs
+// nothing in accuracy).
 #pragma once
 
 #include <array>
@@ -31,7 +33,9 @@
 namespace halotis {
 
 /// Graph-wide model policy: everything TimingGraph::build() needs to know
-/// about the delay model (a DelayModel is this value plus a name).
+/// about the delay model (a DelayModel is this value plus a name).  Process
+/// variation is not part of it: TimingGraph::vary() derates an elaborated
+/// graph.
 struct TimingPolicy {
   /// Apply the paper's degradation (eq. 1-3) to arcs.  Off = conventional.
   bool degradation = false;
@@ -46,12 +50,6 @@ struct TimingPolicy {
   /// midswing voltage.
   enum class Threshold : std::uint8_t { kMidswing, kPerPinVt };
   Threshold threshold = Threshold::kMidswing;
-
-  /// Per-instance lognormal process variation (sigma == 0 disables it).
-  double variation_sigma = 0.0;
-  std::uint64_t variation_seed = 0;
-
-  [[nodiscard]] bool has_variation() const { return variation_sigma != 0.0; }
 };
 
 /// Per-arc policy bits (folded from TimingPolicy at elaboration).
@@ -70,7 +68,7 @@ struct TimingArc {
   double deg_tau = 0.0;   ///< ns: eq. 2 at CL, clamped to kMinDegradationTau
   double t0_slope = 0.0;  ///< eq. 3 slope: T0 = t0_slope * tau_in
   double window = 0.0;    ///< ns: fixed classical inertial window (kArcWindowFixed)
-  double factor = 1.0;    ///< per-instance variation derating, applied last
+  double factor = 1.0;    ///< per-instance derating (TimingGraph::vary), applied last
   std::uint8_t flags = 0;
   /// Explicit zero padding: every byte of an arc is determinate, so arcs
   /// compare as bytes (the simulator interns bitwise identical arc blocks).
@@ -104,11 +102,10 @@ struct ArcDelay {
 inline constexpr TimeNs kMinDegradationTau = 1e-6;  // 1 femtosecond, in ns
 
 /// Folds one (cell, pin, out-edge) against the static load `cl` under
-/// `policy`, with per-instance derating `factor` (1.0 = nominal).
+/// `policy`; the derating factor stays 1 (nominal).
 [[nodiscard]] inline TimingArc elaborate_arc(const Cell& cell, int pin, Edge out_edge,
                                              Farad cl, Volt vdd,
-                                             const TimingPolicy& policy,
-                                             double factor = 1.0) {
+                                             const TimingPolicy& policy) {
   require(pin >= 0 && pin < static_cast<int>(cell.pins.size()),
           "elaborate_arc(): pin out of range");
   const EdgeTiming& edge = cell.pins[static_cast<std::size_t>(pin)].edge(out_edge);
@@ -116,7 +113,6 @@ inline constexpr TimeNs kMinDegradationTau = 1e-6;  // 1 femtosecond, in ns
   arc.tp_base = edge.p0 + edge.p_load * cl;
   arc.p_slew = edge.p_slew;
   arc.tau_out = cell.drive.tau_out(out_edge, cl);
-  arc.factor = factor;
   if (policy.degradation) {
     arc.flags |= kArcDegradation;
     arc.deg_tau = std::max(edge.deg_tau(cl, vdd), kMinDegradationTau);
@@ -173,9 +169,9 @@ inline constexpr TimeNs kMinDegradationTau = 1e-6;  // 1 femtosecond, in ns
 }
 
 /// Deterministic per-(seed, gate) lognormal derating factor
-/// exp(sigma * z), z ~ N(0,1): two splitmix64 draws -> Box-Muller.  The
-/// TimingGraph builder and the replay variation engine share this one
-/// definition.
+/// exp(sigma * z), z ~ N(0,1): two splitmix64 draws -> Box-Muller.
+/// TimingGraph::vary() multiplies it into every arc of the gate, so a
+/// variation sample is a pure function of (seed, sigma).
 [[nodiscard]] inline double variation_factor(std::uint64_t seed, double sigma,
                                              GateId gate) {
   const auto mix = [](std::uint64_t x) {
@@ -190,15 +186,6 @@ inline constexpr TimeNs kMinDegradationTau = 1e-6;  // 1 femtosecond, in ns
   const double u2 = static_cast<double>(h2 >> 11) * (1.0 / 9007199254740992.0);
   const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
   return std::exp(sigma * z);
-}
-
-/// `policy` with per-instance lognormal derating (sigma, seed): the one way
-/// to express a varied corner of either delay model.
-[[nodiscard]] inline TimingPolicy with_variation(TimingPolicy policy, double sigma,
-                                                 std::uint64_t seed) {
-  policy.variation_sigma = sigma;
-  policy.variation_seed = seed;
-  return policy;
 }
 
 }  // namespace halotis

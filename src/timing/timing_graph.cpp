@@ -31,15 +31,11 @@ TimingGraph TimingGraph::build(const Netlist& netlist, const TimingPolicy& polic
     gt.pin_base = static_cast<std::uint32_t>(graph.vt_frac_.size());
     gt.out_load = netlist.load_of(gate.output);
 
-    const double factor = policy.has_variation()
-                              ? variation_factor(policy.variation_seed,
-                                                 policy.variation_sigma, gid)
-                              : 1.0;
     for (int pin = 0; pin < static_cast<int>(gate.inputs.size()); ++pin) {
       graph.arcs_.push_back(
-          elaborate_arc(cell, pin, Edge::kRise, gt.out_load, graph.vdd_, policy, factor));
+          elaborate_arc(cell, pin, Edge::kRise, gt.out_load, graph.vdd_, policy));
       graph.arcs_.push_back(
-          elaborate_arc(cell, pin, Edge::kFall, gt.out_load, graph.vdd_, policy, factor));
+          elaborate_arc(cell, pin, Edge::kFall, gt.out_load, graph.vdd_, policy));
       const double frac = policy.threshold == TimingPolicy::Threshold::kPerPinVt
                               ? cell.pin(pin).vt / graph.vdd_
                               : 0.5;
@@ -84,9 +80,6 @@ std::string TimingGraph::format_arcs() const {
   std::ostringstream out;
   out << "timing graph: " << num_gates() << " gates, " << num_arcs() << " arcs";
   if (policy_.degradation) out << ", degradation";
-  if (policy_.has_variation()) {
-    out << ", variation sigma=" << format_double(policy_.variation_sigma, 4);
-  }
   if (annotated_arcs_ > 0) out << ", " << annotated_arcs_ << " SDF-annotated";
   out << "\n";
   out << "  arc  instance             cell        pin edge  tp0@CL     p_slew  "

@@ -5,10 +5,14 @@
 // stores one dense TimingArc per (gate instance, input pin, output edge)
 // with the net's actual static load CL already folded in, plus the
 // event-threshold crossing fraction of every receiving pin.  Every timing
-// consumer -- the event kernel, STA, the SDF writer/reader, the variation
-// flow -- reads these same arcs, so the layers can never silently disagree
-// about an instance's delay, and the kernel hot path evaluates delays
-// through a flat table lookup instead of a per-request delay computation.
+// consumer -- the event kernel, STA, the fault campaign, the replayer, the
+// SDF writer/reader, the variation flow -- reads these same arcs, so the
+// layers can never silently disagree about an instance's delay, and the
+// kernel hot path evaluates delays through a flat table lookup instead of a
+// per-request delay computation.  The engines take the graph from their
+// caller (the CLI and the daemon pass one cached elaboration to all of
+// them); only the Simulator keeps a self-elaborating convenience
+// constructor.  A process-variation corner is a derated copy, vary().
 //
 // Arc layout: arcs of gate g occupy the contiguous range
 // [arc_base(g), arc_base(g) + 2 * num_inputs), ordered pin-major with the
@@ -84,11 +88,11 @@ class TimingGraph {
 
   /// A copy with every gate's arcs derated by variation_factor(seed,
   /// sigma, gate) -- one per-instance process-variation corner (eval_arc
-  /// scales tp, tau_out and the inertial window by the factor).  On a
-  /// graph without variation of its own (every factor 1) the copy equals,
-  /// bit for bit, elaborating the policy with variation_sigma = sigma and
-  /// variation_seed = seed: elaboration stores the factor verbatim, and
-  /// the copy multiplies.  The base graph is never touched.
+  /// scales tp, tau_out and the inertial window by the factor).  This is
+  /// the one way to derate a graph: elaboration leaves every factor at 1,
+  /// so varying a fresh elaboration stores variation_factor() verbatim,
+  /// and varying a varied or SDF-annotated graph multiplies on top.  The
+  /// base graph is never touched.
   [[nodiscard]] TimingGraph vary(double sigma, std::uint64_t seed) const;
 
   /// Multiplies one arc's derating factor (per-arc fuzz perturbation).

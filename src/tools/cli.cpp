@@ -15,6 +15,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/analog/analog_sim.hpp"
@@ -295,11 +296,13 @@ std::shared_ptr<const serve::Elaboration> service_elaboration(const ServiceEnv& 
 }
 
 /// `sim --sdf A.sdf[,B.sdf...] --replay`: records the causal trace once
-/// under library timing, then re-times every SDF corner through the
+/// on the first corner, then re-times every SDF corner through the
 /// replayer, falling back to a full event simulation for any corner that
 /// breaks a recorded ordering/filtering decision (docs/REPLAY.md).
+/// `library` is the command's own unannotated elaboration (the daemon's
+/// cached one under --connect); every graph here is a copy of it.
 int sim_replay_corners(const ServiceEnv& env, const Options& options,
-                       const Netlist& netlist, const DelayModel& model,
+                       const TimingGraph& library, const DelayModel& model,
                        const Stimulus& stimulus, std::ostream& out) {
   const auto sdf_flag = options.get("sdf");
   if (!sdf_flag.has_value()) {
@@ -320,16 +323,13 @@ int sim_replay_corners(const ServiceEnv& env, const Options& options,
   config.t_end = options.number("t-end", kNeverNs);
   const RunSupervisor supervisor = make_supervisor(options, env);
 
-  replay::ResimEngine engine(netlist, model, stimulus, config);
-  // Every corner is the library elaboration plus that corner's own SDF: a
-  // pin one corner leaves unannotated keeps its library delay, never the
-  // reference corner's.
-  const TimingGraph library = engine.base_graph();
   // Record at the first corner's elaboration: the trace's scheduling
   // decisions then hold exactly for that corner (bit-exact fast replay)
   // and usually for the neighbouring corners of the same annotation.
-  const std::size_t ref_applied = apply_sdf(engine.base_graph_mutable(),
-                                            read_sdf(read_input(env, corners.front())));
+  TimingGraph reference = library;
+  const std::size_t ref_applied =
+      apply_sdf(reference, read_sdf(read_input(env, corners.front())));
+  replay::ResimEngine engine(std::move(reference), model, stimulus, config);
   engine.record(&supervisor);
   const replay::Trace& trace = engine.trace();
   out << "model: " << model.name() << "\n";
@@ -343,11 +343,14 @@ int sim_replay_corners(const ServiceEnv& env, const Options& options,
 
   replay::ResimSession session(engine);
   for (const std::string& path : corners) {
+    // Every corner is the library elaboration plus that corner's own SDF: a
+    // pin one corner leaves unannotated keeps its library delay, never the
+    // reference corner's.
     TimingGraph corner = library;
     const SdfFile sdf = read_sdf(read_input(env, path));
     const std::size_t applied = apply_sdf(corner, sdf);
     const replay::ResimSample sample = session.evaluate(
-        corner, netlist.primary_outputs(), /*want_hash=*/true, &supervisor);
+        corner, library.netlist().primary_outputs(), /*want_hash=*/true, &supervisor);
     out << "corner " << path << ": " << applied << " IOPATH record"
         << (applied == 1 ? "" : "s") << ", critical t50 "
         << format_double(sample.critical_t50, 9) << " ns, hash "
@@ -368,13 +371,13 @@ int cmd_sim(const Options& options, std::ostream& out, const ServiceEnv& env) {
   // (the third-party-netlist scenario: IOPATH delays replace the library's
   // conventional part, the inertial/degradation treatment stays).  Under
   // --replay the flag instead lists corner files, so the elaboration skips
-  // it (sim_replay_corners annotates its own graphs per corner).
+  // it (sim_replay_corners annotates copies of it, one per corner).
   const std::shared_ptr<const serve::Elaboration> elab =
       service_elaboration(env, options, model.timing_policy(), /*want_sdf=*/!replay);
   const Netlist& netlist = elab->netlist;
   const Stimulus stimulus = load_stimulus(env, options, netlist);
   if (replay) {
-    return sim_replay_corners(env, options, netlist, model, stimulus, out);
+    return sim_replay_corners(env, options, elab->graph, model, stimulus, out);
   }
   if (const auto sdf_path = options.get("sdf")) {
     serve::print_sdf_facts(out, elab->sdf, *sdf_path);

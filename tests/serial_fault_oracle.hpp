@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "src/core/stimulus.hpp"
 #include "src/fault/fault.hpp"
 #include "src/netlist/netlist.hpp"
+#include "src/timing/timing_graph.hpp"
 
 namespace halotis {
 
@@ -81,18 +83,29 @@ struct FaultSimResult {
 
 /// Serial fault simulation of every fault in `faults` (or all, if empty)
 /// under `model`.  The same `stimulus` drives good and faulty machines;
-/// detection compares primary-output values at fault_sample_times().
+/// detection compares primary-output values at fault_sample_times().  A
+/// non-zero `sigma` derates every machine's elaboration with
+/// TimingGraph::vary(sigma, seed); the faulty machine keeps the good one's
+/// gate ids, so each gate draws the same factor in both.
 [[nodiscard]] inline FaultSimResult run_fault_simulation(const Netlist& netlist,
                                                          const Stimulus& stimulus,
                                                          const DelayModel& model,
                                                          std::vector<Fault> faults = {},
-                                                         FaultSimOptions options = {}) {
+                                                         FaultSimOptions options = {},
+                                                         double sigma = 0.0,
+                                                         std::uint64_t seed = 0) {
   require(options.sample_period > 0.0, "run_fault_simulation(): period must be positive");
   if (faults.empty()) faults = enumerate_faults(netlist);
   const std::vector<TimeNs> times = fault_sample_times(stimulus, options);
+  const auto elaborate = [&](const Netlist& machine) {
+    TimingGraph graph = TimingGraph::build(machine, model.timing_policy());
+    if (sigma != 0.0) graph = graph.vary(sigma, seed);
+    return graph;
+  };
 
   // Good machine reference samples.
-  Simulator good(netlist, model);
+  const TimingGraph good_graph = elaborate(netlist);
+  Simulator good(netlist, model, good_graph);
   good.apply_stimulus(stimulus);
   (void)good.run();
   std::vector<std::vector<bool>> good_samples;
@@ -111,7 +124,8 @@ struct FaultSimResult {
     Stimulus faulty_stim = stimulus;
     faulty_stim.set_initial(machine.fault_net, fault.stuck_value);
 
-    Simulator sim(machine.netlist, model);
+    const TimingGraph graph = elaborate(machine.netlist);
+    Simulator sim(machine.netlist, model, graph);
     sim.apply_stimulus(faulty_stim);
     (void)sim.run();
 

@@ -326,7 +326,8 @@ TEST_F(CampaignTest, EngineReuseAcrossStimuliMatchesOneShotRuns) {
   // candidate stream; every run() must still equal a fresh one-shot
   // campaign on the same stimulus.
   MultiplierCircuit mult = make_multiplier(lib_, 3);
-  CampaignEngine engine(mult.netlist, ddm_, 2);
+  const TimingGraph graph = TimingGraph::build(mult.netlist, ddm_.timing_policy());
+  CampaignEngine engine(mult.netlist, ddm_, graph, 2);
   for (const std::uint64_t seed : {3u, 9u, 27u}) {
     const Stimulus stim = multiplier_words(mult, random_word_stream(6, 6, seed));
     const CampaignResult reused = engine.run(stim);
@@ -340,15 +341,19 @@ TEST_F(CampaignTest, EngineReuseAcrossStimuliMatchesOneShotRuns) {
 }
 
 TEST_F(CampaignTest, ExternalGraphMatchesInternalElaboration) {
-  // The daemon hands CampaignEngine a cache-shared TimingGraph instead of
-  // letting it elaborate internally; the two paths must be bit-identical.
+  // The daemon hands every CampaignEngine of a design one cache-shared
+  // TimingGraph; each must be bit-identical to run_fault_campaign, which
+  // elaborates a graph of its own for the call.
   MultiplierCircuit mult = make_multiplier(lib_, 3);
   const Stimulus stim = multiplier_words(mult, random_word_stream(6, 8, 42));
 
-  CampaignEngine internal(mult.netlist, ddm_, 2);
-  const CampaignResult from_internal = internal.run(stim);
+  CampaignOptions options;
+  options.threads = 2;
+  const CampaignResult from_internal = run_fault_campaign(mult.netlist, stim, ddm_, {}, options);
 
   const TimingGraph shared = TimingGraph::build(mult.netlist, ddm_.timing_policy());
+  CampaignEngine first(mult.netlist, ddm_, shared, 2);
+  (void)first.run(stim);
   CampaignEngine external(mult.netlist, ddm_, shared, 2);
   const CampaignResult from_external = external.run(stim);
 

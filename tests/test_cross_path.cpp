@@ -2,7 +2,8 @@
 // and staggered stimuli; every execution path of the kernel must then
 // reproduce one history hash per (design, model flavour):
 //
-//   * fresh construction, self-elaborating and on an external graph;
+//   * fresh construction on an external graph and, for the flavours
+//     without variation, self-elaborating;
 //   * reset() recycle after an unrelated run;
 //   * one simulator rebind()-ed across designs and flavours (A -> B -> A);
 //   * ResimSession replay of perturbed graphs against a fresh run of each
@@ -11,7 +12,9 @@
 //     (tests/serial_fault_oracle.hpp).
 //
 // The five flavours are DDM, CDM, CDM with the gate-delay window, CDM with
-// a fixed window, and DDM with per-instance variation.  The daemon path
+// a fixed window, and DDM with per-instance variation (the DDM graph
+// derated by TimingGraph::vary, as `halotis variation` derates its
+// samples).  The daemon path
 // (`--connect`) is covered by test_serve's byte-identity checks.
 #include <gtest/gtest.h>
 
@@ -86,11 +89,12 @@ class CrossPathTest : public ::testing::Test {
       design->other = staggered_random_stimulus(design->inputs, edges, rng.next());
       designs_.push_back(std::move(design));
     }
-    // Reference hashes: a fresh, self-elaborating simulator per pair.
+    // Reference hashes: a fresh simulator per pair on its own elaboration.
     for (const auto& design : designs_) {
       std::array<std::uint64_t, kFlavours> row{};
       for (std::size_t f = 0; f < kFlavours; ++f) {
-        Simulator sim(design->netlist, *flavours_[f].model);
+        const TimingGraph graph = graph_for(design->netlist, f);
+        Simulator sim(design->netlist, *flavours_[f].model, graph);
         row[f] = run_hash(sim, design->stimulus);
       }
       fresh_.push_back(row);
@@ -100,19 +104,28 @@ class CrossPathTest : public ::testing::Test {
   struct Flavour {
     const char* name;
     const DelayModel* model;
+    double sigma;  ///< per-instance variation (TimingGraph::vary); 0 = none
   };
+  static constexpr std::uint64_t kVariationSeed = 1234;
+
+  /// Flavour `f`'s elaboration of `netlist`: the model's graph, derated by
+  /// vary() when the flavour has variation.
+  [[nodiscard]] TimingGraph graph_for(const Netlist& netlist, std::size_t f) const {
+    TimingGraph graph = TimingGraph::build(netlist, flavours_[f].model->timing_policy());
+    if (flavours_[f].sigma != 0.0) graph = graph.vary(flavours_[f].sigma, kVariationSeed);
+    return graph;
+  }
 
   Library lib_ = Library::default_u6();
   const DdmDelayModel ddm_;
   const CdmDelayModel cdm_;
   const CdmDelayModel cdm_gate_{CdmDelayModel::InertialWindow::kGateDelay};
   const CdmDelayModel cdm_fixed_{CdmDelayModel::InertialWindow::kFixed, 0.25};
-  const DelayModel ddm_varied_{with_variation(ddm_.timing_policy(), 0.08, 1234)};
-  const std::array<Flavour, kFlavours> flavours_{{{"ddm", &ddm_},
-                                                  {"cdm", &cdm_},
-                                                  {"cdm-gate-window", &cdm_gate_},
-                                                  {"cdm-fixed-window", &cdm_fixed_},
-                                                  {"ddm-variation", &ddm_varied_}}};
+  const std::array<Flavour, kFlavours> flavours_{{{"ddm", &ddm_, 0.0},
+                                                  {"cdm", &cdm_, 0.0},
+                                                  {"cdm-gate-window", &cdm_gate_, 0.0},
+                                                  {"cdm-fixed-window", &cdm_fixed_, 0.0},
+                                                  {"ddm-variation", &ddm_, 0.08}}};
   std::vector<std::unique_ptr<Design>> designs_;
   std::vector<std::array<std::uint64_t, kFlavours>> fresh_;  ///< [design][flavour]
 };
@@ -135,7 +148,11 @@ TEST_F(CrossPathTest, ExternalGraphAndResetMatchFreshConstruction) {
     for (std::size_t f = 0; f < kFlavours; ++f) {
       SCOPED_TRACE(design.name + " / " + flavours_[f].name);
       const DelayModel& model = *flavours_[f].model;
-      const TimingGraph graph = TimingGraph::build(design.netlist, model.timing_policy());
+      if (flavours_[f].sigma == 0.0) {
+        Simulator self_built(design.netlist, model);
+        EXPECT_EQ(run_hash(self_built, design.stimulus), fresh_[d][f]);
+      }
+      const TimingGraph graph = graph_for(design.netlist, f);
       Simulator sim(design.netlist, model, graph);
       EXPECT_EQ(run_hash(sim, design.stimulus), fresh_[d][f]);
       // Recycle after an unrelated stimulus, then once more.
@@ -156,8 +173,7 @@ TEST_F(CrossPathTest, OneSimulatorRebindsAcrossDesignsAndFlavours) {
   std::vector<std::unique_ptr<TimingGraph>> graphs;
   for (const auto& design : designs_) {
     for (std::size_t f = 0; f < kFlavours; ++f) {
-      graphs.push_back(std::make_unique<TimingGraph>(
-          TimingGraph::build(design->netlist, flavours_[f].model->timing_policy())));
+      graphs.push_back(std::make_unique<TimingGraph>(graph_for(design->netlist, f)));
     }
   }
   SplitMix64 rng(kSuiteSeed ^ 0x5EB1);
@@ -190,7 +206,7 @@ TEST_F(CrossPathTest, ReplayOfPerturbedGraphsMatchesFreshRuns) {
       const Design& design = *designs_[d];
       const DelayModel& model = *flavours_[f].model;
       SCOPED_TRACE(design.name + " / " + flavours_[f].name);
-      replay::ResimEngine engine(design.netlist, model, design.stimulus);
+      replay::ResimEngine engine(graph_for(design.netlist, f), model, design.stimulus);
       engine.record();
       ASSERT_TRUE(engine.trace().replayable);
       replay::ResimSession session(engine);
@@ -232,8 +248,10 @@ TEST_F(CrossPathTest, CampaignVerdictsMatchSerialOracle) {
       SCOPED_TRACE(design.name + " / " + flavours_[f].name);
       const DelayModel& model = *flavours_[f].model;
       const FaultSimResult oracle =
-          run_fault_simulation(design.netlist, design.stimulus, model, {}, sampling);
-      CampaignEngine engine(design.netlist, model, 2);
+          run_fault_simulation(design.netlist, design.stimulus, model, {}, sampling,
+                               flavours_[f].sigma, kVariationSeed);
+      const TimingGraph graph = graph_for(design.netlist, f);
+      CampaignEngine engine(design.netlist, model, graph, 2);
       expect_same_verdicts(engine.run(design.stimulus, {}, sampling, true), oracle);
       expect_same_verdicts(engine.run(design.stimulus, {}, sampling, false), oracle);
     }

@@ -9,6 +9,7 @@
 // transition count on long stimuli.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/base/rng.hpp"
@@ -74,21 +75,34 @@ TEST_F(DeterminismTest, RepeatedRunsIdenticalAcrossDelayModels) {
   const DdmDelayModel ddm;
   const CdmDelayModel cdm;
   const CdmDelayModel cdm_strict(CdmDelayModel::InertialWindow::kGateDelay);
-  const DelayModel varied(with_variation(ddm.timing_policy(), 0.08, 1234));
   const auto words = random_word_stream(8, 24, 99);
 
-  const DelayModel models[] = {ddm, cdm, cdm_strict, varied};
-  for (const DelayModel& model : models) {
+  // The last flavour derates the DDM graph per instance (TimingGraph::vary).
+  struct Flavour {
+    const DelayModel* model;
+    double sigma;
+  };
+  const Flavour flavours[] = {{&ddm, 0.0}, {&cdm, 0.0}, {&cdm_strict, 0.0}, {&ddm, 0.08}};
+  for (const Flavour& flavour : flavours) {
+    const DelayModel& model = *flavour.model;
     MultiplierCircuit mult = make_multiplier(lib_, 4);
-    Simulator first(mult.netlist, model);
+    // Each simulator runs on its own elaboration.
+    const auto elaborate = [&] {
+      TimingGraph graph = TimingGraph::build(mult.netlist, model.timing_policy());
+      if (flavour.sigma != 0.0) graph = graph.vary(flavour.sigma, 1234);
+      return graph;
+    };
+    const TimingGraph first_graph = elaborate();
+    Simulator first(mult.netlist, model, first_graph);
     first.apply_stimulus(multiplier_words(mult, words));
     const RunResult r1 = first.run();
 
-    Simulator second(mult.netlist, model);
+    const TimingGraph second_graph = elaborate();
+    Simulator second(mult.netlist, model, second_graph);
     second.apply_stimulus(multiplier_words(mult, words));
     const RunResult r2 = second.run();
 
-    SCOPED_TRACE(std::string(model.name()));
+    SCOPED_TRACE(std::string(model.name()) + " sigma " + std::to_string(flavour.sigma));
     EXPECT_EQ(r1.reason, r2.reason);
     EXPECT_EQ(r1.end_time, r2.end_time);
     expect_stats_identical(first.stats(), second.stats());

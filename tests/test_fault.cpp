@@ -5,6 +5,7 @@
 #include <array>
 
 #include "src/circuits/generators.hpp"
+#include "src/circuits/stimuli.hpp"
 #include "src/fault/fault.hpp"
 #include "tests/serial_fault_oracle.hpp"
 
@@ -92,13 +93,13 @@ TEST_F(FaultTest, RicherSequenceImprovesCoverage) {
 }
 
 TEST_F(FaultTest, SampleTimesAlignToVectorApplicationInstants) {
-  // make_vector_stimulus applies word k at t = k * period; each vector's
+  // word_stimulus applies word k at t = k * period; each vector's
   // settled response must be observed just before the next vector lands,
   // plus an initial-state observation and a final sample one period after
   // the last application.
   C17Circuit c17 = make_c17(lib_);
   const std::vector<std::uint64_t> words{0x00, 0x1F, 0x0A};
-  const Stimulus stim = make_vector_stimulus(c17.netlist, words, 4.0, 0.3);
+  const Stimulus stim = word_stimulus(c17.netlist.primary_inputs(), words, 4.0, 0.3);
   FaultSimOptions options;
   options.sample_period = 4.0;
   options.sample_epsilon = 0.1;
@@ -124,7 +125,7 @@ TEST_F(FaultTest, LastVectorDetectionUnderExplicitSampleBudget) {
   (void)nl.add_gate("g", CellKind::kAnd2, ins, y);
 
   const std::vector<std::uint64_t> words{0b00, 0b01, 0b11};
-  const Stimulus stim = make_vector_stimulus(nl, words);
+  const Stimulus stim = word_stimulus(nl.primary_inputs(), words);
   FaultSimOptions options;
   options.num_samples = static_cast<int>(words.size()) - 1;  // one per applied vector
 
@@ -174,7 +175,7 @@ TEST_F(FaultTest, AtpgReachesHighCoverageOnC17) {
   EXPECT_GE(result.words.size(), 3u);
 
   // Replaying the generated set reproduces the claimed coverage.
-  const Stimulus replay = make_vector_stimulus(c17.netlist, result.words);
+  const Stimulus replay = word_stimulus(c17.netlist.primary_inputs(), result.words);
   const FaultSimResult check = run_fault_simulation(c17.netlist, replay, ddm_);
   EXPECT_EQ(check.detected, result.detected);
 }
@@ -194,7 +195,7 @@ TEST_F(FaultTest, AtpgDeterministicPerSeed) {
 TEST_F(FaultTest, VectorStimulusHelper) {
   C17Circuit c17 = make_c17(lib_);
   const std::vector<std::uint64_t> words{0x00, 0x1F, 0x0A};
-  const Stimulus stim = make_vector_stimulus(c17.netlist, words, 4.0, 0.3);
+  const Stimulus stim = word_stimulus(c17.netlist.primary_inputs(), words, 4.0, 0.3);
   // Word 2 (0x0A): N1=0 N2=1 N3=0 N6=1 N7=0 at t=8.
   EXPECT_FALSE(stim.initial_value(c17.inputs[0]));
   const auto edges_n2 = stim.edges(c17.inputs[1]);

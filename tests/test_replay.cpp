@@ -58,7 +58,8 @@ OracleCounts run_differential(const Netlist& netlist, const DelayModel& model,
                               const Stimulus& stim,
                               std::span<const SignalId> observed,
                               std::size_t samples, std::uint64_t master_seed) {
-  ResimEngine engine(netlist, model, stim, SimConfig{});
+  ResimEngine engine(TimingGraph::build(netlist, model.timing_policy()), model, stim,
+                     SimConfig{});
   engine.record();
   EXPECT_TRUE(engine.trace().replayable);
 
@@ -158,7 +159,8 @@ TEST_F(ReplayOracleTest, IdentityReplayMatchesRecordingBitForBit) {
   Stimulus stim = staggered_random_stimulus(inputs, 8, 99);
   stim.set_initial(mult.tie0, false);
 
-  ResimEngine engine(mult.netlist, ddm_, stim, SimConfig{});
+  ResimEngine engine(TimingGraph::build(mult.netlist, ddm_.timing_policy()), ddm_, stim,
+                     SimConfig{});
   engine.record();
   ResimSession session(engine);
   // Unperturbed arcs: the replay must reproduce the recording run exactly
@@ -231,7 +233,8 @@ TEST_F(ReplayOracleTest, InternedArcsUnderPartialSharing) {
   Stimulus stim = staggered_random_stimulus(inputs, 6, 1357);
   stim.set_initial(mult.tie0, false);
 
-  ResimEngine engine(mult.netlist, ddm_, stim, SimConfig{});
+  ResimEngine engine(TimingGraph::build(mult.netlist, ddm_.timing_policy()), ddm_, stim,
+                     SimConfig{});
   engine.record();
   ASSERT_TRUE(engine.trace().replayable);
   const TimingGraph& nominal = engine.base_graph();
@@ -309,7 +312,8 @@ TEST_F(ReplayOracleTest, FuzzLayeredDagsPerArcPerturbations) {
     const Stimulus stim =
         staggered_random_stimulus(dag.inputs, 6, rng.next());
 
-    ResimEngine engine(dag.netlist, ddm_, stim, SimConfig{});
+    ResimEngine engine(TimingGraph::build(dag.netlist, ddm_.timing_policy()), ddm_, stim,
+                       SimConfig{});
     engine.record();
     ResimSession session(engine);
     for (int s = 0; s < 8; ++s) {
@@ -339,7 +343,8 @@ TEST_F(ReplayOracleTest, EventLimitStopIsNotReplayable) {
 
   SimConfig config;
   config.max_events = 50;  // truncates the schedule at an ordinal, not a time
-  ResimEngine engine(mult.netlist, ddm_, stim, config);
+  ResimEngine engine(TimingGraph::build(mult.netlist, ddm_.timing_policy()), ddm_, stim,
+                     config);
   engine.record();
   EXPECT_FALSE(engine.trace().replayable);
 
@@ -360,7 +365,8 @@ TEST_F(ReplayOracleTest, HorizonStopRecordsResidualsAndReplays) {
 
   SimConfig config;
   config.t_end = 12.0;  // cuts the run mid-activity: residual events exist
-  ResimEngine engine(mult.netlist, ddm_, stim, config);
+  ResimEngine engine(TimingGraph::build(mult.netlist, ddm_.timing_policy()), ddm_, stim,
+                     config);
   engine.record();
   ASSERT_TRUE(engine.trace().replayable);
   std::size_t residuals = 0;
@@ -397,7 +403,8 @@ TEST_F(ReplayOracleTest, ResurrectionReplaysBitExact) {
   for (const Case c : {Case{40, 30, 10}, Case{40, 30, 14}, Case{20, 20, 70}}) {
     LayeredCircuit dag = make_layered_circuit(lib_, c.width, c.depth, 0xA000);
     const Stimulus stim = staggered_random_stimulus(dag.inputs, 8, c.stim_seed, 0.2);
-    ResimEngine engine(dag.netlist, ddm_, stim, SimConfig{});
+    ResimEngine engine(TimingGraph::build(dag.netlist, ddm_.timing_policy()), ddm_, stim,
+                       SimConfig{});
     engine.record();
     ASSERT_TRUE(engine.trace().replayable);
     std::size_t resurrections = 0;
@@ -515,7 +522,8 @@ TEST_F(ReplayOracleTest, ReplaySupervisionBudgetStops) {
   Stimulus stim = staggered_random_stimulus(inputs, 6, 11);
   stim.set_initial(mult.tie0, false);
 
-  ResimEngine engine(mult.netlist, ddm_, stim, SimConfig{});
+  ResimEngine engine(TimingGraph::build(mult.netlist, ddm_.timing_policy()), ddm_, stim,
+                     SimConfig{});
   engine.record();
   ResimSession session(engine);
 
@@ -532,7 +540,8 @@ TEST_F(ReplayOracleTest, ReplaySupervisionBudgetStops) {
 TEST_F(ReplayOracleTest, FallbackFailpointFires) {
   MultiplierCircuit mult = make_multiplier(lib_, 4);
   const Stimulus stim = multiplier_stimulus(mult, fig6_sequence());  // tied: falls back
-  ResimEngine engine(mult.netlist, ddm_, stim, SimConfig{});
+  ResimEngine engine(TimingGraph::build(mult.netlist, ddm_.timing_policy()), ddm_, stim,
+                     SimConfig{});
   engine.record();
   ResimSession session(engine);
 

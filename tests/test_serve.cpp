@@ -6,8 +6,10 @@
 //     never a hang, a crash or a silent partial decode;
 //   * a daemon-routed request (`--connect`) is byte-identical to the same
 //     command run locally -- on a cache miss, on a cache hit, at 1/2/4
-//     worker threads (hand-written and generated designs), and under
-//     interleaved concurrent clients mixing designs;
+//     worker threads (hand-written and generated designs), under
+//     interleaved concurrent clients mixing designs, for an SDF corner
+//     sweep in either corner order, and for a memory-budgeted request
+//     after a larger one;
 //   * the keyed elaboration cache hits on byte-equal inputs, evicts LRU
 //     entries under its byte budget, and eviction never invalidates an
 //     in-flight shared elaboration;
@@ -418,6 +420,62 @@ TEST_F(ServeTest, StaFaultAndVariationMatchLocalMode) {
         << commands[i][0];
     EXPECT_EQ(daemon.err, locals[i].err) << commands[i][0];
   }
+}
+
+TEST_F(ServeTest, SdfCornerSweepMatchesLocalMode) {
+  // `sim --sdf A,B --replay` records on a copy of the command's own
+  // elaboration (the daemon's cached one) annotated with corner A, and
+  // builds every corner from that same elaboration: cold and warm, in
+  // either corner order, each corner hashes as its own plain `sim --sdf`.
+  const std::string tests = std::string(HALOTIS_SOURCE_DIR) + "/tests/";
+  const std::string full = tests + "sdf/and2_thirdparty.sdf";
+  const std::string partial = tests + "sdf/and2_partial.sdf";
+  for (const std::string& corners : {full + "," + partial, partial + "," + full}) {
+    SCOPED_TRACE(corners);
+    const std::vector<std::string> args{"sim",   "--netlist", tests + "smoke/and2.bench",
+                                        "--stim", tests + "smoke/and2.stim",
+                                        "--sdf", corners,     "--replay"};
+    const Capture local = run_args(args);
+    ASSERT_EQ(local.code, 0) << local.err;
+    for (const auto& [sdf, hash] : {std::pair{full, "dc16d37c1aaa9cf8"},
+                                    std::pair{partial, "de791c5c7a0c1034"}}) {
+      const std::size_t line = local.out.find("\ncorner " + sdf + ": ");
+      ASSERT_NE(line, std::string::npos) << local.out;
+      EXPECT_NE(local.out.substr(line, local.out.find('\n', line + 1) - line)
+                    .find(std::string("hash ") + hash),
+                std::string::npos)
+          << local.out;
+    }
+
+    start_daemon(1);
+    EXPECT_EQ(run_daemon(args), local) << "cache miss";
+    EXPECT_EQ(run_daemon(args), local) << "cache hit";
+    const serve::ElabCache::Stats stats = server_->cache_stats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.hits, 1u);
+    stop_daemon();
+  }
+}
+
+TEST_F(ServeTest, MemoryBudgetVerdictIgnoresEarlierRequests) {
+  // A daemon worker recycles one pooled simulator whose arenas keep the
+  // capacity an earlier, larger request grew.  A --budget-mem-mb verdict
+  // charges only this request's records, so it stays the local one.
+  const auto [bench, small_stim] = generated_design(0xB0D6E7, 200, 100, 2);
+  const std::string large_stim = generated_design(0xB0D6E7, 200, 100, 16).second;
+  const std::string netlist = write("layered.bench", bench);
+  const std::vector<std::string> budgeted{"sim",    "--netlist",      netlist,
+                                          "--stim", write("small.stim", small_stim),
+                                          "--hash", "--budget-mem-mb", "8"};
+  const Capture local = run_args(budgeted);
+  ASSERT_EQ(local.code, 0) << local.err;
+
+  start_daemon(1);
+  EXPECT_EQ(run_daemon(budgeted), local) << "on a cold daemon";
+  const Capture larger = run_daemon(
+      {"sim", "--netlist", netlist, "--stim", write("large.stim", large_stim), "--hash"});
+  ASSERT_EQ(larger.code, 0) << larger.err;
+  EXPECT_EQ(run_daemon(budgeted), local) << "after a larger request";
 }
 
 TEST_F(ServeTest, ArtifactsArriveByteIdenticalAndAtomic) {

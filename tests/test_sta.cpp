@@ -18,7 +18,8 @@ class StaTest : public ::testing::Test {
 
 TEST_F(StaTest, ChainDelayAccumulates) {
   ChainCircuit chain = make_chain(lib_, 4);
-  const StaticTimingAnalyzer sta(chain.netlist, 0.5);
+  const TimingGraph graph = TimingGraph::build(chain.netlist, TimingPolicy{});
+  const StaticTimingAnalyzer sta(chain.netlist, graph, 0.5);
   const TimingReport report = sta.analyze();
 
   EXPECT_EQ(report.critical_output, chain.nodes.back());
@@ -53,7 +54,8 @@ TEST_F(StaTest, DiamondEarliestAndLatestDiffer) {
   const std::array<SignalId, 2> in_y{fast, s2};
   (void)nl.add_gate("gy", CellKind::kNand2, in_y, y);
 
-  const StaticTimingAnalyzer sta(nl, 0.5);
+  const TimingGraph graph = TimingGraph::build(nl, TimingPolicy{});
+  const StaticTimingAnalyzer sta(nl, graph, 0.5);
   const TimingReport report = sta.analyze();
   const ArrivalWindow& win = report.arrival[y.value()];
   EXPECT_LT(win.earliest, win.latest);  // unbalanced paths
@@ -70,7 +72,8 @@ TEST_F(StaTest, PropagatesCausingEdgeSlewAndPinsCriticalDelay) {
   // the causing-edge rule and require an exact match, plus the pinned
   // absolute number so any silent model change shows up.
   ChainCircuit chain = make_chain(lib_, 4);
-  const StaticTimingAnalyzer sta(chain.netlist, 0.5);
+  const TimingGraph graph = TimingGraph::build(chain.netlist, TimingPolicy{});
+  const StaticTimingAnalyzer sta(chain.netlist, graph, 0.5);
   const TimingReport report = sta.analyze();
 
   TimeNs arrival = 0.0;
@@ -100,12 +103,14 @@ TEST_F(StaTest, PropagatesCausingEdgeSlewAndPinsCriticalDelay) {
 
 TEST_F(StaTest, RejectsCyclicNetlists) {
   LatchCircuit latch = make_nand_latch(lib_);
-  EXPECT_THROW(StaticTimingAnalyzer sta(latch.netlist), ContractViolation);
+  const TimingGraph graph = TimingGraph::build(latch.netlist, TimingPolicy{});
+  EXPECT_THROW(StaticTimingAnalyzer sta(latch.netlist, graph), ContractViolation);
 }
 
 TEST_F(StaTest, FormatContainsPathStages) {
   MultiplierCircuit mult = make_multiplier(lib_, 2);
-  const StaticTimingAnalyzer sta(mult.netlist, 0.5);
+  const TimingGraph graph = TimingGraph::build(mult.netlist, TimingPolicy{});
+  const StaticTimingAnalyzer sta(mult.netlist, graph, 0.5);
   const TimingReport report = sta.analyze();
   const std::string text = StaticTimingAnalyzer::format(report, mult.netlist);
   EXPECT_NE(text.find("critical delay"), std::string::npos);
@@ -118,7 +123,8 @@ TEST_F(StaTest, SimulatedArrivalsNeverExceedStaticLatest) {
   // the causing input vector, are bounded by STA's latest arrival, for both
   // delay models (the DDM only shrinks delays).
   MultiplierCircuit mult = make_multiplier(lib_, 3);
-  const StaticTimingAnalyzer sta(mult.netlist, 0.5);
+  const TimingGraph graph = TimingGraph::build(mult.netlist, TimingPolicy{});
+  const StaticTimingAnalyzer sta(mult.netlist, graph, 0.5);
   const TimingReport report = sta.analyze();
 
   const TimeNs period = 8.0;

@@ -1,8 +1,14 @@
 // Tests for the Stimulus testbench description.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "src/base/check.hpp"
 #include "src/circuits/generators.hpp"
 #include "src/core/stimulus.hpp"
+#include "src/parsers/stimulus_file.hpp"
 
 namespace halotis {
 namespace {
@@ -76,6 +82,38 @@ TEST_F(StimulusTest, ApplySequenceFirstWordIsInitial) {
   // a0 stays 1 throughout.
   EXPECT_TRUE(stim.edges(mult.a[0]).empty());
   EXPECT_DOUBLE_EQ(stim.last_edge_time(), 10.0);
+}
+
+TEST_F(StimulusTest, WordsDriveAtMost64Inputs) {
+  // A word has 64 bits.  A 65th input has no bit to read (the shift by 64
+  // is undefined, and on x86 reads bit 0 again), so a `seq` line over 65
+  // signals is rejected with its line number, and apply_word() /
+  // apply_sequence() require at most 64 inputs for every caller.
+  Netlist nl(lib_);
+  std::vector<SignalId> inputs;
+  for (int i = 0; i < 65; ++i) inputs.push_back(nl.add_primary_input("i" + std::to_string(i)));
+  const auto seq_line = [](int signals) {
+    std::string line = "seq";
+    for (int i = signals - 1; i >= 0; --i) line += " i" + std::to_string(i);
+    return line + " start 5 period 5 words 0x1 0x0\n";
+  };
+  try {
+    (void)read_stimulus("slew 0.4\n" + seq_line(65), nl);
+    ADD_FAILURE() << "a 65-signal seq line was accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("stimulus line 2"), std::string::npos) << e.what();
+  }
+  const std::vector<std::uint64_t> words{0x1, 0x0};
+  Stimulus direct(0.4);
+  EXPECT_THROW(direct.apply_sequence(inputs, words, 5.0, 5.0), ContractViolation);
+  EXPECT_THROW(direct.apply_word(inputs, 0x1, 5.0), ContractViolation);
+
+  // 64 signals still fit: the most significant one reads bit 63.
+  const Stimulus stim = read_stimulus(seq_line(64), nl);
+  EXPECT_TRUE(stim.initial_value(inputs[0]));
+  EXPECT_FALSE(stim.initial_value(inputs[63]));
+  ASSERT_EQ(stim.edges(inputs[0]).size(), 1u);
+  EXPECT_TRUE(stim.edges(inputs[63]).empty());
 }
 
 TEST_F(StimulusTest, PerEdgeSlewOverride) {

@@ -3,8 +3,9 @@
 //   * the fail-point registry fires on exact 1-based hit ordinals, with
 //     one-shot / repeat semantics and spec-string arming;
 //   * run budgets stop the kernel at the bit-identical event ordinal on
-//     every rerun, and a completed supervised run is bit-identical to an
-//     unsupervised one;
+//     every rerun, also on a reset() or rebind()-ed simulator whose arenas
+//     an earlier, larger run grew, and a completed supervised run is
+//     bit-identical to an unsupervised one;
 //   * write_file_atomic never leaves a partial artifact, whichever io.*
 //     site the failure is injected at;
 //   * WorkerPool stops a sweep at its first failure and rethrows that
@@ -272,6 +273,84 @@ TEST_F(SupervisionTest, MemoryBudgetsTripAtPolls) {
   arena.max_arena_bytes = 1;
   arena.poll_events = 16;
   expect_trip(arena, "arena-byte");
+}
+
+TEST_F(SupervisionTest, MemoryBudgetVerdictDependsOnlyOnThisRun) {
+  // A pooled simulator (the daemon's lease, a campaign worker) keeps the
+  // arena capacity an earlier, larger run reserved.  The memory budget
+  // charges this run's records only, so a fresh, a reset() and a
+  // rebind()-ed simulator reach the same verdict at the same event ordinal.
+  const Library lib = Library::default_u6();
+  const DdmDelayModel ddm;
+  const LayeredCircuit design = make_layered_circuit(lib, 40, 30, 11);
+  const LayeredCircuit other = make_layered_circuit(lib, 60, 30, 12);
+  const TimingGraph graph = TimingGraph::build(design.netlist, ddm.timing_policy());
+  const TimingGraph other_graph = TimingGraph::build(other.netlist, ddm.timing_policy());
+  const Stimulus stim = staggered_random_stimulus(design.inputs, 2, 5);
+  const Stimulus earlier = staggered_random_stimulus(design.inputs, 40, 6);
+  const Stimulus other_earlier = staggered_random_stimulus(other.inputs, 40, 7);
+
+  struct Verdict {
+    bool tripped = false;
+    std::uint64_t events = 0;
+    std::string message;
+  };
+  const auto supervised_run = [&](Simulator& sim, std::uint64_t max_bytes) {
+    RunBudget budget;
+    budget.max_arena_bytes = max_bytes;
+    budget.poll_events = 16;
+    RunSupervisor supervisor(budget);
+    supervisor.arm();
+    sim.supervise(&supervisor);
+    sim.apply_stimulus(stim);
+    Verdict verdict;
+    try {
+      (void)sim.run();
+    } catch (const RunError& e) {
+      EXPECT_EQ(e.kind(), RunErrorKind::kBudgetExceeded);
+      verdict.tripped = true;
+      verdict.message = e.what();
+    }
+    verdict.events = sim.stats().events_processed;
+    sim.supervise(nullptr);
+    return verdict;
+  };
+
+  // What the run writes, from an unsupervised fresh simulator.
+  Simulator probe(design.netlist, ddm, graph);
+  probe.apply_stimulus(stim);
+  (void)probe.run();
+  const std::uint64_t written = probe.transition_arena_bytes() + probe.event_arena_bytes();
+  const std::uint64_t events = probe.stats().events_processed;
+  ASSERT_GT(events, 1000u);
+
+  for (const std::uint64_t max_bytes : {2 * written, written / 2}) {
+    SCOPED_TRACE("budget " + std::to_string(max_bytes) + " bytes");
+    Simulator fresh(design.netlist, ddm, graph);
+    const Verdict expected = supervised_run(fresh, max_bytes);
+    EXPECT_EQ(expected.tripped, max_bytes < written);
+    if (!expected.tripped) {
+      EXPECT_EQ(expected.events, events);
+    }
+
+    Simulator recycled(design.netlist, ddm, graph);
+    recycled.apply_stimulus(earlier);
+    (void)recycled.run();
+    recycled.reset();
+    const Verdict after_reset = supervised_run(recycled, max_bytes);
+
+    Simulator rebound(other.netlist, ddm, other_graph);
+    rebound.apply_stimulus(other_earlier);
+    (void)rebound.run();
+    rebound.rebind(design.netlist, ddm, graph);
+    const Verdict after_rebind = supervised_run(rebound, max_bytes);
+
+    for (const Verdict* verdict : {&after_reset, &after_rebind}) {
+      EXPECT_EQ(verdict->tripped, expected.tripped) << verdict->message;
+      EXPECT_EQ(verdict->events, expected.events);
+      EXPECT_EQ(verdict->message, expected.message);
+    }
+  }
 }
 
 TEST_F(SupervisionTest, DeadlineAndCancellationAbortTheRun) {

@@ -78,25 +78,30 @@ TEST_F(TimingGraphTest, ArcEvalBitIdenticalToModelCompute) {
   const CdmDelayModel cdm;
   const CdmDelayModel cdm_classical(CdmDelayModel::InertialWindow::kGateDelay);
   const CdmDelayModel cdm_fixed(CdmDelayModel::InertialWindow::kFixed, 0.35);
-  const DelayModel varied(with_variation(ddm.timing_policy(), 0.08, 42));
 
-  const DelayModel models[] = {ddm, cdm, cdm_classical, cdm_fixed, varied};
-  for (const DelayModel& model : models) {
-    const TimingPolicy& policy = model.timing_policy();
-    const TimingGraph graph = graph_for(c17.netlist, model);
+  // The last flavour is the DDM graph derated by vary(0.08, 42).
+  struct Flavour {
+    const DelayModel* model;
+    double sigma;
+  };
+  const Flavour flavours[] = {
+      {&ddm, 0.0}, {&cdm, 0.0}, {&cdm_classical, 0.0}, {&cdm_fixed, 0.0}, {&ddm, 0.08}};
+  for (const Flavour& flavour : flavours) {
+    const TimingPolicy& policy = flavour.model->timing_policy();
+    TimingGraph graph = graph_for(c17.netlist, *flavour.model);
+    if (flavour.sigma != 0.0) graph = graph.vary(flavour.sigma, 42);
     for (std::size_t g = 0; g < c17.netlist.num_gates(); ++g) {
       const GateId gid{static_cast<GateId::underlying_type>(g)};
       const Gate& gate = c17.netlist.gate(gid);
       const double factor =
-          policy.has_variation()
-              ? variation_factor(policy.variation_seed, policy.variation_sigma, gid)
-              : 1.0;
+          flavour.sigma != 0.0 ? variation_factor(42, flavour.sigma, gid) : 1.0;
       for (int pin = 0; pin < static_cast<int>(gate.inputs.size()); ++pin) {
         for (const Edge edge : {Edge::kRise, Edge::kFall}) {
           const TimingArc& arc = graph.arc(graph.arc_id(gid, pin, edge));
-          const TimingArc alone =
-              elaborate_arc(c17.netlist.cell_of(gid), pin, edge,
-                            c17.netlist.load_of(gate.output), lib_.vdd(), policy, factor);
+          TimingArc alone = elaborate_arc(c17.netlist.cell_of(gid), pin, edge,
+                                          c17.netlist.load_of(gate.output), lib_.vdd(),
+                                          policy);
+          alone.factor = factor;
           for (const TimeNs tau_in : {0.2, 0.5, 1.3}) {
             for (const std::optional<TimeNs> prev :
                  {std::optional<TimeNs>{}, std::optional<TimeNs>{9.95},
@@ -115,17 +120,6 @@ TEST_F(TimingGraphTest, ArcEvalBitIdenticalToModelCompute) {
         }
       }
     }
-  }
-}
-
-TEST_F(TimingGraphTest, VariationPolicyFoldsPerInstanceFactors) {
-  C17Circuit c17 = make_c17(lib_);
-  const TimingGraph graph =
-      TimingGraph::build(c17.netlist, with_variation(DdmDelayModel{}.timing_policy(), 0.1, 7));
-  for (std::size_t g = 0; g < c17.netlist.num_gates(); ++g) {
-    const GateId gid{static_cast<GateId::underlying_type>(g)};
-    EXPECT_EQ(graph.arc(graph.arc_id(gid, 0, Edge::kRise)).factor,
-              variation_factor(7, 0.1, gid));
   }
 }
 
@@ -168,59 +162,6 @@ TEST_F(TimingGraphTest, SharedGraphSimulationBitIdenticalToInternalBuild) {
       EXPECT_EQ(a[i].tau, b[i].tau);
       EXPECT_EQ(a[i].edge, b[i].edge);
     }
-  }
-}
-
-TEST_F(TimingGraphTest, VariationGraphSimulationMatchesSelfElaboration) {
-  ChainCircuit chain = make_chain(lib_, 6);
-  const DdmDelayModel ddm;
-  const DelayModel varied(with_variation(ddm.timing_policy(), 0.12, 1234));
-
-  Stimulus stim(0.5);
-  stim.add_edge(chain.nodes[0], 2.0, true, 0.5);
-  stim.add_edge(chain.nodes[0], 7.0, false, 0.5);
-
-  // The self-elaborating simulator and an external graph fold the same
-  // factors into the arcs.  Same histories, bit for bit.
-  Simulator self_built(chain.netlist, varied);
-  self_built.apply_stimulus(stim);
-  (void)self_built.run();
-  const TimingGraph graph = graph_for(chain.netlist, varied);
-  Simulator graph_sim(chain.netlist, varied, graph);
-  graph_sim.apply_stimulus(stim);
-  (void)graph_sim.run();
-
-  const SignalId out = chain.nodes.back();
-  const auto a = self_built.history(out);
-  const auto b = graph_sim.history(out);
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_FALSE(a.empty());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].t_start, b[i].t_start);
-    EXPECT_EQ(a[i].tau, b[i].tau);
-  }
-  // And the derated timing differs from nominal (the factor is real).
-  Simulator nominal(chain.netlist, ddm);
-  nominal.apply_stimulus(stim);
-  (void)nominal.run();
-  EXPECT_NE(nominal.history(out)[0].t_start, a[0].t_start);
-}
-
-TEST_F(TimingGraphTest, StaSharedGraphMatchesLegacyConstructor) {
-  MultiplierCircuit mult = make_multiplier(lib_, 3);
-  const StaticTimingAnalyzer legacy(mult.netlist, 0.5);
-  const TimingGraph graph = TimingGraph::build(mult.netlist, TimingPolicy{});
-  const StaticTimingAnalyzer shared(mult.netlist, graph, 0.5);
-
-  const TimingReport a = legacy.analyze();
-  const TimingReport b = shared.analyze();
-  EXPECT_EQ(a.critical_delay, b.critical_delay);
-  EXPECT_EQ(a.critical_output, b.critical_output);
-  ASSERT_EQ(a.arrival.size(), b.arrival.size());
-  for (std::size_t s = 0; s < a.arrival.size(); ++s) {
-    EXPECT_EQ(a.arrival[s].earliest, b.arrival[s].earliest);
-    EXPECT_EQ(a.arrival[s].latest, b.arrival[s].latest);
-    EXPECT_EQ(a.arrival[s].slew, b.arrival[s].slew);
   }
 }
 
